@@ -104,19 +104,13 @@ def _bary_gradients(X: np.ndarray):
 
 def discrete_gradient(mesh: ReferenceMesh) -> sp.csr_matrix:
     """Signed incidence of interior edges against interior vertices."""
-    rows, cols, vals = [], [], []
     interior = np.flatnonzero(mesh.interior_edge_index >= 0)
-    for eid in interior:
-        lo, hi = mesh.edges[eid]
-        r = mesh.interior_edge_index[eid]
-        for v, s in ((hi, 1.0), (lo, -1.0)):
-            c = mesh.interior_vertex_index[v]
-            if c >= 0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(s)
+    rows = np.repeat(mesh.interior_edge_index[interior], 2)
+    cols = mesh.interior_vertex_index[mesh.edges[interior][:, ::-1]].ravel()
+    vals = np.tile([1.0, -1.0], interior.size)  # +1 at the high end
+    keep = cols >= 0
     return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(mesh.n_curl, mesh.n_grad)
+        (vals[keep], (rows[keep], cols[keep])), shape=(mesh.n_curl, mesh.n_grad)
     )
 
 
@@ -142,11 +136,14 @@ def _scatter_edge_vertex(vals, mesh):
     ).tocsr()
 
 
-def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledSystem:
-    """Assemble A(t), B(t), C(t) and the topological G for one parameter.
+def _element_matrices(mesh, family, t, derivative=False):
+    """Element matrices of A, B and C at t, or of their t-derivatives.
 
-    Raises GeometryError when det J <= 0 at any quadrature point, reporting
-    the offending point and parameter value.
+    Both mapping families have a Jacobian affine in t, so J' = J(x, 1) -
+    J(x, 0) exactly. The derivative pass runs the same quadrature loop with
+    the two metric factors replaced by their derivatives: (1/det)' =
+    -det'/det^2 and (adj(K)/det)' = adj(K')/det - adj(K) det'/det^2, where
+    K = J^T J and K' = J'^T J + J^T J'.
     """
     bary, wts = quadrature_rule(family)
     X = mesh.vertices[mesh.triangles]  # (T, 3, 2)
@@ -175,9 +172,6 @@ def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledS
                 f"{t!r}, quadrature point {tuple(xq[bad])}, det={det[bad]!r}"
             )
         # (J^T J)^{-1} through the adjugate; det(J^T J) = det(J)^2
-        k00 = J[:, 0, 0] ** 2 + J[:, 1, 0] ** 2
-        k01 = J[:, 0, 0] * J[:, 0, 1] + J[:, 1, 0] * J[:, 1, 1]
-        k11 = J[:, 0, 1] ** 2 + J[:, 1, 1] ** 2
         det_k = det**2
 
         w_edge = np.empty((ntri, 3, 2))
@@ -185,60 +179,61 @@ def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledS
             w_edge[:, e, :] = lam[a] * g[:, b, :] - lam[b] * g[:, a, :]
         w_edge *= sgn[:, :, None]
 
-        mw = np.empty_like(w_edge)
-        mw[:, :, 0] = (k11[:, None] * w_edge[:, :, 0] - k01[:, None] * w_edge[:, :, 1]) / det_k[:, None]
-        mw[:, :, 1] = (-k01[:, None] * w_edge[:, :, 0] + k00[:, None] * w_edge[:, :, 1]) / det_k[:, None]
+        mw = _adjugate_metric(J, J, w_edge) / det_k[:, None, None]
+        inv_det = wts[q] / det
+        if derivative:
+            dJ = family.jacobians(xq, 1.0) - family.jacobians(xq, 0.0)
+            ddet = (
+                dJ[:, 0, 0] * J[:, 1, 1] + J[:, 0, 0] * dJ[:, 1, 1]
+                - dJ[:, 0, 1] * J[:, 1, 0] - J[:, 0, 1] * dJ[:, 1, 0]
+            )
+            rate = (ddet / det)[:, None, None]
+            dk_w = _adjugate_metric(dJ, J, w_edge) + _adjugate_metric(J, dJ, w_edge)
+            mw = dk_w / det_k[:, None, None] - rate * mw
+            inv_det = -inv_det * ddet / det
 
         coef = (wts[q] * area * det)[:, None, None]
         B_loc += coef * np.einsum("ted,tfd->tef", w_edge, mw)
         C_loc += coef * np.einsum("ted,tvd->tev", mw, g)
-        inv_det_sum += wts[q] / det
+        inv_det_sum += inv_det
 
     A_loc = curl[:, :, None] * curl[:, None, :] * (area * inv_det_sum)[:, None, None]
-
-    A = _scatter_edge_edge(A_loc, mesh)
-    B = _scatter_edge_edge(B_loc, mesh)
-    C = _scatter_edge_vertex(C_loc, mesh)
-    G = discrete_gradient(mesh)
-    return AssembledSystem(t=float(t), A=A, B=B, C=C, G=G)
+    return A_loc, B_loc, C_loc
 
 
-def matrix_derivatives(
-    mesh: ReferenceMesh,
-    family: MappingFamily,
-    t: float,
-    h_fd: float = 1e-4,
-):
-    """Finite-difference derivatives (A'(t), B'(t)) of the assembled pencil.
+def _adjugate_metric(P, Q, w):
+    """adj(P^T Q) applied to the local edge vectors w (T, 3, 2)."""
+    k00 = P[:, 0, 0] * Q[:, 0, 0] + P[:, 1, 0] * Q[:, 1, 0]
+    k01 = P[:, 0, 0] * Q[:, 0, 1] + P[:, 1, 0] * Q[:, 1, 1]
+    k10 = P[:, 0, 1] * Q[:, 0, 0] + P[:, 1, 1] * Q[:, 1, 0]
+    k11 = P[:, 0, 1] * Q[:, 0, 1] + P[:, 1, 1] * Q[:, 1, 1]
+    out = np.empty_like(w)
+    out[:, :, 0] = k11[:, None] * w[:, :, 0] - k01[:, None] * w[:, :, 1]
+    out[:, :, 1] = -k10[:, None] * w[:, :, 0] + k00[:, None] * w[:, :, 1]
+    return out
 
-    Central second-order differences in the interior of [0, 1], one-sided
-    second-order stencils at the endpoints. The returned matrices share the
-    sparsity pattern of the assembled operators.
+
+def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledSystem:
+    """Assemble A(t), B(t), C(t) and the topological G for one parameter.
+
+    Raises GeometryError when det J <= 0 at any quadrature point, reporting
+    the offending point and parameter value.
     """
-    if h_fd <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {h_fd}")
+    A_loc, B_loc, C_loc = _element_matrices(mesh, family, t)
+    return AssembledSystem(
+        t=float(t),
+        A=_scatter_edge_edge(A_loc, mesh),
+        B=_scatter_edge_edge(B_loc, mesh),
+        C=_scatter_edge_vertex(C_loc, mesh),
+        G=discrete_gradient(mesh),
+    )
 
-    def pencil(tt):
-        s = assemble(mesh, family, tt)
-        return s.A, s.B
 
-    if t - h_fd >= 0.0 and t + h_fd <= 1.0:
-        a_p, b_p = pencil(t + h_fd)
-        a_m, b_m = pencil(t - h_fd)
-        scale = 1.0 / (2.0 * h_fd)
-        return ((a_p - a_m) * scale).tocsr(), ((b_p - b_m) * scale).tocsr()
-    if t - h_fd < 0.0:
-        a0, b0 = pencil(t)
-        a1, b1 = pencil(t + h_fd)
-        a2, b2 = pencil(t + 2 * h_fd)
-        scale = 1.0 / (2.0 * h_fd)
-        return (
-            ((-3.0) * a0 + 4.0 * a1 - a2) * scale
-        ).tocsr(), (((-3.0) * b0 + 4.0 * b1 - b2) * scale).tocsr()
-    a0, b0 = pencil(t)
-    a1, b1 = pencil(t - h_fd)
-    a2, b2 = pencil(t - 2 * h_fd)
-    scale = 1.0 / (2.0 * h_fd)
-    return (
-        (3.0 * a0 - 4.0 * a1 + a2) * scale
-    ).tocsr(), ((3.0 * b0 - 4.0 * b1 + b2) * scale).tocsr()
+def matrix_derivatives(mesh: ReferenceMesh, family: MappingFamily, t: float):
+    """Exact t-derivatives (A'(t), B'(t)) of the assembled pencil.
+
+    One derivative pass of the assembly quadrature; the matrices share the
+    sparsity pattern of A(t) and B(t).
+    """
+    A_loc, B_loc, _ = _element_matrices(mesh, family, t, derivative=True)
+    return _scatter_edge_edge(A_loc, mesh), _scatter_edge_edge(B_loc, mesh)

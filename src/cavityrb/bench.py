@@ -44,7 +44,33 @@ def build_problem(cfg: RunConfig, gauge: str | None = None, mesh=None) -> Cavity
         gauge=gauge or cfg.gauge,
         null_tol=cfg.null_tol,
         delta_mult=cfg.delta_mult,
-        h_fd=cfg.h_fd,
+    )
+
+
+def greedy_config(cfg: RunConfig, n_init: int) -> GreedyConfig:
+    """Greedy settings of a run, starting from an initial basis of n_init."""
+    return GreedyConfig(
+        K=cfg.K,
+        tau=cfg.tau,
+        N_init=n_init,
+        xi_train=np.linspace(0.0, 1.0, cfg.N_train),
+        tol=cfg.tol,
+        N_max=cfg.N_max,
+        delta_mult=cfg.delta_mult,
+        residual_form=cfg.residual_form,
+    )
+
+
+def tracking_config(cfg: RunConfig, system: str) -> TrackingConfig:
+    """Tracking settings of a run on the given system variant."""
+    return TrackingConfig(
+        K=cfg.K,
+        h=cfg.track_h,
+        system=system,
+        rho_min=cfg.rho_min,
+        max_halvings=cfg.max_halvings,
+        overtrack=cfg.tau,
+        delta_mult=cfg.delta_mult,
     )
 
 
@@ -101,16 +127,7 @@ def initial_basis(problem: CavityProblem, cfg: RunConfig):
 def build_basis(problem: CavityProblem, cfg: RunConfig, callback=None):
     """Full offline phase: POD initialization plus greedy extension."""
     basis, snapshots = initial_basis(problem, cfg)
-    gcfg = GreedyConfig(
-        K=cfg.K,
-        tau=cfg.tau,
-        N_init=basis.size,
-        xi_train=np.linspace(0.0, 1.0, cfg.N_train),
-        tol=cfg.tol,
-        N_max=cfg.N_max,
-        delta_mult=cfg.delta_mult,
-        residual_form=cfg.residual_form,
-    )
+    gcfg = greedy_config(cfg, basis.size)
     extended, log = greedy_extend(basis, gcfg, problem, callback=callback)
     return extended, log, snapshots
 
@@ -187,16 +204,7 @@ def run_error_study(cfg: RunConfig, problem: CavityProblem | None = None):
 
     basis0, snapshots = initial_basis(problem, cfg)
     study.evaluate(basis0.Z)
-    gcfg = GreedyConfig(
-        K=cfg.K,
-        tau=cfg.tau,
-        N_init=basis0.size,
-        xi_train=np.linspace(0.0, 1.0, cfg.N_train),
-        tol=cfg.tol,
-        N_max=cfg.N_max,
-        delta_mult=cfg.delta_mult,
-        residual_form=cfg.residual_form,
-    )
+    gcfg = greedy_config(cfg, basis0.size)
     basis, log = greedy_extend(basis0, gcfg, problem, callback=callback)
     return study, basis, log
 
@@ -267,15 +275,7 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
         return _run
 
     def make_track(system, basis=None):
-        tcfg = TrackingConfig(
-            K=cfg.K,
-            h=cfg.track_h,
-            system=system,
-            rho_min=cfg.rho_min,
-            max_halvings=cfg.max_halvings,
-            overtrack=cfg.tau,
-            delta_mult=cfg.delta_mult,
-        )
+        tcfg = tracking_config(cfg, system)
 
         def _run():
             trace = track(tcfg, problem, basis=basis)
@@ -399,20 +399,10 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         state["snapshots"] = snapshots
 
     def _greedy():
-        study = state["study"]
-        study.evaluate(state["basis0"].Z)
-        gcfg = GreedyConfig(
-            K=cfg.K,
-            tau=cfg.tau,
-            N_init=state["basis0"].size,
-            xi_train=np.linspace(0.0, 1.0, cfg.N_train),
-            tol=cfg.tol,
-            N_max=cfg.N_max,
-            delta_mult=cfg.delta_mult,
-            residual_form=cfg.residual_form,
-        )
+        study, basis0 = state["study"], state["basis0"]
+        study.evaluate(basis0.Z)
         basis, log = greedy_extend(
-            state["basis0"], gcfg, state["problem"],
+            basis0, greedy_config(cfg, basis0.size), state["problem"],
             callback=lambda it, Z: study.evaluate(Z),
         )
         state["basis"] = basis
@@ -428,17 +418,10 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         artifacts["tree_cotree"] = state["problem"].tree_cotree
 
     def _track():
-        tcfg = TrackingConfig(
-            K=cfg.K,
-            h=cfg.track_h,
-            system=cfg.track_system,
-            rho_min=cfg.rho_min,
-            max_halvings=cfg.max_halvings,
-            overtrack=cfg.tau,
-            delta_mult=cfg.delta_mult,
-        )
         basis = state.get("basis") if cfg.track_system == "reduced" else None
-        trace = track(tcfg, state["problem"], basis=basis)
+        trace = track(
+            tracking_config(cfg, cfg.track_system), state["problem"], basis=basis
+        )
         if not trace.complete:
             raise CavityError(f"tracking aborted: {trace.status}")
         artifacts["trace"] = trace

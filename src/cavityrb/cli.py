@@ -16,7 +16,7 @@ from . import serialize as ser
 from .config import config_from_dict, load_config
 from .eigensolve import count_null
 from .errors import CavityError, ConfigError, GeometryError, NumericalError
-from .tracking import TrackingConfig, analytic_rectangle_table, classify_endpoint, track
+from .tracking import analytic_rectangle_table, classify_endpoint, track
 
 
 def _load(args):
@@ -138,12 +138,7 @@ def cmd_track(args):
     elif system == "reduced":
         print("no basis artifact given, building one")
         basis, _, _ = bench_mod.build_basis(problem, cfg)
-    tcfg = TrackingConfig(
-        K=cfg.K, h=cfg.track_h, system=system, rho_min=cfg.rho_min,
-        max_halvings=cfg.max_halvings, overtrack=cfg.tau,
-        delta_mult=cfg.delta_mult,
-    )
-    trace = track(tcfg, problem, basis=basis)
+    trace = track(bench_mod.tracking_config(cfg, system), problem, basis=basis)
     if cfg.family == "affine-stretch" and trace.complete:
         classify_endpoint(trace, analytic_rectangle_table(cfg.stretch_a1, cfg.K + 12))
     ser.write_csv(

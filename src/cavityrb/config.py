@@ -10,13 +10,12 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .geometry import FAMILIES
+from .greedy import RESIDUAL_FORMS
+from .problem import GAUGES
+from .tracking import SYSTEMS
 
 SCHEMA_VERSION = 1
-
-_FAMILIES = ("affine-stretch", "sine-bump")
-_GAUGES = ("none", "gram-schmidt", "projection", "tree-cotree")
-_TRACK_SYSTEMS = ("high-fidelity", "cotree", "reduced")
-_RESIDUAL_FORMS = ("mass", "mass-inverse")
 
 
 @dataclass
@@ -40,7 +39,6 @@ class RunConfig:
     rho_min: float = 0.8
     max_halvings: int = 4
     seed: int = 7
-    h_fd: float = 1e-4
     delta_mult: float = 1e-6
     null_tol: float = 1e-8
     residual_form: str = "mass"
@@ -65,15 +63,15 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.tau < 0 or self.N_init < 0:
             raise ConfigError("tau and N_init must be non-negative")
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"family must be one of {_FAMILIES}")
-        if self.gauge not in _GAUGES:
-            raise ConfigError(f"gauge must be one of {_GAUGES}")
-        if self.track_system not in _TRACK_SYSTEMS:
-            raise ConfigError(f"track_system must be one of {_TRACK_SYSTEMS}")
-        if self.residual_form not in _RESIDUAL_FORMS:
-            raise ConfigError(f"residual_form must be one of {_RESIDUAL_FORMS}")
-        for name in ("tol", "h_fd", "delta_mult", "null_tol"):
+        if self.family not in FAMILIES:
+            raise ConfigError(f"family must be one of {FAMILIES}")
+        if self.gauge not in GAUGES:
+            raise ConfigError(f"gauge must be one of {GAUGES}")
+        if self.track_system not in SYSTEMS:
+            raise ConfigError(f"track_system must be one of {SYSTEMS}")
+        if self.residual_form not in RESIDUAL_FORMS:
+            raise ConfigError(f"residual_form must be one of {RESIDUAL_FORMS}")
+        for name in ("tol", "delta_mult", "null_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.track_h <= 1.0):

@@ -31,23 +31,25 @@ class TreeCotree:
 
     The tree spans the interior vertices against a single root that stands
     for the whole (eliminated) boundary, so there are exactly n_grad tree
-    edges. Indices refer to the interior-edge numbering. ``column_order``
-    records the [cotree, tree] permutation used by the block notation of the
-    condensed system; the matrices below are kept in natural ordering.
+    edges. Indices refer to the interior-edge numbering.
     """
 
     tree: np.ndarray
     cotree: np.ndarray
     n_curl: int
 
-    @property
-    def column_order(self) -> np.ndarray:
-        return np.concatenate([self.cotree, self.tree])
-
     def __post_init__(self):
         both = np.concatenate([self.tree, self.cotree])
         if len(np.unique(both)) != self.n_curl or len(both) != self.n_curl:
             raise GeometryError("tree/cotree sets do not partition the edge unknowns")
+
+
+def mass_factor(B):
+    """Sparse LU of a mass matrix; a failed factorization is a NumericalError."""
+    try:
+        return spla.splu(sp.csc_matrix(B))
+    except RuntimeError as exc:
+        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
 
 
 def build_tree_cotree(mesh: ReferenceMesh) -> TreeCotree:
@@ -113,11 +115,7 @@ def tree_cotree_condense(A, B, tc: TreeCotree):
     if A.shape != B.shape or A.shape[0] != tc.n_curl:
         raise ValueError("pencil dimensions do not match the tree-cotree partition")
     H = A[tc.cotree, :]
-    try:
-        factor = spla.splu(B.tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
-    X = factor.solve(H.T.toarray())
+    X = mass_factor(B).solve(H.T.toarray())
     A_hat = X.T @ (A @ X)
     B_hat = H @ X
     A_hat = 0.5 * (A_hat + A_hat.T)
@@ -125,7 +123,7 @@ def tree_cotree_condense(A, B, tc: TreeCotree):
     return A_hat, B_hat, H
 
 
-def condensed_standard_form(A, B, tc: TreeCotree):
+def condensed_standard_form(A, B, tc: TreeCotree, factor=None):
     """Orthonormal-frame standard form of the condensed pencil.
 
     Forming the condensed matrices squares the conditioning of the cotree
@@ -135,15 +133,12 @@ def condensed_standard_form(A, B, tc: TreeCotree):
     pencil is congruent to the perfectly conditioned standard matrix
     C = (X R^{-1})^T A (X R^{-1}). Returns (C, Q, R) with Q = X R^{-1},
     whose columns are B-orthonormal and span the physical eigenspace.
+    ``factor`` is a factorization of B the caller already holds.
     """
     A = sp.csr_matrix(A)
     B = sp.csr_matrix(B)
     H = A[tc.cotree, :]
-    try:
-        factor = spla.splu(B.tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
-    X = factor.solve(H.T.toarray())
+    X = (factor or mass_factor(B)).solve(H.T.toarray())
     L = scipy.linalg.cholesky(B.toarray(), lower=True)
     R = scipy.linalg.qr(L.T @ X, mode="economic")[1]
     # enforce a positive diagonal so R is the Cholesky factor of B_hat
@@ -153,6 +148,33 @@ def condensed_standard_form(A, B, tc: TreeCotree):
     Q = scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
     C_std = Q.T @ (A @ Q)
     return 0.5 * (C_std + C_std.T), Q, R
+
+
+def condensed_standard_form_derivative(A, A_p, B_p, tc: TreeCotree, Q, R, factor):
+    """Exact t-derivative C' of the standard form C = Q^T A Q.
+
+    Q and R come from ``condensed_standard_form`` at the same parameter and
+    ``factor`` is a factorization of B there. With X = B^{-1} H^T = Q R,
+    X' = B^{-1} (H'^T - B' X) and B_hat' = H' X + H X'. Since B_hat = R^T R
+    with R upper triangular, R' R^{-1} is the triangle Phi = triu(W, 1) +
+    diag(W) / 2 of W = R^{-T} B_hat' R^{-1}. Then Q' = X' R^{-1} - Q Phi and
+    C' = sym(2 Q'^T A Q) + Q^T A' Q.
+    """
+    A = sp.csr_matrix(A)
+    H = A[tc.cotree, :]
+    H_p = sp.csr_matrix(A_p)[tc.cotree, :]
+
+    def right_solve(M):  # M R^{-1}
+        return scipy.linalg.solve_triangular(R.T, M.T, lower=True).T
+
+    X = Q @ R
+    X_p = factor.solve(H_p.T.toarray() - B_p @ X)
+    W = right_solve(right_solve(H_p @ X + H @ X_p).T)
+    Phi = np.triu(W, 1) + 0.5 * np.diag(np.diag(W))
+    Q_p = right_solve(X_p) - Q @ Phi
+    M = Q_p.T @ (A @ Q)
+    C_p = M + M.T + Q.T @ (A_p @ Q)
+    return 0.5 * (C_p + C_p.T)
 
 
 def condensed_eigensolve(A, B, tc: TreeCotree):
@@ -175,12 +197,7 @@ def tree_cotree_expand(y, B, H):
     divergence-free with respect to the same B used for the expansion.
     """
     y = np.asarray(y, dtype=float)
-    rhs = H.T @ y
-    try:
-        factor = spla.splu(sp.csc_matrix(B))
-    except RuntimeError as exc:
-        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
-    return factor.solve(rhs if rhs.ndim > 1 else rhs)
+    return mass_factor(B).solve(H.T @ y)
 
 
 def gradient_basis(G, B0) -> np.ndarray:

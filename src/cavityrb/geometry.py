@@ -138,7 +138,7 @@ def build_reference_mesh(n: int) -> ReferenceMesh:
 
 AFFINE_STRETCH = "affine-stretch"
 SINE_BUMP = "sine-bump"
-_KINDS = (AFFINE_STRETCH, SINE_BUMP)
+FAMILIES = (AFFINE_STRETCH, SINE_BUMP)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class MappingFamily:
     bump_beta: float = 0.3
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise GeometryError(f"unknown mapping kind {self.kind!r}")
         if self.kind == SINE_BUMP and abs(self.bump_beta) >= 1.0:
             raise GeometryError("bump amplitude must satisfy |beta| < 1")

@@ -175,13 +175,13 @@ def _sweep(problem, Z, config):
     etas = np.empty((n_train, config.K))
     for it_t, t in enumerate(config.xi_train):
         sys_t = problem.system(float(t))
-        A_red, B_red, U = problem.reduced_pencil(Z, float(t))
+        b_factor = None
+        if config.residual_form == "mass-inverse":
+            b_factor = problem.mass_factor(float(t))
+        A_red, B_red, U = problem.reduced_pencil(Z, float(t), factor=b_factor)
         lam, V = solve_dense_gevp(A_red, B_red)
         keep = min(config.K + config.tau, lam.size)
         lam_k = lam[:keep]
-        b_factor = None
-        if config.residual_form == "mass-inverse":
-            b_factor = spla.splu(sparse.csc_matrix(sys_t.B))
         for i in range(config.K):
             if i >= lam_k.size:
                 etas[it_t, i] = np.inf

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError
 from .eigensolve import b_orthonormalize
-from .problem import CavityProblem
+
+if TYPE_CHECKING:  # pod is imported by problem
+    from .problem import CavityProblem
 
 
 @dataclass

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import gauge as gauge_mod
 from .assembly import AssembledSystem, assemble, discrete_gradient, matrix_derivatives
@@ -18,6 +17,7 @@ from .eigensolve import (
 )
 from .errors import NumericalError
 from .geometry import MappingFamily, ReferenceMesh
+from .pod import reduce_system
 
 GAUGES = ("none", "gram-schmidt", "projection", "tree-cotree")
 
@@ -38,7 +38,6 @@ class CavityProblem:
         gauge: str = "tree-cotree",
         null_tol: float = DEFAULT_NULL_TOL,
         delta_mult: float = DEFAULT_MULT_TOL,
-        h_fd: float = 1e-4,
         t_ref: float = 0.0,
     ):
         if gauge not in GAUGES:
@@ -48,7 +47,6 @@ class CavityProblem:
         self.gauge = gauge
         self.null_tol = null_tol
         self.delta_mult = delta_mult
-        self.h_fd = h_fd
         self.t_ref = t_ref
         self._systems: dict[float, AssembledSystem] = {}
         self._G = None
@@ -95,13 +93,12 @@ class CavityProblem:
         return self.system(self.t_ref).B
 
     def derivative_pencil(self, t: float):
-        """(A'(t), B'(t)) by finite differences on cached assemblies."""
-        h = self.h_fd
-        if t - h >= 0.0 and t + h <= 1.0:
-            sp_, sm = self.system(t + h), self.system(t - h)
-            s = 1.0 / (2.0 * h)
-            return ((sp_.A - sm.A) * s).tocsr(), ((sp_.B - sm.B) * s).tocsr()
-        return matrix_derivatives(self.mesh, self.family, t, h)
+        """Exact (A'(t), B'(t)) from one derivative pass of the assembly."""
+        return matrix_derivatives(self.mesh, self.family, t)
+
+    def mass_factor(self, t: float):
+        """Sparse LU factorization of B(t)."""
+        return gauge_mod.mass_factor(self.system(t).B)
 
     # ----------------------------------------------------------------- solve
 
@@ -189,32 +186,53 @@ class CavityProblem:
         sol = self.solve_full(t, k)
         return sol.lambdas, sol.vectors
 
-    def upscale_matrix(self, Z: np.ndarray, t: float, space: str | None = None) -> np.ndarray:
+    def upscale_matrix(
+        self, Z: np.ndarray, t: float, space: str | None = None, factor=None
+    ) -> np.ndarray:
         """Full-space image of the basis columns at parameter t.
 
         Identity for edge-space bases; for cotree bases the columns map
         through the parameter's expansion B(t)^{-1} H(t)^T, so the reduced
         trial space is divergence-free on every domain configuration.
+        ``factor`` is a factorization of B(t) the caller already holds.
         """
         if (space or self.basis_space) == "edge":
             return np.asarray(Z, dtype=float)
-        sys_t = self.system(t)
-        H = sys_t.A.tocsr()[self.tree_cotree.cotree, :]
-        try:
-            factor = spla.splu(sys_t.B.tocsc())
-        except RuntimeError as exc:
-            raise NumericalError(
-                f"mass-matrix factorization failed at t={t!r}: {exc}"
-            ) from exc
+        H = self.system(t).A.tocsr()[self.tree_cotree.cotree, :]
+        factor = factor or self.mass_factor(t)
         return factor.solve(H.T @ np.asarray(Z, dtype=float))
 
-    def reduced_pencil(self, Z: np.ndarray, t: float, space: str | None = None):
+    def reduced_pencil(
+        self, Z: np.ndarray, t: float, space: str | None = None, factor=None
+    ):
         """(A_red, B_red, U) of the basis at t; U upscales reduced vectors."""
         sys_t = self.system(t)
-        U = self.upscale_matrix(Z, t, space=space)
-        A_red = U.T @ (sys_t.A @ U)
-        B_red = U.T @ (sys_t.B @ U)
-        return 0.5 * (A_red + A_red.T), 0.5 * (B_red + B_red.T), U
+        U = self.upscale_matrix(Z, t, space=space, factor=factor)
+        return (*reduce_system(U, sys_t.A, sys_t.B), U)
+
+    def reduced_derivative(
+        self, Z: np.ndarray, t: float, U: np.ndarray, space: str | None = None,
+        factor=None,
+    ):
+        """Exact (A_red'(t), B_red'(t)) of the basis by the chain rule.
+
+        U is the upscaled basis at t. Cotree bases have U = B^{-1} H^T Z with
+        H^T = A[:, cotree], so U' = B^{-1} (A'[:, cotree] Z - B' U); edge-space
+        bases have U' = 0. Then A_red' = sym(2 U'^T A U) + U^T A' U, and the
+        same for B_red.
+        """
+        sys_t = self.system(t)
+        A_p, B_p = self.derivative_pencil(t)
+        dA, dB = reduce_system(U, A_p, B_p)
+        if (space or self.basis_space) == "cotree":
+            factor = factor or self.mass_factor(t)
+            H_p = A_p.tocsr()[self.tree_cotree.cotree, :]
+            U_p = factor.solve(H_p.T @ np.asarray(Z, dtype=float) - B_p @ U)
+            dA_u = U_p.T @ (sys_t.A @ U)
+            dB_u = U_p.T @ (sys_t.B @ U)
+            dA += dA_u + dA_u.T
+            dB += dB_u + dB_u.T
+        return dA, dB
 
     # ----------------------------------------------------------------- gauge
 

@@ -21,8 +21,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, SingularDerivativeError
 from .eigensolve import cluster_of, eigenvalue_clusters, solve_dense_gevp
-from .gauge import condensed_standard_form
-from .pod import ReducedBasis, reduce_system
+from .gauge import condensed_standard_form, condensed_standard_form_derivative
+from .pod import ReducedBasis
 from .problem import CavityProblem
 
 SYSTEMS = ("high-fidelity", "cotree", "reduced")
@@ -193,9 +193,10 @@ def _correlation_matrix(P, C, B):
     return np.abs(P.T @ BC) / np.outer(pn, cn)
 
 
-def _assign(rho, rho_min):
+def _assign(rho, rho_min, score=None):
+    """Assignment maximizing ``score`` (default rho), accepted on rho."""
     K = rho.shape[0]
-    rows, cols = linear_sum_assignment(-rho)
+    rows, cols = linear_sum_assignment(-(rho if score is None else score))
     perm = np.empty(K, dtype=int)
     perm[rows] = cols
     rhos = rho[np.arange(K), perm]
@@ -250,13 +251,7 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     # The subspace score decides acceptance; a small individual-correlation
     # term breaks assignment ties inside clusters so that seeded/predicted
     # member order survives a degenerate step.
-    K = rho.shape[0]
-    rows, cols = linear_sum_assignment(-(rho + 1e-6 * rho_ind))
-    perm = np.empty(K, dtype=int)
-    perm[rows] = cols
-    rhos = rho[np.arange(K), perm]
-    ok = True if rho_min is None else bool(rhos.min() >= rho_min)
-    return MatchResult(perm=perm, rhos=rhos, ok=ok)
+    return _assign(rho, rho_min, score=rho + 1e-6 * rho_ind)
 
 
 def _b_orthonormal_block(V, B, drop_tol=1e-10):
@@ -298,9 +293,9 @@ class _FullOps:
 
 
 class _PencilCache:
-    """Small per-run memo for t-dependent pencils (bounded memory)."""
+    """Per-run memo of t-dependent pencils; a march step reuses t and t + h."""
 
-    def __init__(self, build, maxsize=8):
+    def __init__(self, build, maxsize=4):
         self.build = build
         self.maxsize = maxsize
         self.store = OrderedDict()
@@ -330,32 +325,31 @@ class _CotreeOps:
     def __init__(self, problem: CavityProblem, K: int):
         self.problem = problem
         self.K = K
-        self._pencil = _PencilCache(self._standard_form)
+        self._frame = _PencilCache(self._standard_form)
 
     def _standard_form(self, t):
         s = self.problem.system(t)
-        C_std, _, _ = condensed_standard_form(s.A, s.B, self.problem.tree_cotree)
-        return C_std, np.eye(C_std.shape[0])
+        factor = self.problem.mass_factor(t)
+        C_std, Q, R = condensed_standard_form(
+            s.A, s.B, self.problem.tree_cotree, factor
+        )
+        return C_std, Q, R, factor
 
     def pencil(self, t):
-        return self._pencil(t)
+        C_std = self._frame(t)[0]
+        return C_std, np.eye(C_std.shape[0])
 
     def derivative_pencil(self, t):
-        h = self.problem.h_fd
-        if t - h < 0.0:
-            ts, ws = (t, t + h, t + 2 * h), (-3.0, 4.0, -1.0)
-        elif t + h > 1.0:
-            ts, ws = (t, t - h, t - 2 * h), (3.0, -4.0, 1.0)
-        else:
-            ts, ws = (t + h, t - h), (1.0, -1.0)
-        mats = [self._pencil(tt) for tt in ts]
-        scale = 1.0 / (2.0 * h)
-        A_p = scale * sum(w * m[0] for w, m in zip(ws, mats))
-        B_p = np.zeros_like(A_p)
-        return A_p, B_p
+        _, Q, R, factor = self._frame(t)
+        A_p, B_p = self.problem.derivative_pencil(t)
+        C_p = condensed_standard_form_derivative(
+            self.problem.system(t).A, A_p, B_p, self.problem.tree_cotree,
+            Q, R, factor,
+        )
+        return C_p, np.zeros_like(C_p)
 
     def solve_all(self, t):
-        C_std, _ = self._pencil(t)
+        C_std, _ = self.pencil(t)
         lam, Y = scipy.linalg.eigh(C_std)
         return lam, Y
 
@@ -367,35 +361,24 @@ class _ReducedOps:
         self.problem = problem
         self.basis = basis
         self.K = K
-        self._pencil = _PencilCache(self._reduce, maxsize=16)
+        self._pencil = _PencilCache(self._reduce)
 
     def _reduce(self, t):
-        A_red, B_red, _ = self.problem.reduced_pencil(
-            self.basis.Z, t, space=self.basis.space
+        space = self.basis.space
+        factor = self.problem.mass_factor(t) if space == "cotree" else None
+        A_red, B_red, U = self.problem.reduced_pencil(
+            self.basis.Z, t, space=space, factor=factor
         )
-        return A_red, B_red
+        return A_red, B_red, U, factor
 
     def pencil(self, t):
-        return self._pencil(t)
+        return self._pencil(t)[:2]
 
     def derivative_pencil(self, t):
-        if self.basis.space == "edge":
-            A_p, B_p = self.problem.derivative_pencil(t)
-            return reduce_system(self.basis.Z, A_p, B_p)
-        # Cotree bases upscale through a t-dependent map, so the reduced
-        # operator family is differentiated directly.
-        h = self.problem.h_fd
-        if t - h < 0.0:
-            ts, ws = (t, t + h, t + 2 * h), (-3.0, 4.0, -1.0)
-        elif t + h > 1.0:
-            ts, ws = (t, t - h, t - 2 * h), (3.0, -4.0, 1.0)
-        else:
-            ts, ws = (t + h, t - h), (1.0, -1.0)
-        mats = [self.pencil(tt) for tt in ts]
-        scale = 1.0 / (2.0 * h)
-        A_p = scale * sum(w * m[0] for w, m in zip(ws, mats))
-        B_p = scale * sum(w * m[1] for w, m in zip(ws, mats))
-        return A_p, B_p
+        _, _, U, factor = self._pencil(t)
+        return self.problem.reduced_derivative(
+            self.basis.Z, t, U, space=self.basis.space, factor=factor
+        )
 
     def solve_all(self, t):
         return solve_dense_gevp(*self.pencil(t))

@@ -34,6 +34,13 @@ def make_problem(n=8, family="affine", gauge="tree-cotree", **kw):
     return CavityProblem(mesh(n), fam, gauge=gauge, **kw)
 
 
+def central_difference(f, t, h):
+    """Finite-difference oracle for t-derivatives: (f(t+h) - f(t-h)) / 2h,
+    taken entrywise over the tuple of matrices that f returns."""
+    plus, minus = f(t + h), f(t - h)
+    return tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
+
+
 @pytest.fixture
 def quiet_warnings():
     with warnings.catch_warnings():

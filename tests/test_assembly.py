@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityrb import (
     affine_stretch,
     assemble,
+    discrete_gradient,
     identity_map,
     matrix_derivatives,
     sine_bump,
@@ -13,7 +15,21 @@ from cavityrb import (
 from cavityrb.errors import GeometryError
 from cavityrb.geometry import MappingFamily
 
-from conftest import mesh
+from conftest import central_difference, mesh
+
+
+def _discrete_gradient_loop(m):
+    """Edge-by-edge incidence assembly: the oracle for discrete_gradient."""
+    rows, cols, vals = [], [], []
+    for eid in np.flatnonzero(m.interior_edge_index >= 0):
+        lo, hi = m.edges[eid]
+        for v, s in ((hi, 1.0), (lo, -1.0)):
+            c = m.interior_vertex_index[v]
+            if c >= 0:
+                rows.append(m.interior_edge_index[eid])
+                cols.append(c)
+                vals.append(s)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m.n_curl, m.n_grad))
 
 
 def test_unit_cell_stiffness_hand_value():
@@ -88,6 +104,16 @@ def test_gradient_independent_of_t():
     np.testing.assert_array_equal(g0, g1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_gradient_matches_loop_oracle(n):
+    G = discrete_gradient(mesh(n))
+    oracle = _discrete_gradient_loop(mesh(n))
+    assert G.shape == oracle.shape
+    assert (G != oracle).nnz == 0
+    np.testing.assert_array_equal(G.indptr, oracle.indptr)
+    np.testing.assert_array_equal(G.indices, oracle.indices)
+
+
 def test_negative_jacobian_rejected():
     bad = MappingFamily(kind="affine-stretch", stretch_end=-1.0)
     with pytest.raises(GeometryError) as err:
@@ -96,7 +122,7 @@ def test_negative_jacobian_rejected():
 
 
 def test_derivative_of_identity_family_is_zero():
-    Ap, Bp = matrix_derivatives(mesh(2), identity_map(), 0.5, 1e-4)
+    Ap, Bp = matrix_derivatives(mesh(2), identity_map(), 0.5)
     assert abs(Ap).max() if Ap.nnz else 0.0 == 0.0
     assert abs(Bp).max() if Bp.nnz else 0.0 == 0.0
 
@@ -106,43 +132,48 @@ def test_derivative_matches_closed_form():
     fam = affine_stretch(2.5)
     t = 0.4
     a, ap = fam.stretch(t), fam.stretch_rate()
-    Ap, Bp = matrix_derivatives(mesh(1), fam, t, 1e-5)
-    np.testing.assert_allclose(Ap[0, 0], -4.0 * ap / a**2, rtol=1e-7)
-    np.testing.assert_allclose(Bp[0, 0], ap * (1.0 - 1.0 / a**2) / 6.0, rtol=1e-7)
+    Ap, Bp = matrix_derivatives(mesh(1), fam, t)
+    np.testing.assert_allclose(Ap[0, 0], -4.0 * ap / a**2, rtol=1e-12)
+    np.testing.assert_allclose(Bp[0, 0], ap * (1.0 - 1.0 / a**2) / 6.0, rtol=1e-12)
 
 
-def test_derivative_richardson_rate():
-    # halving the step shrinks the truncation error by about four
-    fam = affine_stretch(2.5)
-    t = 0.4
-    a, ap = fam.stretch(t), fam.stretch_rate()
-    exact = -4.0 * ap / a**2
+@given(
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_derivative_richardson_rate(kind, t):
+    # exact derivatives against the central-difference oracle: halving the
+    # step shrinks the oracle's truncation error by four
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    m = mesh(3)
+
+    def pencil(tt):
+        s = assemble(m, fam, tt)
+        return s.A, s.B
+
+    exact = matrix_derivatives(m, fam, t)
     errs = []
     for h in (1e-2, 5e-3):
-        Ap, _ = matrix_derivatives(mesh(1), fam, t, h)
-        errs.append(abs(Ap[0, 0] - exact))
-    ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 5.0
+        oracle = central_difference(pencil, t, h)
+        errs.append([abs(o - e).max() for o, e in zip(oracle, exact)])
+    ratios = np.array(errs[0]) / np.array(errs[1])
+    assert np.all((3.5 < ratios) & (ratios < 4.5)), ratios
 
 
 def test_derivative_one_sided_at_endpoints():
+    # no stencil leaves [0, 1]: the endpoints get the same exact derivative
     fam = affine_stretch(2.5)
     for t in (0.0, 1.0):
         a, ap = fam.stretch(t), fam.stretch_rate()
-        Ap, _ = matrix_derivatives(mesh(1), fam, t, 1e-4)
-        np.testing.assert_allclose(Ap[0, 0], -4.0 * ap / a**2, rtol=1e-6)
-
-
-def test_derivative_rejects_bad_step():
-    with pytest.raises(ValueError):
-        matrix_derivatives(mesh(1), affine_stretch(2.5), 0.5, 0.0)
+        Ap, _ = matrix_derivatives(mesh(1), fam, t)
+        np.testing.assert_allclose(Ap[0, 0], -4.0 * ap / a**2, rtol=1e-12)
 
 
 def test_derivative_sparsity_pattern_matches():
     m = mesh(4)
     fam = sine_bump(0.3)
     s = assemble(m, fam, 0.5)
-    Ap, Bp = matrix_derivatives(m, fam, 0.5, 1e-4)
+    Ap, Bp = matrix_derivatives(m, fam, 0.5)
     assert Ap.shape == s.A.shape and Bp.shape == s.B.shape
     a_pat = set(zip(*s.A.nonzero()))
     ap_pat = set(zip(*Ap.nonzero()))

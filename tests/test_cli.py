@@ -62,10 +62,12 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["check", "--config", str(path)]) == 2
 
 
-def test_unknown_key_exits_2(tmp_path):
+def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("schema = 1\nmesh_nn = 4\n")
     assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown configuration key 'mesh_nn'" in err[0]
 
 
 def test_build_rb_and_track_roundtrip(cfg_path, tmp_path, quiet_warnings):

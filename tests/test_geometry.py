@@ -107,6 +107,15 @@ def test_jacobian_matches_map_differences():
         np.testing.assert_allclose(J[:, j], fd[0], atol=1e-6)
 
 
+@given(st.sampled_from(["affine", "bump"]), st.floats(min_value=0.0, max_value=1.0))
+def test_jacobians_affine_in_t(kind, t):
+    # exact pencil derivatives rely on J' = J(x, 1) - J(x, 0)
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (20, 2))
+    blend = (1.0 - t) * fam.jacobians(pts, 0.0) + t * fam.jacobians(pts, 1.0)
+    np.testing.assert_allclose(fam.jacobians(pts, t), blend, rtol=0, atol=1e-14)
+
+
 def test_mesh_topology_independent_of_t():
     # the mapping never touches connectivity, only the assembled values
     m = mesh(3)
