@@ -26,8 +26,6 @@ from .gauge import (
     divergence_defect,
     graddiv_project,
     gram_schmidt_clean,
-    tree_cotree_condense,
-    tree_cotree_expand,
 )
 from .geometry import (
     MappingFamily,

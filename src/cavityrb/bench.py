@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict
 from .errors import CavityError, RankDeficiencyError
-from .eigensolve import solve_dense_gevp
+from .eigensolve import null_mask, solve_dense_gevp
 from .geometry import affine_stretch, build_reference_mesh, sine_bump
 from .greedy import GreedyConfig, greedy_extend
 from .pod import ReducedBasis, collect_snapshots, pod_basis
@@ -166,8 +166,7 @@ class ErrorStudy:
         for j, t in enumerate(self.ts_test):
             A_red, B_red, _ = self.problem.reduced_pencil(Z, float(t))
             lam, _ = solve_dense_gevp(A_red, B_red)
-            lam_ref = max(float(np.abs(lam).max()), np.finfo(float).tiny)
-            leak = max(leak, int((lam < self.cfg.null_tol * lam_ref).sum()))
+            leak = max(leak, int(null_mask(lam, self.cfg.null_tol).sum()))
             take = min(K, lam.size)
             rel = (lam[:take] - self.truth[j, :take]) / self.truth[j, :take]
             signed[:take] += rel

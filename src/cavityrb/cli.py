@@ -134,6 +134,14 @@ def cmd_track(args):
     system = cfg.track_system
     if args.basis:
         basis = ser.load_basis(args.basis)
+        rows = {"edge": problem.n_curl, "cotree": problem.n_curl - problem.n_grad}
+        if basis.space not in rows:
+            raise ConfigError(f"basis space {basis.space!r} is neither edge nor cotree")
+        if basis.n != rows[basis.space]:
+            raise ConfigError(
+                f"basis has {basis.n} rows, the problem's {basis.space} space "
+                f"has {rows[basis.space]} (built for another mesh?)"
+            )
         system = "reduced"
     elif system == "reduced":
         print("no basis artifact given, building one")

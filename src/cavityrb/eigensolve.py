@@ -25,6 +25,13 @@ def _dense(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
+def null_mask(lam: np.ndarray, null_tol: float) -> np.ndarray:
+    """True where an eigenvalue is a null mode: at or below null_tol times
+    the largest magnitude in the spectrum."""
+    lam_ref = max(float(np.abs(lam).max()), np.finfo(float).tiny)
+    return lam <= null_tol * lam_ref
+
+
 @dataclass
 class EigenSolution:
     """Retained eigenpairs of one pencil, ascending, B-orthonormal columns."""
@@ -60,8 +67,7 @@ def solve_gevp(A, B, k: int, null_tol: float = DEFAULT_NULL_TOL) -> EigenSolutio
         lam, V = scipy.linalg.eigh(Ad, Bd)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
-    lam_ref = max(float(np.abs(lam).max()), np.finfo(float).tiny)
-    nonzero = lam > null_tol * lam_ref
+    nonzero = ~null_mask(lam, null_tol)
     n_discarded = int((~nonzero).sum())
     idx = np.flatnonzero(nonzero)
     if idx.size < k:
@@ -101,9 +107,7 @@ def residual_norms(A, B, lambdas, vectors) -> np.ndarray:
 
 def count_null(A, B, null_tol: float = DEFAULT_NULL_TOL) -> int:
     """Number of eigenvalues of (A, B) at or below the null threshold."""
-    lam = scipy.linalg.eigvalsh(_dense(A), _dense(B))
-    lam_ref = max(float(np.abs(lam).max()), np.finfo(float).tiny)
-    return int((lam <= null_tol * lam_ref).sum())
+    return int(null_mask(scipy.linalg.eigvalsh(_dense(A), _dense(B)), null_tol).sum())
 
 
 def b_normalize(v: np.ndarray, B) -> np.ndarray:

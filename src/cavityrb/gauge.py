@@ -101,26 +101,26 @@ def build_tree_cotree(mesh: ReferenceMesh) -> TreeCotree:
     return TreeCotree(tree=tree_arr, cotree=np.flatnonzero(mask), n_curl=n_curl)
 
 
-def tree_cotree_condense(A, B, tc: TreeCotree):
-    """Condense the pencil onto the cotree unknowns.
+def expand_cotree(Y, A, tc: TreeCotree, factor):
+    """Cotree expansion X Y with X = B^{-1} A[:, cotree] = B^{-1} H^T.
 
-    H collects the cotree rows of A; with X = B^{-1} H^T the condensed pencil
-    is A_hat = X^T A X, B_hat = H X. Its spectrum equals the nonzero spectrum
-    of (A, B) and it is positive definite on both sides: the change of
-    variables v = X y parameterizes exactly the span of the physical
-    eigenvectors.
+    H collects the cotree rows of A and ``factor`` is a factorization of B.
+    The expanded columns are discretely divergence-free with respect to that
+    B, and the condensed pencil of the cotree coordinates is
+    (X^T A X, H X): its spectrum equals the nonzero spectrum of (A, B).
     """
-    A = sp.csr_matrix(A)
-    B = sp.csr_matrix(B)
-    if A.shape != B.shape or A.shape[0] != tc.n_curl:
-        raise ValueError("pencil dimensions do not match the tree-cotree partition")
-    H = A[tc.cotree, :]
-    X = mass_factor(B).solve(H.T.toarray())
-    A_hat = X.T @ (A @ X)
-    B_hat = H @ X
-    A_hat = 0.5 * (A_hat + A_hat.T)
-    B_hat = 0.5 * (B_hat + B_hat.T)
-    return A_hat, B_hat, H
+    H = sp.csr_matrix(A)[tc.cotree, :]
+    return factor.solve(H.T @ np.asarray(Y, dtype=float))
+
+
+def expand_cotree_derivative(Y, XY, A_p, B_p, tc: TreeCotree, factor):
+    """t-derivative X' Y = B^{-1} (A'[:, cotree] Y - B' X Y) of the expansion.
+
+    XY is ``expand_cotree(Y, ...)`` at the same parameter, (A_p, B_p) the
+    derivative pencil there and ``factor`` a factorization of B.
+    """
+    H_p = sp.csr_matrix(A_p)[tc.cotree, :]
+    return factor.solve(H_p.T @ np.asarray(Y, dtype=float) - B_p @ XY)
 
 
 def condensed_standard_form(A, B, tc: TreeCotree, factor=None):
@@ -137,8 +137,7 @@ def condensed_standard_form(A, B, tc: TreeCotree, factor=None):
     """
     A = sp.csr_matrix(A)
     B = sp.csr_matrix(B)
-    H = A[tc.cotree, :]
-    X = (factor or mass_factor(B)).solve(H.T.toarray())
+    X = expand_cotree(np.eye(len(tc.cotree)), A, tc, factor or mass_factor(B))
     L = scipy.linalg.cholesky(B.toarray(), lower=True)
     R = scipy.linalg.qr(L.T @ X, mode="economic")[1]
     # enforce a positive diagonal so R is the Cholesky factor of B_hat
@@ -148,33 +147,6 @@ def condensed_standard_form(A, B, tc: TreeCotree, factor=None):
     Q = scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
     C_std = Q.T @ (A @ Q)
     return 0.5 * (C_std + C_std.T), Q, R
-
-
-def condensed_standard_form_derivative(A, A_p, B_p, tc: TreeCotree, Q, R, factor):
-    """Exact t-derivative C' of the standard form C = Q^T A Q.
-
-    Q and R come from ``condensed_standard_form`` at the same parameter and
-    ``factor`` is a factorization of B there. With X = B^{-1} H^T = Q R,
-    X' = B^{-1} (H'^T - B' X) and B_hat' = H' X + H X'. Since B_hat = R^T R
-    with R upper triangular, R' R^{-1} is the triangle Phi = triu(W, 1) +
-    diag(W) / 2 of W = R^{-T} B_hat' R^{-1}. Then Q' = X' R^{-1} - Q Phi and
-    C' = sym(2 Q'^T A Q) + Q^T A' Q.
-    """
-    A = sp.csr_matrix(A)
-    H = A[tc.cotree, :]
-    H_p = sp.csr_matrix(A_p)[tc.cotree, :]
-
-    def right_solve(M):  # M R^{-1}
-        return scipy.linalg.solve_triangular(R.T, M.T, lower=True).T
-
-    X = Q @ R
-    X_p = factor.solve(H_p.T.toarray() - B_p @ X)
-    W = right_solve(right_solve(H_p @ X + H @ X_p).T)
-    Phi = np.triu(W, 1) + 0.5 * np.diag(np.diag(W))
-    Q_p = right_solve(X_p) - Q @ Phi
-    M = Q_p.T @ (A @ Q)
-    C_p = M + M.T + Q.T @ (A_p @ Q)
-    return 0.5 * (C_p + C_p.T)
 
 
 def condensed_eigensolve(A, B, tc: TreeCotree):
@@ -188,16 +160,6 @@ def condensed_eigensolve(A, B, tc: TreeCotree):
     V = Q @ Y_std
     Y = scipy.linalg.solve_triangular(R, Y_std, lower=False)
     return lam, Y, V
-
-
-def tree_cotree_expand(y, B, H):
-    """Map cotree coordinates back to the full edge space, v = B^{-1} H^T y.
-
-    Accepts a vector or a matrix of column vectors. The result is discretely
-    divergence-free with respect to the same B used for the expansion.
-    """
-    y = np.asarray(y, dtype=float)
-    return mass_factor(B).solve(H.T @ y)
 
 
 def gradient_basis(G, B0) -> np.ndarray:

@@ -13,11 +13,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy import sparse
 
 from .errors import GapUndefinedError
 from .eigensolve import cluster_of, solve_dense_gevp
+from .gauge import mass_factor
 from .pod import ReducedBasis, upscale
 from .problem import CavityProblem
 
@@ -158,7 +157,7 @@ def estimate(
         quad = float(r @ (system.B @ r))
     elif residual_form == "mass-inverse":
         if b_factor is None:
-            b_factor = spla.splu(sparse.csc_matrix(system.B))
+            b_factor = mass_factor(system.B)
         quad = float(r @ b_factor.solve(r))
     else:
         raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")

@@ -12,7 +12,6 @@ from .eigensolve import (
     EigenSolution,
     b_orthonormalize,
     residual_norms,
-    solve_dense_gevp,
     solve_gevp,
 )
 from .errors import NumericalError
@@ -112,16 +111,20 @@ class CavityProblem:
         sol.t = float(t)
         return sol
 
-    def solve_condensed(self, t: float, k: int) -> EigenSolution:
-        """Cotree-condensed solve, expanded back to the full edge space."""
+    def _condensed_pairs(self, t: float, k: int):
+        """First k condensed eigenpairs: (lambdas, cotree vectors, edge vectors)."""
         sys_t = self.system(t)
-        lam, _, V = gauge_mod.condensed_eigensolve(sys_t.A, sys_t.B, self.tree_cotree)
+        lam, Y, V = gauge_mod.condensed_eigensolve(sys_t.A, sys_t.B, self.tree_cotree)
         if lam.size < k:
             raise NumericalError(
                 f"condensed pencil at t={t!r} has only {lam.size} eigenvalues"
             )
-        lambdas = lam[:k].copy()
-        V = V[:, :k].copy()
+        return lam[:k].copy(), Y[:, :k].copy(), V[:, :k].copy()
+
+    def solve_condensed(self, t: float, k: int) -> EigenSolution:
+        """Cotree-condensed solve, expanded back to the full edge space."""
+        sys_t = self.system(t)
+        lambdas, _, V = self._condensed_pairs(t, k)
         res = residual_norms(sys_t.A, sys_t.B, lambdas, V)
         return EigenSolution(
             lambdas=lambdas,
@@ -164,25 +167,21 @@ class CavityProblem:
         if self.basis_space == "edge":
             return self.b_ref
         if self._bhat_ref is None:
+            # B_hat = H X with H the cotree rows of A(t_ref), X its expansion
             sys_ref = self.system(self.t_ref)
-            A_hat, B_hat, _ = gauge_mod.tree_cotree_condense(
-                sys_ref.A, sys_ref.B, self.tree_cotree
+            cotree = self.tree_cotree.cotree
+            X = gauge_mod.expand_cotree(
+                np.eye(len(cotree)), sys_ref.A, self.tree_cotree,
+                gauge_mod.mass_factor(sys_ref.B),
             )
-            self._bhat_ref = B_hat
+            B_hat = sys_ref.A.tocsr()[cotree, :] @ X
+            self._bhat_ref = 0.5 * (B_hat + B_hat.T)
         return self._bhat_ref
 
     def snapshot_solve(self, t: float, k: int):
         """First k eigenpairs with vectors in the basis coordinate space."""
         if self.basis_space == "cotree":
-            sys_t = self.system(t)
-            lam, Y, _ = gauge_mod.condensed_eigensolve(
-                sys_t.A, sys_t.B, self.tree_cotree
-            )
-            if lam.size < k:
-                raise NumericalError(
-                    f"condensed pencil at t={t!r} has only {lam.size} eigenvalues"
-                )
-            return lam[:k].copy(), Y[:, :k].copy()
+            return self._condensed_pairs(t, k)[:2]
         sol = self.solve_full(t, k)
         return sol.lambdas, sol.vectors
 
@@ -198,9 +197,9 @@ class CavityProblem:
         """
         if (space or self.basis_space) == "edge":
             return np.asarray(Z, dtype=float)
-        H = self.system(t).A.tocsr()[self.tree_cotree.cotree, :]
-        factor = factor or self.mass_factor(t)
-        return factor.solve(H.T @ np.asarray(Z, dtype=float))
+        return gauge_mod.expand_cotree(
+            Z, self.system(t).A, self.tree_cotree, factor or self.mass_factor(t)
+        )
 
     def reduced_pencil(
         self, Z: np.ndarray, t: float, space: str | None = None, factor=None
@@ -225,9 +224,9 @@ class CavityProblem:
         A_p, B_p = self.derivative_pencil(t)
         dA, dB = reduce_system(U, A_p, B_p)
         if (space or self.basis_space) == "cotree":
-            factor = factor or self.mass_factor(t)
-            H_p = A_p.tocsr()[self.tree_cotree.cotree, :]
-            U_p = factor.solve(H_p.T @ np.asarray(Z, dtype=float) - B_p @ U)
+            U_p = gauge_mod.expand_cotree_derivative(
+                Z, U, A_p, B_p, self.tree_cotree, factor or self.mass_factor(t)
+            )
             dA_u = U_p.T @ (sys_t.A @ U)
             dB_u = U_p.T @ (sys_t.B @ U)
             dA += dA_u + dA_u.T

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CavityError
+from .errors import ConfigError
 from .pod import ReducedBasis
 
 BASIS_MAGIC = "cavityrb-basis"
@@ -104,24 +104,28 @@ def save_basis(path, basis: ReducedBasis):
 
 
 def load_basis(path) -> ReducedBasis:
+    """Read a basis artifact; a malformed file is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    head = lines[0].split()
-    if head[0] != BASIS_MAGIC or int(head[1]) != BASIS_VERSION:
-        raise CavityError(f"not a basis artifact: {path}")
-    n = int(lines[1].split()[1])
-    N = int(lines[2].split()[1])
-    t_ref = float(lines[3].split()[1])
-    gauge = lines[4].split(maxsplit=1)[1]
-    space = lines[5].split(maxsplit=1)[1]
-    provenance = []
-    for j in range(N):
-        parts = lines[6 + j].split(maxsplit=2)
-        provenance.append(parts[2] if len(parts) > 2 else "unknown")
-    data = np.array([float(x) for x in lines[6 + N : 6 + N + n * N]])
-    if data.size != n * N:
-        raise CavityError(f"basis artifact truncated: {path}")
-    Z = data.reshape(N, n).T.copy()
+    try:
+        head = lines[0].split()
+        if head[0] != BASIS_MAGIC or int(head[1]) != BASIS_VERSION:
+            raise ConfigError(f"not a basis artifact: {path}")
+        n = int(lines[1].split()[1])
+        N = int(lines[2].split()[1])
+        t_ref = float(lines[3].split()[1])
+        gauge = lines[4].split(maxsplit=1)[1]
+        space = lines[5].split(maxsplit=1)[1]
+        provenance = []
+        for j in range(N):
+            parts = lines[6 + j].split(maxsplit=2)
+            provenance.append(parts[2] if len(parts) > 2 else "unknown")
+        data = np.array([float(x) for x in lines[6 + N : 6 + N + n * N]])
+        if data.size != n * N:
+            raise ConfigError(f"basis artifact truncated: {path}")
+        Z = data.reshape(N, n).T.copy()
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed basis artifact {path}: {exc}") from exc
     return ReducedBasis(Z=Z, t_ref=t_ref, gauge=gauge, provenance=provenance, space=space)
 
 

@@ -20,8 +20,14 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, SingularDerivativeError
-from .eigensolve import cluster_of, eigenvalue_clusters, solve_dense_gevp
-from .gauge import condensed_standard_form, condensed_standard_form_derivative
+from .eigensolve import (
+    b_orthonormalize,
+    cluster_of,
+    eigenvalue_clusters,
+    null_mask,
+    solve_dense_gevp,
+)
+from .gauge import condensed_standard_form
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
@@ -240,8 +246,8 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     for idx in _clusters_unsorted(lam_pred, delta):
         if idx.size < 2:
             continue
-        Q, kept = _b_orthonormal_block(P[:, idx], B)
-        if kept == 0:
+        Q, _ = b_orthonormalize(P[:, idx], B)
+        if Q.shape[1] == 0:
             continue
         BC = B @ C
         cn = np.sqrt(np.maximum(np.einsum("ij,ij->j", C, BC), np.finfo(float).tiny))
@@ -252,22 +258,6 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     # term breaks assignment ties inside clusters so that seeded/predicted
     # member order survives a degenerate step.
     return _assign(rho, rho_min, score=rho + 1e-6 * rho_ind)
-
-
-def _b_orthonormal_block(V, B, drop_tol=1e-10):
-    """Small-block modified Gram-Schmidt in the B inner product."""
-    V = np.array(V, dtype=float, copy=True)
-    cols = []
-    for j in range(V.shape[1]):
-        v = V[:, j]
-        for _ in range(2):
-            for q in cols:
-                v = v - q * float(q @ (B @ v))
-        nrm = float(np.sqrt(max(v @ (B @ v), 0.0)))
-        if nrm > drop_tol:
-            cols.append(v / nrm)
-    Q = np.column_stack(cols) if cols else np.zeros((V.shape[0], 0))
-    return Q, len(cols)
 
 
 class _FullOps:
@@ -287,8 +277,7 @@ class _FullOps:
     def solve_all(self, t):
         s = self.problem.system(t)
         lam, V = solve_dense_gevp(s.A.toarray(), s.B.toarray())
-        lam_ref = max(float(np.abs(lam).max()), np.finfo(float).tiny)
-        keep = lam > self.problem.null_tol * lam_ref
+        keep = ~null_mask(lam, self.problem.null_tol)
         return lam[keep], V[:, keep]
 
 
@@ -340,12 +329,21 @@ class _CotreeOps:
         return C_std, np.eye(C_std.shape[0])
 
     def derivative_pencil(self, t):
-        _, Q, R, factor = self._frame(t)
-        A_p, B_p = self.problem.derivative_pencil(t)
-        C_p = condensed_standard_form_derivative(
-            self.problem.system(t).A, A_p, B_p, self.problem.tree_cotree,
-            Q, R, factor,
+        """Exact C'(t) from the reduced pencil of the fixed cotree basis R^{-1}.
+
+        That basis upscales to U(s) = X(s) R^{-1}, which is Q at s = t, so its
+        reduced pencil there is (C, I) with chain-rule derivative (dA, dB).
+        The frame is Q(s) = U(s) T(s)^{-1} with T = R(s) R^{-1} upper
+        triangular and T(t) = I; U^T B U = T^T T gives T' = Phi =
+        triu(dB, 1) + diag(dB) / 2, hence C' = dA - (Phi^T C + C Phi).
+        """
+        C_std, Q, R, factor = self._frame(t)
+        R_inv = scipy.linalg.solve_triangular(R, np.eye(R.shape[0]))
+        dA, dB = self.problem.reduced_derivative(
+            R_inv, t, Q, space="cotree", factor=factor
         )
+        M = C_std @ (np.triu(dB, 1) + 0.5 * np.diag(np.diag(dB)))
+        C_p = dA - (M + M.T)
         return C_p, np.zeros_like(C_p)
 
     def solve_all(self, t):
@@ -404,13 +402,13 @@ def _seed_degenerate_clusters(ops, lam0, V0, config):
         if idx.size < 2 or idx.max() >= V_d.shape[1]:
             continue
         idx = np.sort(idx)
-        Q, kept = _b_orthonormal_block(V0[:, idx], B0)
-        if kept < idx.size:
+        Q, kept = b_orthonormalize(V0[:, idx], B0)
+        if len(kept) < idx.size:
             continue
         probe = V_d[:, idx]
         coeff = Q.T @ (B0 @ probe)
-        seeded, kq = _b_orthonormal_block(Q @ coeff, B0)
-        if kq == idx.size:
+        seeded, kept = b_orthonormalize(Q @ coeff, B0)
+        if len(kept) == idx.size:
             V0[:, idx] = seeded
     return V0
 

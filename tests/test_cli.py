@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from cavityrb import build_reference_mesh
 from cavityrb.cli import main
 
 BASE = """
@@ -167,3 +169,38 @@ def test_error_study_csv(cfg_path, tmp_path, quiet_warnings):
     lines = (out / "error_study.csv").read_text().splitlines()
     assert lines[0] == "basis_size,mode,avg_signed_error,max_abs_error,null_leak"
     assert len(lines) > 3
+
+
+
+def _basis_text(mesh_n, space):
+    from cavityrb.pod import ReducedBasis
+    from cavityrb.serialize import save_basis
+
+    m = build_reference_mesh(mesh_n)
+    rows = m.n_curl - m.n_grad if space == "cotree" else m.n_curl
+    Z = np.random.default_rng(0).standard_normal((rows, 2))
+
+    def write(path):
+        save_basis(path, ReducedBasis(Z=Z, t_ref=0.0, gauge="tree-cotree", space=space))
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "write, needle",
+    [
+        # a cotree basis of the mesh_n=6 problem on the mesh_n=4 config
+        (_basis_text(6, "cotree"), "rows"),
+        (_basis_text(4, "vertex"), "'vertex'"),
+        (lambda path: path.write_text(""), "malformed basis artifact"),
+        (lambda path: path.write_text("cavityrb-basis x\n"), "malformed basis artifact"),
+    ],
+    ids=["other-mesh", "unknown-space", "empty-file", "bad-header"],
+)
+def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):
+    basis = tmp_path / "basis.txt"
+    write(basis)
+    args = ["track", "--config", cfg_path, "--out", str(tmp_path / "tr")]
+    assert main(args + ["--basis", str(basis)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0], err

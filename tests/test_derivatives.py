@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityrb import assemble
-from cavityrb.gauge import condensed_standard_form, condensed_standard_form_derivative
+from cavityrb.gauge import condensed_standard_form
+from cavityrb.tracking import _CotreeOps
 
 from conftest import central_difference, make_problem
 
@@ -23,11 +24,8 @@ def _rel_err(exact, oracle):
 def test_standard_form_derivative_matches_central_differences(kind, t):
     problem = make_problem(n=4, family=kind)
     tc = problem.tree_cotree
-    s = problem.system(t)
-    factor = problem.mass_factor(t)
-    _, Q, R = condensed_standard_form(s.A, s.B, tc, factor)
-    A_p, B_p = problem.derivative_pencil(t)
-    C_p = condensed_standard_form_derivative(s.A, A_p, B_p, tc, Q, R, factor)
+    C_p, zero = _CotreeOps(problem, K=3).derivative_pencil(t)
+    assert not zero.any()
 
     def standard_form(tt):
         st_ = assemble(problem.mesh, problem.family, tt)
@@ -50,3 +48,20 @@ def test_reduced_derivative_matches_central_differences(space, kind, t):
     )
     for e, o in zip(exact, oracle):
         assert _rel_err(e, o) < 1e-6
+
+
+@given(FAMILIES, PARAMS)
+def test_standard_form_eigenvalue_derivatives_match_full_pencil(kind, t):
+    # lambda' = v^T (A' - lambda B') v for B-normalized full-space v does not
+    # depend on the cotree frame, so it checks C' far below the difference
+    # step's truncation error
+    problem = make_problem(n=4, family=kind)
+    ops = _CotreeOps(problem, K=3)
+    lam, Y = np.linalg.eigh(ops.pencil(t)[0])
+    C_p, _ = ops.derivative_pencil(t)
+    V = ops._frame(t)[1] @ Y[:, :4]
+    A_p, B_p = problem.derivative_pencil(t)
+    for j in range(4):
+        v = V[:, j]
+        oracle = v @ (A_p @ v) - lam[j] * (v @ (B_p @ v))
+        assert abs(Y[:, j] @ C_p @ Y[:, j] - oracle) <= 1e-9 * abs(lam[j])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cavityrb import (
     residual,
     solve_gevp,
 )
-from cavityrb.errors import GapUndefinedError
+from cavityrb.errors import GapUndefinedError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.greedy import estimate
 
@@ -82,6 +84,17 @@ def test_estimate_exact_containment_is_tiny(quiet_warnings):
     lam, V = solve_dense_gevp(A_red, B_red)
     est = estimate(s, Z, 0, lam, V, upscaled=U)
     assert est.eta <= 1e-15 * sol.lambdas[0]
+
+
+def test_estimate_singular_mass_matrix_is_numerical_error(quiet_warnings):
+    problem = make_problem(n=4, family="affine", gauge="none")
+    s = problem.system(0.3)
+    Z = solve_gevp(s.A, s.B, 4).vectors
+    A_red, B_red, U = problem.reduced_pencil(Z, 0.3, space="edge")
+    lam, V = solve_dense_gevp(A_red, B_red)
+    singular = dataclasses.replace(s, B=0.0 * s.B)
+    with pytest.raises(NumericalError, match="mass-matrix factorization failed"):
+        estimate(singular, Z, 0, lam, V, residual_form="mass-inverse", upscaled=U)
 
 
 def _small_setup(gauge="tree-cotree", family="affine", n=4, K=3, n_pod=4):
