@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from statistics import mean, median
 
 import numpy as np
@@ -84,29 +85,19 @@ def initial_basis(problem: CavityProblem, cfg: RunConfig):
     ts = np.linspace(0.0, 1.0, cfg.N_pod)
     snapshots = collect_snapshots(problem, ts, cfg.K)
     n_init = cfg.resolved_n_init()
+    pod = partial(
+        pod_basis, snapshots.Y, problem.basis_metric,
+        t_ref=problem.t_ref, gauge=problem.gauge, space=problem.basis_space,
+    )
     try:
-        basis = pod_basis(
-            snapshots.Y,
-            problem.basis_metric,
-            n_init,
-            t_ref=problem.t_ref,
-            gauge=problem.gauge,
-            space=problem.basis_space,
-        )
+        basis = pod(n_init)
     except RankDeficiencyError as exc:
         warnings.warn(
             f"snapshot rank supports only {exc.achievable} POD modes, "
             f"requested {n_init}; continuing with the achievable size",
             stacklevel=2,
         )
-        basis = pod_basis(
-            snapshots.Y,
-            problem.basis_metric,
-            exc.achievable,
-            t_ref=problem.t_ref,
-            gauge=problem.gauge,
-            space=problem.basis_space,
-        )
+        basis = pod(exc.achievable)
     Z_clean, dropped = problem.clean_basis(basis.Z)
     if problem.gauge == "projection":
         Z_clean, kept = problem.orthonormalize(Z_clean)
@@ -124,12 +115,27 @@ def initial_basis(problem: CavityProblem, cfg: RunConfig):
     return basis, snapshots
 
 
-def build_basis(problem: CavityProblem, cfg: RunConfig, callback=None):
-    """Full offline phase: POD initialization plus greedy extension."""
-    basis, snapshots = initial_basis(problem, cfg)
-    gcfg = greedy_config(cfg, basis.size)
-    extended, log = greedy_extend(basis, gcfg, problem, callback=callback)
-    return extended, log, snapshots
+def extend_basis(problem: CavityProblem, cfg: RunConfig, basis0, study=None):
+    """Greedy extension of an initial basis; returns (basis, log).
+
+    A given ErrorStudy evaluates the initial basis and every extension.
+    """
+    if study is not None:
+        study.evaluate(basis0.Z)
+    return greedy_extend(
+        basis0, greedy_config(cfg, basis0.size), problem,
+        callback=None if study is None else lambda iteration, Z: study.evaluate(Z),
+    )
+
+
+def build_basis(problem: CavityProblem, cfg: RunConfig, study=None):
+    """Full offline phase: POD initialization plus greedy extension.
+
+    Returns (basis, log, snapshots).
+    """
+    basis0, snapshots = initial_basis(problem, cfg)
+    basis, log = extend_basis(problem, cfg, basis0, study)
+    return basis, log, snapshots
 
 
 # --------------------------------------------------------------------- study
@@ -188,24 +194,26 @@ class ErrorStudy:
         )
 
 
-def run_error_study(cfg: RunConfig, problem: CavityProblem | None = None):
-    """Greedy run instrumented with per-size test errors.
+def run_error_study(cfg: RunConfig):
+    """Offline build instrumented with per-size test errors.
 
     Returns (study, basis, log). The study rows include the initial POD
     basis and every greedy extension.
     """
-    if problem is None:
-        problem = build_problem(cfg)
+    problem = build_problem(cfg)
     study = ErrorStudy.prepare(problem, cfg)
-
-    def callback(iteration, Z):
-        study.evaluate(Z)
-
-    basis0, snapshots = initial_basis(problem, cfg)
-    study.evaluate(basis0.Z)
-    gcfg = greedy_config(cfg, basis0.size)
-    basis, log = greedy_extend(basis0, gcfg, problem, callback=callback)
+    basis, log, _ = build_basis(problem, cfg, study)
     return study, basis, log
+
+
+def classify_run(cfg: RunConfig, trace):
+    """Endpoint labels of a complete trace against the analytic rectangle
+    modes, or None when the family has no analytic table."""
+    if cfg.family != "affine-stretch":
+        return None
+    return classify_endpoint(
+        trace, analytic_rectangle_table(cfg.stretch_a1, cfg.K + 12)
+    )
 
 
 # --------------------------------------------------------------------- bench
@@ -393,18 +401,12 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
     def _build_initial():
         state["problem"] = build_problem(cfg)
         state["study"] = ErrorStudy.prepare(state["problem"], cfg)
-        basis0, snapshots = initial_basis(state["problem"], cfg)
-        state["basis0"] = basis0
-        state["snapshots"] = snapshots
+        state["basis0"], _ = initial_basis(state["problem"], cfg)
 
     def _greedy():
-        study, basis0 = state["study"], state["basis0"]
-        study.evaluate(basis0.Z)
-        basis, log = greedy_extend(
-            basis0, greedy_config(cfg, basis0.size), state["problem"],
-            callback=lambda it, Z: study.evaluate(Z),
+        basis, log = extend_basis(
+            state["problem"], cfg, state["basis0"], state["study"]
         )
-        state["basis"] = basis
         artifacts["greedy_log"] = log
         artifacts["basis"] = basis
         manifest["stages"][-1]["detail"] = (
@@ -417,7 +419,7 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         artifacts["tree_cotree"] = state["problem"].tree_cotree
 
     def _track():
-        basis = state.get("basis") if cfg.track_system == "reduced" else None
+        basis = artifacts.get("basis") if cfg.track_system == "reduced" else None
         trace = track(
             tracking_config(cfg, cfg.track_system), state["problem"], basis=basis
         )
@@ -426,21 +428,21 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         artifacts["trace"] = trace
 
     def _classify():
-        if cfg.family != "affine-stretch":
+        labels = classify_run(cfg, artifacts["trace"])
+        if labels is None:
             manifest["warnings"].append(
                 "classification skipped: no analytic endpoint table for this family"
             )
-            return
-        table = analytic_rectangle_table(cfg.stretch_a1, cfg.K + 12)
-        artifacts["labels"] = classify_endpoint(artifacts["trace"], table)
+        else:
+            artifacts["labels"] = labels
 
     def _study_rows():
         artifacts["error_study"] = state["study"]
 
     def _bench():
         prebuilt = {}
-        if cfg.gauge in ("tree-cotree", "gram-schmidt") and "basis" in state:
-            prebuilt[cfg.gauge] = state["basis"]
+        if cfg.gauge in ("tree-cotree", "gram-schmidt") and "basis" in artifacts:
+            prebuilt[cfg.gauge] = artifacts["basis"]
         artifacts["bench"] = run_bench(cfg, prebuilt=prebuilt)
 
     run_stage("snapshots-pod-cleanup", _build_initial)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -16,13 +17,18 @@ from . import serialize as ser
 from .config import config_from_dict, load_config
 from .eigensolve import count_null
 from .errors import CavityError, ConfigError, GeometryError, NumericalError
-from .tracking import analytic_rectangle_table, classify_endpoint, track
+from .tracking import track
 
 
 def _load(args):
     path = args.config
     if path.endswith(".json"):
-        manifest = ser.read_manifest(path)
+        try:
+            manifest = ser.read_manifest(path)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict) or "config" not in manifest:
+            raise ConfigError(f"{path} has no 'config' entry")
         cfg = config_from_dict(manifest["config"])
     else:
         cfg = load_config(path)
@@ -108,9 +114,38 @@ def cmd_solve(args):
         )
 
 
-def _write_basis_artifacts(out, basis, log):
-    ser.save_basis(os.path.join(out, "basis.txt"), basis)
-    ser.write_csv(os.path.join(out, "greedy_log.csv"), ser.GREEDY_HEADER, log.rows())
+def _write_artifacts(out, artifacts):
+    """Write the file of every artifact key present in ``artifacts``."""
+
+    def path(name):
+        return os.path.join(out, name)
+
+    if "basis" in artifacts:
+        ser.save_basis(path("basis.txt"), artifacts["basis"])
+    if "greedy_log" in artifacts:
+        ser.write_csv(
+            path("greedy_log.csv"), ser.GREEDY_HEADER, artifacts["greedy_log"].rows()
+        )
+    if "tree_cotree" in artifacts:
+        ser.write_tree_cotree(path("tree_cotree.txt"), artifacts["tree_cotree"])
+    if "trace" in artifacts:
+        ser.write_csv(
+            path("trace.csv"), ser.TRACE_HEADER, ser.trace_rows(artifacts["trace"])
+        )
+    if "labels" in artifacts:
+        pairs = zip(artifacts["labels"], artifacts["trace"].endpoint_lambdas())
+        ser.write_csv(
+            path("classification.csv"), ("tracked_index", "label", "lambda_end"),
+            [(k, label, lam) for k, (label, lam) in enumerate(pairs)],
+        )
+    if "error_study" in artifacts:
+        study = artifacts["error_study"]
+        ser.write_csv(path("error_study.csv"), ser.ERROR_STUDY_HEADER, study.rows)
+    if "bench" in artifacts:
+        report = artifacts["bench"]
+        ser.write_manifest(path("bench.json"), report)
+        rows = [tuple(r[k] for k in ser.BENCH_HEADER) for r in report["rows"]]
+        ser.write_csv(path("bench.csv"), ser.BENCH_HEADER, rows)
 
 
 def cmd_build_rb(args):
@@ -118,7 +153,7 @@ def cmd_build_rb(args):
     out = _out_dir(args)
     problem = bench_mod.build_problem(cfg)
     basis, log, _ = bench_mod.build_basis(problem, cfg)
-    _write_basis_artifacts(out, basis, log)
+    _write_artifacts(out, {"basis": basis, "greedy_log": log})
     print(
         f"built basis of size {basis.size} ({basis.gauge} gauge), "
         f"greedy status: {log.status}"
@@ -147,11 +182,12 @@ def cmd_track(args):
         print("no basis artifact given, building one")
         basis, _, _ = bench_mod.build_basis(problem, cfg)
     trace = track(bench_mod.tracking_config(cfg, system), problem, basis=basis)
-    if cfg.family == "affine-stretch" and trace.complete:
-        classify_endpoint(trace, analytic_rectangle_table(cfg.stretch_a1, cfg.K + 12))
-    ser.write_csv(
-        os.path.join(out, "trace.csv"), ser.TRACE_HEADER, ser.trace_rows(trace)
-    )
+    artifacts = {"trace": trace}
+    if trace.complete:
+        labels = bench_mod.classify_run(cfg, trace)
+        if labels is not None:
+            artifacts["labels"] = labels
+    _write_artifacts(out, artifacts)
     n_cross = len(trace.crossings())
     print(f"tracking status: {trace.status}, crossings flagged: {n_cross}")
     if trace.labels:
@@ -164,10 +200,7 @@ def cmd_error_study(args):
     cfg = _load(args)
     out = _out_dir(args)
     study, basis, log = bench_mod.run_error_study(cfg)
-    ser.write_csv(
-        os.path.join(out, "error_study.csv"), ser.ERROR_STUDY_HEADER, study.rows
-    )
-    _write_basis_artifacts(out, basis, log)
+    _write_artifacts(out, {"error_study": study, "basis": basis, "greedy_log": log})
     signed, _ = study.final_errors()
     print(
         f"final basis size {basis.size}, greedy status {log.status}, "
@@ -179,11 +212,7 @@ def cmd_bench(args):
     cfg = _load(args)
     out = _out_dir(args)
     report = bench_mod.run_bench(cfg)
-    ser.write_manifest(os.path.join(out, "bench.json"), report)
-    rows = [
-        tuple(r[k] for k in ser.BENCH_HEADER) for r in report["rows"]
-    ]
-    ser.write_csv(os.path.join(out, "bench.csv"), ser.BENCH_HEADER, rows)
+    _write_artifacts(out, {"bench": report})
     print(f"{'variant':<22} {'dofs':>6} {'evp[s]':>12} {'track[s]':>12} {'speedup':>9}")
     for r in report["rows"]:
         print(
@@ -196,37 +225,7 @@ def cmd_pipeline(args):
     cfg = _load(args)
     out = _out_dir(args)
     manifest, artifacts = bench_mod.run_pipeline(cfg, with_bench=not args.no_bench)
-    if "basis" in artifacts:
-        _write_basis_artifacts(out, artifacts["basis"], artifacts["greedy_log"])
-    if "tree_cotree" in artifacts:
-        ser.write_tree_cotree(
-            os.path.join(out, "tree_cotree.txt"), artifacts["tree_cotree"]
-        )
-    if "trace" in artifacts:
-        ser.write_csv(
-            os.path.join(out, "trace.csv"),
-            ser.TRACE_HEADER,
-            ser.trace_rows(artifacts["trace"]),
-        )
-    if "labels" in artifacts:
-        ser.write_csv(
-            os.path.join(out, "classification.csv"),
-            ("tracked_index", "label", "lambda_end"),
-            [
-                (k, lbl, lam)
-                for k, (lbl, lam) in enumerate(
-                    zip(artifacts["labels"], artifacts["trace"].endpoint_lambdas())
-                )
-            ],
-        )
-    if "error_study" in artifacts:
-        ser.write_csv(
-            os.path.join(out, "error_study.csv"),
-            ser.ERROR_STUDY_HEADER,
-            artifacts["error_study"].rows,
-        )
-    if "bench" in artifacts:
-        ser.write_manifest(os.path.join(out, "bench.json"), artifacts["bench"])
+    _write_artifacts(out, artifacts)
     ser.write_manifest(os.path.join(out, "manifest.json"), manifest)
     for rec in manifest["stages"]:
         print(f"stage {rec['name']:<24} {rec['status']}")
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     except CavityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 0

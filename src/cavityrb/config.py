@@ -130,11 +130,23 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
 
 
+# JSON value types each field accepts; bool is excluded by exact type match.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config entry must map keys to values")
     unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
-    return RunConfig(**data).validate()
+    values = {}
+    for name, value in data.items():
+        kind = _FIELD_TYPES[name]
+        if type(value) not in _JSON_TYPES[kind]:
+            raise ConfigError(f"value for {name!r} must be {kind}, got {value!r}")
+        values[name] = float(value) if kind == "float" else value
+    return RunConfig(**values).validate()
 
 
 def config_to_text(cfg: RunConfig) -> str:

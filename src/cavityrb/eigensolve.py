@@ -159,6 +159,15 @@ def b_orthonormalize(
     return Q, kept_idx
 
 
+def _cluster_bounds(lam: np.ndarray, delta: float) -> np.ndarray:
+    """Start index of every cluster of a non-empty ascending spectrum,
+    followed by its length."""
+    scale = np.maximum(np.abs(lam[1:]), np.abs(lam[:-1]))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    breaks = np.flatnonzero(~(np.diff(lam) <= delta * scale)) + 1
+    return np.concatenate(([0], breaks, [lam.size]))
+
+
 def eigenvalue_clusters(lambdas: np.ndarray, delta: float = DEFAULT_MULT_TOL):
     """Group an ascending spectrum into relative-gap clusters.
 
@@ -168,19 +177,15 @@ def eigenvalue_clusters(lambdas: np.ndarray, delta: float = DEFAULT_MULT_TOL):
     lam = np.asarray(lambdas, dtype=float)
     if lam.size == 0:
         return []
-    groups = [[0]]
-    for i in range(1, lam.size):
-        scale = max(abs(lam[i]), abs(lam[i - 1]), np.finfo(float).tiny)
-        if lam[i] - lam[i - 1] <= delta * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g, dtype=int) for g in groups]
+    bounds = _cluster_bounds(lam, delta)
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def cluster_of(lambdas: np.ndarray, i: int, delta: float = DEFAULT_MULT_TOL) -> np.ndarray:
     """Indices of the multiplicity cluster containing eigenvalue i."""
-    for group in eigenvalue_clusters(lambdas, delta):
-        if i in group:
-            return group
-    raise IndexError(f"eigenvalue index {i} outside spectrum of length {len(lambdas)}")
+    lam = np.asarray(lambdas, dtype=float)
+    if not 0 <= i < lam.size:
+        raise IndexError(f"eigenvalue index {i} outside spectrum of length {lam.size}")
+    bounds = _cluster_bounds(lam, delta)
+    k = np.searchsorted(bounds, i, side="right")
+    return np.arange(bounds[k - 1], bounds[k])

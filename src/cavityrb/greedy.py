@@ -37,10 +37,8 @@ class GreedyConfig:
     xi_train: np.ndarray
     tol: float
     N_max: int
-    g: float = 1.0
     delta_mult: float = 1e-6
     residual_form: str = "mass"
-    drop_tol: float = 1e-10
 
     def __post_init__(self):
         self.xi_train = np.asarray(self.xi_train, dtype=float)
@@ -187,7 +185,7 @@ def _sweep(problem, Z, config):
                 continue
             est = estimate(
                 sys_t, Z, i, lam_k, V,
-                g=config.g, delta_mult=config.delta_mult,
+                delta_mult=config.delta_mult,
                 residual_form=config.residual_form, b_factor=b_factor,
                 upscaled=U,
             )

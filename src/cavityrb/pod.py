@@ -103,11 +103,6 @@ def pod_basis(
         raise ValueError("snapshot matrix must have at least one column")
     if N_init < 1:
         raise ValueError(f"initial basis size must be >= 1, got {N_init}")
-    if N_init > Y.shape[1]:
-        raise RankDeficiencyError(
-            f"requested {N_init} POD modes from {Y.shape[1]} snapshots",
-            achievable=Y.shape[1],
-        )
     K_gram = Y.T @ (B @ Y)
     K_gram = 0.5 * (K_gram + K_gram.T)
     lam, U = scipy.linalg.eigh(K_gram)

@@ -37,7 +37,6 @@ class CavityProblem:
         gauge: str = "tree-cotree",
         null_tol: float = DEFAULT_NULL_TOL,
         delta_mult: float = DEFAULT_MULT_TOL,
-        t_ref: float = 0.0,
     ):
         if gauge not in GAUGES:
             raise ValueError(f"unknown gauge {gauge!r}, expected one of {GAUGES}")
@@ -46,7 +45,7 @@ class CavityProblem:
         self.gauge = gauge
         self.null_tol = null_tol
         self.delta_mult = delta_mult
-        self.t_ref = t_ref
+        self.t_ref = 0.0
         self._systems: dict[float, AssembledSystem] = {}
         self._G = None
         self._tc = None
@@ -82,9 +81,6 @@ class CavityProblem:
             hit = assemble(self.mesh, self.family, key)
             self._systems[key] = hit
         return hit
-
-    def clear_cache(self):
-        self._systems.clear()
 
     @property
     def b_ref(self):

@@ -10,8 +10,8 @@ are not crossings and stay unflagged.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +33,9 @@ from .problem import CavityProblem
 
 SYSTEMS = ("high-fidelity", "cotree", "reduced")
 
+# Relative residual accepted for the input eigenpair and the bordered solve.
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass
 class TrackingConfig:
@@ -51,8 +54,6 @@ class TrackingConfig:
     max_halvings: int = 4
     overtrack: int = 2
     delta_mult: float = 1e-6
-    derivative_fallback: bool = True
-    residual_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.h <= 1.0):
@@ -105,7 +106,7 @@ class TrackingTrace:
         return self.steps[-1].lambdas
 
 
-def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c, residual_tol=1e-8):
+def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c):
     """Eigenpair derivatives from the bordered system.
 
     Solves
@@ -118,7 +119,7 @@ def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c, residual_tol=1e-8):
     Bv = B @ v
     Av = A @ v
     scale = max(abs(lam) * np.linalg.norm(Bv), np.finfo(float).tiny)
-    if np.linalg.norm(Av - lam * Bv) / scale > residual_tol:
+    if np.linalg.norm(Av - lam * Bv) / scale > RESIDUAL_TOL:
         raise ValueError("input pair is not an eigenpair to the required residual")
     c = np.asarray(c, dtype=float)
     cB = B @ c
@@ -171,7 +172,7 @@ def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c, residual_tol=1e-8):
         )
     res = np.linalg.norm(M @ x - rhs)
     ref = max(np.linalg.norm(rhs), abs(lam) * np.linalg.norm(Bv))
-    if res > residual_tol * max(ref, 1.0):
+    if res > RESIDUAL_TOL * max(ref, 1.0):
         raise SingularDerivativeError(
             f"bordered solve residual {res!r} exceeds tolerance "
             "(multiple eigenvalue suspected)"
@@ -281,26 +282,6 @@ class _FullOps:
         return lam[keep], V[:, keep]
 
 
-class _PencilCache:
-    """Per-run memo of t-dependent pencils; a march step reuses t and t + h."""
-
-    def __init__(self, build, maxsize=4):
-        self.build = build
-        self.maxsize = maxsize
-        self.store = OrderedDict()
-
-    def __call__(self, t):
-        key = float(t)
-        if key in self.store:
-            self.store.move_to_end(key)
-            return self.store[key]
-        value = self.build(key)
-        self.store[key] = value
-        if len(self.store) > self.maxsize:
-            self.store.popitem(last=False)
-        return value
-
-
 class _CotreeOps:
     """Condensed system in its orthonormal standard form per parameter.
 
@@ -314,7 +295,7 @@ class _CotreeOps:
     def __init__(self, problem: CavityProblem, K: int):
         self.problem = problem
         self.K = K
-        self._frame = _PencilCache(self._standard_form)
+        self._frame = lru_cache(maxsize=4)(self._standard_form)
 
     def _standard_form(self, t):
         s = self.problem.system(t)
@@ -359,7 +340,7 @@ class _ReducedOps:
         self.problem = problem
         self.basis = basis
         self.K = K
-        self._pencil = _PencilCache(self._reduce)
+        self._pencil = lru_cache(maxsize=4)(self._reduce)
 
     def _reduce(self, t):
         space = self.basis.space
@@ -510,13 +491,9 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
             c = B_t @ V_cur[:, k]
             try:
                 v_p, l_p = eigen_derivatives(
-                    A_t, B_t, Ap_t, Bp_t, V_cur[:, k], lam_cur[k], c,
-                    residual_tol=config.residual_tol,
+                    A_t, B_t, Ap_t, Bp_t, V_cur[:, k], lam_cur[k], c
                 )
             except SingularDerivativeError:
-                if not config.derivative_fallback:
-                    trace.status = "aborted-derivative-failure"
-                    return trace
                 fallback_modes.append(k)
                 continue
             dlam[k] = l_p

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from cavityrb import build_reference_mesh
+from cavityrb import bench, build_reference_mesh
 from cavityrb.cli import main
+from cavityrb.serialize import BENCH_HEADER
 
 BASE = """
 schema = 1
@@ -64,6 +66,27 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["check", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("run.json", "{not json"),
+        ("run.json", '{"schema": 1}'),
+        ("run.json", '{"config": {"schema": 1, "mesh_n": "abc"}}'),
+        ("run.cfg", None),  # a directory
+    ],
+    ids=["invalid-json", "no-config-key", "mistyped-value", "directory"],
+)
+def test_malformed_config_input_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("schema = 1\nmesh_nn = 4\n")
@@ -92,6 +115,25 @@ def test_build_rb_and_track_roundtrip(cfg_path, tmp_path, quiet_warnings):
     trace = (tr_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "step,t,tracked_index,mode_label,lambda,freq,rho,perm_index,flags"
     assert len(trace) == 1 + 5 * 3  # 5 steps, K=3
+    labels = (tr_dir / "classification.csv").read_text().splitlines()
+    assert labels[0] == "tracked_index,label,lambda_end"
+    assert len(labels) == 1 + 3
+
+
+def test_initial_size_above_snapshot_rank_degrades(tmp_path):
+    path = tmp_path / "rank.cfg"
+    path.write_text(
+        BASE.replace("N_init = 6", "N_init = 50")
+        .replace("N_pod = 4", "N_pod = 2")
+        .replace("N_train = 8", "N_train = 4")
+    )
+    out = tmp_path / "rank-out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["build-rb", "--config", str(path), "--out", str(out)]) == 0
+    rank = [str(w.message) for w in caught if "POD modes" in str(w.message)]
+    assert len(rank) == 1 and "supports only 4 POD modes" in rank[0], rank
+    assert (out / "basis.txt").exists()
 
 
 def test_gauge_override(cfg_path, tmp_path, quiet_warnings):
@@ -125,6 +167,19 @@ def test_pipeline_and_determinism(cfg_path, tmp_path, quiet_warnings):
         "classification.csv", "error_study.csv", "tree_cotree.txt",
     ):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_pipeline_writes_bench_csv(cfg_path, tmp_path, monkeypatch, quiet_warnings):
+    # the timing run itself is criterion 10's; here only the files matter
+    row = dict.fromkeys(BENCH_HEADER, 1.0)
+    monkeypatch.setattr(
+        bench, "run_bench", lambda cfg, prebuilt: {"rows": [row], "protocol": {}}
+    )
+    out = tmp_path / "pb"
+    assert main(["pipeline", "--config", cfg_path, "--out", str(out)]) == 0
+    assert json.loads((out / "bench.json").read_text())["rows"] == [row]
+    lines = (out / "bench.csv").read_text().splitlines()
+    assert lines[0].split(",") == list(row) and len(lines) == 2
 
 
 def test_pipeline_rerun_from_manifest(cfg_path, tmp_path, quiet_warnings):

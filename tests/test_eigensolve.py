@@ -125,3 +125,44 @@ def test_eigenvalue_clusters():
     groups = eigenvalue_clusters(lam, 1e-6)
     assert [list(g) for g in groups] == [[0, 1], [2, 3], [4]]
     assert list(cluster_of(lam, 3, 1e-6)) == [2, 3]
+
+
+def _clusters_loop(lam, delta):
+    """Loop grouping of an ascending spectrum: the oracle of the vectorized
+    eigenvalue_clusters and cluster_of."""
+    groups = [[0]]
+    for i in range(1, lam.size):
+        scale = max(abs(lam[i]), abs(lam[i - 1]), np.finfo(float).tiny)
+        if lam[i] - lam[i - 1] <= delta * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [np.array(g, dtype=int) for g in groups]
+
+
+@given(
+    gaps=st.lists(
+        st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 1e-3, 0.5, 3.0]),
+        min_size=0, max_size=40,
+    ),
+    start=st.floats(-1.0, 10.0),
+    delta=st.sampled_from([1e-6, 1e-3]),
+    data=st.data(),
+)
+def test_clusters_match_loop_oracle(gaps, start, delta, data):
+    lam = start + np.cumsum([0.0] + gaps)
+    expected = _clusters_loop(lam, delta)
+    got = eigenvalue_clusters(lam, delta)
+    assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+    assert all(g.dtype == e.dtype for g, e in zip(got, expected))
+    i = data.draw(st.integers(0, lam.size - 1))
+    member = next(g for g in expected if i in g)
+    np.testing.assert_array_equal(cluster_of(lam, i, delta), member)
+
+
+def test_cluster_of_rejects_outside_index():
+    lam = np.array([1.0, 2.0])
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            cluster_of(lam, i)
+    assert eigenvalue_clusters(np.array([])) == []
