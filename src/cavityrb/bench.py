@@ -2,9 +2,9 @@
 
 Timing convention for the benchmark: raw matrix assembly and offline basis
 construction are excluded (warm caches), everything t-dependent downstream
-is included. In particular the cotree variant pays for its per-parameter
-condensation and the reduced variants pay for their per-parameter
-projections, which is exactly the online cost of each gauge.
+is included. In particular the cotree variant pays for the per-parameter
+projection of its complete cotree basis and the reduced variants for the
+projections of theirs, which is exactly the online cost of each gauge.
 """
 
 from __future__ import annotations

@@ -43,8 +43,15 @@ def _out_dir(args):
     return ser.ensure_dir(args.out)
 
 
+def _check_t(args):
+    """--t must lie in the parameter domain [0, 1] (NaN does not)."""
+    if not 0.0 <= args.t <= 1.0:
+        raise ConfigError(f"--t must lie in the parameter domain [0, 1], got {args.t}")
+
+
 def cmd_check(args):
     cfg = _load(args)
+    _check_t(args)
     problem = bench_mod.build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 3)])
@@ -97,8 +104,12 @@ def cmd_check(args):
 
 def cmd_solve(args):
     cfg = _load(args)
+    _check_t(args)
+    k = cfg.K if args.k is None else args.k
+    if k < 1:
+        raise ConfigError(f"--k must be at least 1, got {k}")
     problem = bench_mod.build_problem(cfg)
-    sol = problem.solve_gauged(float(args.t), args.k or cfg.K)
+    sol = problem.solve_gauged(float(args.t), k)
     print(f"t = {args.t}: {sol.k} eigenvalues ({problem.gauge} gauge)")
     print(f"{'mode':>4} {'lambda':>24} {'freq':>24}")
     for i, (lam, f) in enumerate(zip(sol.lambdas, sol.frequencies)):

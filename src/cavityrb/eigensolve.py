@@ -19,12 +19,6 @@ DEFAULT_NULL_TOL = 1e-8
 DEFAULT_MULT_TOL = 1e-6
 
 
-def _dense(M) -> np.ndarray:
-    if sp.issparse(M):
-        return M.toarray()
-    return np.asarray(M, dtype=float)
-
-
 def null_mask(lam: np.ndarray, null_tol: float) -> np.ndarray:
     """True where an eigenvalue is a null mode: at or below null_tol times
     the largest magnitude in the spectrum."""
@@ -61,12 +55,7 @@ def solve_gevp(A, B, k: int, null_tol: float = DEFAULT_NULL_TOL) -> EigenSolutio
     """
     if k < 1:
         raise ValueError(f"requested eigenpair count must be >= 1, got {k}")
-    Ad = _dense(A)
-    Bd = _dense(B)
-    try:
-        lam, V = scipy.linalg.eigh(Ad, Bd)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
+    lam, V = solve_dense_gevp(A, B)
     nonzero = ~null_mask(lam, null_tol)
     n_discarded = int((~nonzero).sum())
     idx = np.flatnonzero(nonzero)
@@ -86,12 +75,20 @@ def solve_gevp(A, B, k: int, null_tol: float = DEFAULT_NULL_TOL) -> EigenSolutio
     )
 
 
-def solve_dense_gevp(A_red: np.ndarray, B_red: np.ndarray):
-    """All eigenpairs of a small dense pencil, no null filtering."""
+def solve_dense_gevp(A, B):
+    """All eigenpairs of a symmetric-definite pencil, no null filtering.
+
+    The one dense eigensolver of the package. Sparse matrices are densified
+    into fresh Fortran-ordered arrays that LAPACK factors in place; dense
+    arrays (the cached reduced pencils) are never overwritten.
+    """
+    a_fresh, b_fresh = sp.issparse(A), sp.issparse(B)
+    Ad = A.toarray(order="F") if a_fresh else np.asarray(A, float)
+    Bd = B.toarray(order="F") if b_fresh else np.asarray(B, float)
     try:
-        return scipy.linalg.eigh(np.asarray(A_red, float), np.asarray(B_red, float))
+        return scipy.linalg.eigh(Ad, Bd, overwrite_a=a_fresh, overwrite_b=b_fresh)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"reduced pencil factorization failed: {exc}") from exc
+        raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
 
 
 def residual_norms(A, B, lambdas, vectors) -> np.ndarray:
@@ -107,7 +104,7 @@ def residual_norms(A, B, lambdas, vectors) -> np.ndarray:
 
 def count_null(A, B, null_tol: float = DEFAULT_NULL_TOL) -> int:
     """Number of eigenvalues of (A, B) at or below the null threshold."""
-    return int(null_mask(scipy.linalg.eigvalsh(_dense(A), _dense(B)), null_tol).sum())
+    return int(null_mask(solve_dense_gevp(A, B)[0], null_tol).sum())
 
 
 def b_normalize(v: np.ndarray, B) -> np.ndarray:

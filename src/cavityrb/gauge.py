@@ -16,12 +16,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, NumericalError
-from .eigensolve import b_orthonormalize
+from .eigensolve import b_orthonormalize, null_mask, solve_dense_gevp
 from .geometry import ReferenceMesh
 
 
@@ -123,43 +122,34 @@ def expand_cotree_derivative(Y, XY, A_p, B_p, tc: TreeCotree, factor):
     return factor.solve(H_p.T @ np.asarray(Y, dtype=float) - B_p @ XY)
 
 
-def condensed_standard_form(A, B, tc: TreeCotree, factor=None):
-    """Orthonormal-frame standard form of the condensed pencil.
+def condensed_eigensolve(A, B, G, tc: TreeCotree, k: int, null_tol: float):
+    """First k physical eigenpairs of (A, B) and their cotree coordinates.
 
-    Forming the condensed matrices squares the conditioning of the cotree
-    rows, so working with (A_hat, B_hat) directly loses half the digits.
-    With X = B^{-1} H^T and the QR factorization L^T X = Q_w R (L the
-    Cholesky factor of B), B_hat = R^T R holds exactly and the condensed
-    pencil is congruent to the perfectly conditioned standard matrix
-    C = (X R^{-1})^T A (X R^{-1}). Returns (C, Q, R) with Q = X R^{-1},
-    whose columns are B-orthonormal and span the physical eigenspace.
-    ``factor`` is a factorization of B the caller already holds.
+    Solves the full pencil and discards its null modes, which must number
+    exactly n_grad = G.shape[1] (the dimension of the gradient kernel), so
+    every returned mode is physical. The tree map gives the cotree
+    coordinates: A v = lam B v and A G = 0 make y = (v / lam - G phi)[cotree]
+    with G[tree, :] phi = v[tree] / lam the unique Y with expand_cotree(Y) = V.
+    Returns ascending eigenvalues, cotree coordinates and the B-orthonormal
+    full-space vectors.
     """
-    A = sp.csr_matrix(A)
-    B = sp.csr_matrix(B)
-    X = expand_cotree(np.eye(len(tc.cotree)), A, tc, factor or mass_factor(B))
-    L = scipy.linalg.cholesky(B.toarray(), lower=True)
-    R = scipy.linalg.qr(L.T @ X, mode="economic")[1]
-    # enforce a positive diagonal so R is the Cholesky factor of B_hat
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    R = signs[:, None] * R
-    Q = scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
-    C_std = Q.T @ (A @ Q)
-    return 0.5 * (C_std + C_std.T), Q, R
-
-
-def condensed_eigensolve(A, B, tc: TreeCotree):
-    """Eigenpairs of the condensed pencil through a stable change of basis.
-
-    Returns ascending eigenvalues, eigenvectors in condensed coordinates,
-    and the B-orthonormal full-space vectors.
-    """
-    C_std, Q, R = condensed_standard_form(A, B, tc)
-    lam, Y_std = scipy.linalg.eigh(C_std)
-    V = Q @ Y_std
-    Y = scipy.linalg.solve_triangular(R, Y_std, lower=False)
-    return lam, Y, V
+    lam, V = solve_dense_gevp(A, B)
+    null = null_mask(lam, null_tol)
+    if null.sum() != G.shape[1]:
+        raise NumericalError(
+            f"found {int(null.sum())} null modes, the gradient space has {G.shape[1]}"
+        )
+    if lam.size - G.shape[1] < k:
+        raise NumericalError(
+            f"pencil has only {lam.size - G.shape[1]} physical eigenvalues, requested {k}"
+        )
+    keep = np.flatnonzero(~null)[:k]
+    lam, V = lam[keep], V[:, keep]
+    W = V / lam
+    if len(tc.tree):
+        G_tree = spla.splu(sp.csc_matrix(G[tc.tree, :]))
+        W = W - G @ G_tree.solve(W[tc.tree])
+    return lam, W[tc.cotree], V
 
 
 def gradient_basis(G, B0) -> np.ndarray:

@@ -55,7 +55,7 @@ class GreedyConfig:
                 f"N_init={self.N_init} is below the recommended "
                 f"{self.recommended_n_init()} = ceil(1.5 (K + tau)); "
                 "estimator reliability may suffer",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def recommended_n_init(self) -> int:
@@ -128,7 +128,6 @@ def estimate(
     i: int,
     lambdas_red: np.ndarray,
     vectors_red: np.ndarray,
-    g: float = 1.0,
     delta_mult: float = 1e-6,
     residual_form: str = "mass",
     b_factor=None,
@@ -136,7 +135,7 @@ def estimate(
 ) -> ErrorEstimate:
     """Gap-weighted residual estimate for reduced mode i at one parameter.
 
-    eta_i = (r^T B r) / (g d_i lam_red_i) with the residual of the upscaled
+    eta_i = (r^T B r) / (d_i lam_red_i) with the residual of the upscaled
     eigenpair; the optional mass-inverse form replaces the numerator with
     r^T B^{-1} r. ``upscaled`` overrides the upscaling matrix when the basis
     does not live in the edge space.
@@ -159,7 +158,7 @@ def estimate(
         quad = float(r @ b_factor.solve(r))
     else:
         raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
-    eta = quad / (g * d_i * lam_i)
+    eta = quad / (d_i * lam_i)
     return ErrorEstimate(
         t=system.t, mode=i, eta=eta, residual_quadform=quad,
         gap=d_i, lam_red=lam_i,

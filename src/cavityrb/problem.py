@@ -107,25 +107,26 @@ class CavityProblem:
         sol.t = float(t)
         return sol
 
-    def _condensed_pairs(self, t: float, k: int):
-        """First k condensed eigenpairs: (lambdas, cotree vectors, edge vectors)."""
+    def condensed_pairs(self, t: float, k: int):
+        """First k physical eigenpairs: (lambdas, cotree vectors, edge vectors)."""
         sys_t = self.system(t)
-        lam, Y, V = gauge_mod.condensed_eigensolve(sys_t.A, sys_t.B, self.tree_cotree)
-        if lam.size < k:
-            raise NumericalError(
-                f"condensed pencil at t={t!r} has only {lam.size} eigenvalues"
+        try:
+            return gauge_mod.condensed_eigensolve(
+                sys_t.A, sys_t.B, sys_t.G, self.tree_cotree, k, self.null_tol
             )
-        return lam[:k].copy(), Y[:, :k].copy(), V[:, :k].copy()
+        except NumericalError as exc:
+            raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
 
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
-        """Cotree-condensed solve, expanded back to the full edge space."""
+        """Cotree-gauged solve: physical modes only, checked against the
+        gradient-space dimension."""
         sys_t = self.system(t)
-        lambdas, _, V = self._condensed_pairs(t, k)
+        lambdas, _, V = self.condensed_pairs(t, k)
         res = residual_norms(sys_t.A, sys_t.B, lambdas, V)
         return EigenSolution(
             lambdas=lambdas,
             vectors=V,
-            n_discarded_null=0,
+            n_discarded_null=self.n_grad,
             residuals=res,
             t=float(t),
         )
@@ -177,7 +178,7 @@ class CavityProblem:
     def snapshot_solve(self, t: float, k: int):
         """First k eigenpairs with vectors in the basis coordinate space."""
         if self.basis_space == "cotree":
-            return self._condensed_pairs(t, k)[:2]
+            return self.condensed_pairs(t, k)[:2]
         sol = self.solve_full(t, k)
         return sol.lambdas, sol.vectors
 

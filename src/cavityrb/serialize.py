@@ -6,6 +6,7 @@ bit-faithful round trips of the underlying doubles.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -72,17 +73,15 @@ def write_mesh(path, mesh):
 
 
 def write_csv(path, header, rows):
-    """Schema-stable CSV: fixed header, floats at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (float, np.floating)):
-                    cells.append(fmt(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+    """Schema-stable CSV: fixed header, floats at 17 significant digits;
+    cells holding a comma (endpoint labels such as ``(1,0)``) are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [fmt(c) if isinstance(c, (float, np.floating)) else c for c in row]
+            for row in rows
+        )
 
 
 def save_basis(path, basis: ReducedBasis):

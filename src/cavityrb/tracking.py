@@ -27,7 +27,6 @@ from .eigensolve import (
     null_mask,
     solve_dense_gevp,
 )
-from .gauge import condensed_standard_form
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
@@ -264,9 +263,8 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
 class _FullOps:
     """High-fidelity systems: sparse pencil, dense solve, null filtering."""
 
-    def __init__(self, problem: CavityProblem, K: int):
+    def __init__(self, problem: CavityProblem):
         self.problem = problem
-        self.K = K
 
     def pencil(self, t):
         s = self.problem.system(t)
@@ -277,76 +275,24 @@ class _FullOps:
 
     def solve_all(self, t):
         s = self.problem.system(t)
-        lam, V = solve_dense_gevp(s.A.toarray(), s.B.toarray())
+        lam, V = solve_dense_gevp(s.A, s.B)
         keep = ~null_mask(lam, self.problem.null_tol)
         return lam[keep], V[:, keep]
-
-
-class _CotreeOps:
-    """Condensed system in its orthonormal standard form per parameter.
-
-    The per-t gauge transformation (mass factorization, QR, projection) is
-    genuine online work of this variant and runs inside the march; the memo
-    only avoids recomputing the identical parameter twice within one run.
-    The frame varies smoothly with t, and the eigenvalue curves equal those
-    of the condensed pencil exactly.
-    """
-
-    def __init__(self, problem: CavityProblem, K: int):
-        self.problem = problem
-        self.K = K
-        self._frame = lru_cache(maxsize=4)(self._standard_form)
-
-    def _standard_form(self, t):
-        s = self.problem.system(t)
-        factor = self.problem.mass_factor(t)
-        C_std, Q, R = condensed_standard_form(
-            s.A, s.B, self.problem.tree_cotree, factor
-        )
-        return C_std, Q, R, factor
-
-    def pencil(self, t):
-        C_std = self._frame(t)[0]
-        return C_std, np.eye(C_std.shape[0])
-
-    def derivative_pencil(self, t):
-        """Exact C'(t) from the reduced pencil of the fixed cotree basis R^{-1}.
-
-        That basis upscales to U(s) = X(s) R^{-1}, which is Q at s = t, so its
-        reduced pencil there is (C, I) with chain-rule derivative (dA, dB).
-        The frame is Q(s) = U(s) T(s)^{-1} with T = R(s) R^{-1} upper
-        triangular and T(t) = I; U^T B U = T^T T gives T' = Phi =
-        triu(dB, 1) + diag(dB) / 2, hence C' = dA - (Phi^T C + C Phi).
-        """
-        C_std, Q, R, factor = self._frame(t)
-        R_inv = scipy.linalg.solve_triangular(R, np.eye(R.shape[0]))
-        dA, dB = self.problem.reduced_derivative(
-            R_inv, t, Q, space="cotree", factor=factor
-        )
-        M = C_std @ (np.triu(dB, 1) + 0.5 * np.diag(np.diag(dB)))
-        C_p = dA - (M + M.T)
-        return C_p, np.zeros_like(C_p)
-
-    def solve_all(self, t):
-        C_std, _ = self.pencil(t)
-        lam, Y = scipy.linalg.eigh(C_std)
-        return lam, Y
 
 
 class _ReducedOps:
     """Reduced pencil restricted to a fixed basis; reduction happens per t."""
 
-    def __init__(self, problem: CavityProblem, basis: ReducedBasis, K: int):
+    def __init__(self, problem: CavityProblem, Z: np.ndarray, space: str):
         self.problem = problem
-        self.basis = basis
-        self.K = K
+        self.Z = Z
+        self.space = space
         self._pencil = lru_cache(maxsize=4)(self._reduce)
 
     def _reduce(self, t):
-        space = self.basis.space
-        factor = self.problem.mass_factor(t) if space == "cotree" else None
+        factor = self.problem.mass_factor(t) if self.space == "cotree" else None
         A_red, B_red, U = self.problem.reduced_pencil(
-            self.basis.Z, t, space=space, factor=factor
+            self.Z, t, space=self.space, factor=factor
         )
         return A_red, B_red, U, factor
 
@@ -356,7 +302,7 @@ class _ReducedOps:
     def derivative_pencil(self, t):
         _, _, U, factor = self._pencil(t)
         return self.problem.reduced_derivative(
-            self.basis.Z, t, U, space=self.basis.space, factor=factor
+            self.Z, t, U, space=self.space, factor=factor
         )
 
     def solve_all(self, t):
@@ -396,12 +342,16 @@ def _seed_degenerate_clusters(ops, lam0, V0, config):
 
 def _make_ops(config, problem, basis):
     if config.system == "high-fidelity":
-        return _FullOps(problem, config.K)
+        return _FullOps(problem)
     if config.system == "cotree":
-        return _CotreeOps(problem, config.K)
+        # The complete cotree basis (all eigen-coordinates at t_ref): its
+        # reduced pencil is congruent to the condensed pencil at every t.
+        n_cotree = problem.n_curl - problem.n_grad
+        Z = problem.condensed_pairs(problem.t_ref, n_cotree)[1]
+        return _ReducedOps(problem, Z, "cotree")
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
-    return _ReducedOps(problem, basis, config.K)
+    return _ReducedOps(problem, basis.Z, basis.space)
 
 
 def _rank_permutation(prev_lam, cur_lam, delta):

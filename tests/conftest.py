@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from cavityrb import affine_stretch, build_reference_mesh, identity_map, sine_bump
+from cavityrb.gauge import expand_cotree, mass_factor
 from cavityrb.problem import CavityProblem
 
 settings.register_profile(
@@ -39,6 +42,34 @@ def central_difference(f, t, h):
     taken entrywise over the tuple of matrices that f returns."""
     plus, minus = f(t + h), f(t - h)
     return tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
+
+
+def standard_form_eigensolve(A, B, tc):
+    """All condensed eigenpairs through the orthonormal standard form (oracle).
+
+    With X = B^{-1} H^T (H the cotree rows of A) and the QR factorization
+    L^T X = Q_w R (L the Cholesky factor of B), B_hat = R^T R holds exactly
+    and the condensed pencil is congruent to the standard matrix
+    C = Q^T A Q with Q = X R^{-1}, whose columns are B-orthonormal. The
+    condensed spectrum comes out without any null-mode threshold, which
+    makes this an independent check of the production cotree solve.
+    Returns ascending eigenvalues, cotree coordinates Y and B-orthonormal
+    edge vectors V.
+    """
+    A = sp.csr_matrix(A)
+    B = sp.csr_matrix(B)
+    X = expand_cotree(np.eye(len(tc.cotree)), A, tc, mass_factor(B))
+    L = scipy.linalg.cholesky(B.toarray(), lower=True)
+    R = scipy.linalg.qr(L.T @ X, mode="economic")[1]
+    # enforce a positive diagonal so R is the Cholesky factor of B_hat
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    R = signs[:, None] * R
+    Q = scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
+    C_std = Q.T @ (A @ Q)
+    lam, Y_std = scipy.linalg.eigh(0.5 * (C_std + C_std.T))
+    Y = scipy.linalg.solve_triangular(R, Y_std, lower=False)
+    return lam, Y, Q @ Y_std
 
 
 @pytest.fixture

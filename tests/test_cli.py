@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -54,6 +55,32 @@ def test_solve_command(cfg_path, tmp_path, capsys):
     text = (out / "spectrum.csv").read_text().splitlines()
     assert text[0] == "mode,t,lambda,freq"
     assert len(text) == 4
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["solve", "--k", "0"], "--k"),
+        (["solve", "--k", "-2", "--gauge", "none"], "--k"),
+        (["solve", "--k", "-2"], "--k"),
+        (["solve", "--t", "nan"], "--t"),
+        (["solve", "--t", "7"], "--t"),
+        (["check", "--export", "EXPORT", "--t", "nan"], "--t"),
+        (["check", "--export", "EXPORT", "--t", "7"], "--t"),
+    ],
+    ids=[
+        "solve-k-zero", "solve-k-negative-ungauged", "solve-k-negative-cotree",
+        "solve-t-nan", "solve-t-outside", "export-t-nan", "export-t-outside",
+    ],
+)
+def test_bad_k_or_t_exits_2(cfg_path, tmp_path, capsys, args, needle):
+    args = [str(tmp_path / "exp") if a == "EXPORT" else a for a in args]
+    assert main(args + ["--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0], err
+    assert "lambda" not in captured.out
+    assert not (tmp_path / "exp").exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -216,6 +243,24 @@ def test_track_high_fidelity_system(tmp_path, quiet_warnings):
     assert main(["track", "--config", str(path), "--out", str(out)]) == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) == 1 + 5 * 3
+
+
+def test_track_csv_rows_match_their_header(cfg_path, tmp_path, capsys, quiet_warnings):
+    # endpoint labels such as "(1,0)" contain a comma
+    out = tmp_path / "tr"
+    assert main(["track", "--config", cfg_path, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    tables = {}
+    for name in ("trace.csv", "classification.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows), name
+        tables[name] = [dict(zip(header, row)) for row in rows]
+    labels = [row["label"] for row in tables["classification.csv"]]
+    assert any("," in label for label in labels)
+    assert f"endpoint labels: {', '.join(labels)}" in printed
+    for row in tables["trace.csv"]:
+        assert row["mode_label"] == labels[int(row["tracked_index"])]
 
 
 def test_error_study_csv(cfg_path, tmp_path, quiet_warnings):

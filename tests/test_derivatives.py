@@ -1,13 +1,13 @@
-"""Exact parameter derivatives of the condensed and reduced pencils against
-central-difference oracles, over t in [0, 1] and both mapping families."""
+"""Exact parameter derivatives of the cotree tracking and reduced pencils
+against central-difference oracles, over t in [0, 1] and both mapping
+families."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavityrb import assemble
-from cavityrb.gauge import condensed_standard_form
-from cavityrb.tracking import _CotreeOps
+from cavityrb.eigensolve import solve_dense_gevp
+from cavityrb.tracking import TrackingConfig, _make_ops
 
 from conftest import central_difference, make_problem
 
@@ -20,19 +20,20 @@ def _rel_err(exact, oracle):
     return abs(exact - oracle).max() / abs(exact).max()
 
 
+def _cotree_ops(problem):
+    """The ops of ``system="cotree"`` tracking: the reduced pencil of the
+    complete cotree basis."""
+    return _make_ops(TrackingConfig(K=3, h=0.1, system="cotree"), problem, None)
+
+
 @given(FAMILIES, PARAMS)
 def test_standard_form_derivative_matches_central_differences(kind, t):
     problem = make_problem(n=4, family=kind)
-    tc = problem.tree_cotree
-    C_p, zero = _CotreeOps(problem, K=3).derivative_pencil(t)
-    assert not zero.any()
-
-    def standard_form(tt):
-        st_ = assemble(problem.mesh, problem.family, tt)
-        return condensed_standard_form(st_.A, st_.B, tc)[:1]
-
-    (oracle,) = central_difference(standard_form, t, H)
-    assert _rel_err(C_p, oracle) < 1e-6
+    ops = _cotree_ops(problem)
+    exact = ops.derivative_pencil(t)
+    oracle = central_difference(ops.pencil, t, H)
+    for e, o in zip(exact, oracle):
+        assert _rel_err(e, o) < 1e-6
 
 
 @given(st.sampled_from(["edge", "cotree"]), FAMILIES, PARAMS)
@@ -53,15 +54,15 @@ def test_reduced_derivative_matches_central_differences(space, kind, t):
 @given(FAMILIES, PARAMS)
 def test_standard_form_eigenvalue_derivatives_match_full_pencil(kind, t):
     # lambda' = v^T (A' - lambda B') v for B-normalized full-space v does not
-    # depend on the cotree frame, so it checks C' far below the difference
-    # step's truncation error
+    # depend on the reduced coordinates, so it checks (A_red', B_red') far
+    # below the difference step's truncation error
     problem = make_problem(n=4, family=kind)
-    ops = _CotreeOps(problem, K=3)
-    lam, Y = np.linalg.eigh(ops.pencil(t)[0])
-    C_p, _ = ops.derivative_pencil(t)
-    V = ops._frame(t)[1] @ Y[:, :4]
+    ops = _cotree_ops(problem)
+    lam, Y = solve_dense_gevp(*ops.pencil(t))
+    dA, dB = ops.derivative_pencil(t)
+    V = ops._pencil(t)[2] @ Y[:, :4]
     A_p, B_p = problem.derivative_pencil(t)
     for j in range(4):
-        v = V[:, j]
+        v, y = V[:, j], Y[:, j]
         oracle = v @ (A_p @ v) - lam[j] * (v @ (B_p @ v))
-        assert abs(Y[:, j] @ C_p @ Y[:, j] - oracle) <= 1e-9 * abs(lam[j])
+        assert abs(y @ (dA - lam[j] * dB) @ y - oracle) <= 1e-9 * abs(lam[j])

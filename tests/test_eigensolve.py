@@ -14,7 +14,7 @@ from cavityrb import (
     affine_stretch,
     solve_gevp,
 )
-from cavityrb.eigensolve import cluster_of
+from cavityrb.eigensolve import cluster_of, solve_dense_gevp
 from cavityrb.errors import NumericalError
 
 from conftest import mesh
@@ -40,6 +40,23 @@ def test_null_space_count_matches_interior_vertices():
     sol = solve_gevp(s.A, s.B, 3)
     assert sol.n_discarded_null == 1
     assert count_null(s.A, s.B) == 1
+
+
+def test_solve_dense_gevp_leaves_its_inputs_intact():
+    # sparse input is densified into scratch arrays that LAPACK may
+    # overwrite; dense input (a cached reduced pencil) must survive the call,
+    # also in the Fortran order LAPACK could write into without a copy
+    s = assemble(mesh(4), affine_stretch(2.5), 0.4)
+    A, B = np.asfortranarray(s.A.toarray()), np.asfortranarray(s.B.toarray())
+    A0, B0, data0 = A.copy(), B.copy(), (s.A.data.copy(), s.B.data.copy())
+    lam_dense, V_dense = solve_dense_gevp(A, B)
+    lam_sparse, V_sparse = solve_dense_gevp(s.A, s.B)
+    np.testing.assert_array_equal(A, A0)
+    np.testing.assert_array_equal(B, B0)
+    np.testing.assert_array_equal(s.A.data, data0[0])
+    np.testing.assert_array_equal(s.B.data, data0[1])
+    np.testing.assert_array_equal(lam_sparse, lam_dense)
+    np.testing.assert_array_equal(V_sparse, V_dense)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))

@@ -14,9 +14,11 @@ from cavityrb import (
     sine_bump,
     solve_gevp,
 )
+from cavityrb.eigensolve import DEFAULT_NULL_TOL
+from cavityrb.errors import NumericalError
 from cavityrb.gauge import condensed_eigensolve, expand_cotree, mass_factor
 
-from conftest import mesh
+from conftest import mesh, standard_form_eigensolve
 
 
 def naive_condense(A, B, tc):
@@ -94,7 +96,7 @@ def test_spectral_equivalence(kind, t):
     m = mesh(8)
     s = assemble(m, fam, t)
     tc = build_tree_cotree(m)
-    lam_hat, _, _ = condensed_eigensolve(s.A, s.B, tc)
+    lam_hat, _, _ = standard_form_eigensolve(s.A, s.B, tc)
     sol = solve_gevp(s.A, s.B, lam_hat.size)
     assert sol.n_discarded_null == m.n_grad
     rel = np.abs(lam_hat - sol.lambdas) / sol.lambdas
@@ -103,17 +105,49 @@ def test_spectral_equivalence(kind, t):
 
 def test_stable_solve_matches_direct_condensed():
     # on a small mesh the direct dense solve of the condensed pencil is
-    # still accurate and must agree with the stable reformulation
+    # still accurate and must agree with the tree-mapped full solve
     import scipy.linalg
 
     s = assemble(mesh(2), affine_stretch(2.5), 0.3)
     tc = build_tree_cotree(mesh(2))
     A_hat, B_hat, _ = naive_condense(s.A, s.B, tc)
     lam_direct = scipy.linalg.eigh(A_hat, B_hat, eigvals_only=True)
-    lam_stable, Y, _ = condensed_eigensolve(s.A, s.B, tc)
+    lam_stable, Y, _ = condensed_eigensolve(
+        s.A, s.B, s.G, tc, len(tc.cotree), DEFAULT_NULL_TOL
+    )
     np.testing.assert_allclose(lam_direct, lam_stable, rtol=1e-10)
     r = A_hat @ Y[:, 0] - lam_stable[0] * (B_hat @ Y[:, 0])
     assert np.linalg.norm(r) <= 1e-9 * lam_stable[0] * np.linalg.norm(B_hat @ Y[:, 0])
+
+
+@given(
+    st.sampled_from([2, 4, 8, 16]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_condensed_eigensolve_matches_standard_form_oracle(n, kind, t):
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    m = mesh(n)
+    s = assemble(m, fam, t)
+    tc = build_tree_cotree(m)
+    lam_o, _, _ = standard_form_eigensolve(s.A, s.B, tc)
+    # all n_curl - n_grad physical modes exist and no more: exactly n_grad
+    # null modes were discarded
+    lam, Y, V = condensed_eigensolve(s.A, s.B, s.G, tc, lam_o.size, DEFAULT_NULL_TOL)
+    with pytest.raises(NumericalError, match="physical eigenvalues"):
+        condensed_eigensolve(s.A, s.B, s.G, tc, lam_o.size + 1, DEFAULT_NULL_TOL)
+    assert lam.size == m.n_curl - m.n_grad
+    assert (np.abs(lam - lam_o) / lam_o).max() <= 1e-10
+    XY = expand_cotree(Y, s.A, tc, mass_factor(s.B))
+    assert abs(XY - V).max() <= 1e-10 * abs(V).max()
+
+
+def test_condensed_eigensolve_checks_null_count():
+    m = mesh(4)
+    s = assemble(m, sine_bump(0.3), 0.5)
+    tc = build_tree_cotree(m)
+    with pytest.raises(NumericalError, match="null modes"):
+        condensed_eigensolve(s.A, s.B, s.G[:, 1:], tc, 3, DEFAULT_NULL_TOL)
 
 
 def test_expand_zero():
@@ -134,8 +168,8 @@ def test_expanded_eigenvectors_solve_original_pencil():
     m = mesh(8)
     s = assemble(m, sine_bump(0.3), 0.8)
     tc = build_tree_cotree(m)
-    lam, Y, _ = condensed_eigensolve(s.A, s.B, tc)
-    V = expand_cotree(Y[:, :4], s.A, tc, mass_factor(s.B))
+    lam, Y, _ = condensed_eigensolve(s.A, s.B, s.G, tc, 4, DEFAULT_NULL_TOL)
+    V = expand_cotree(Y, s.A, tc, mass_factor(s.B))
     for j in range(4):
         r = s.A @ V[:, j] - lam[j] * (s.B @ V[:, j])
         assert np.linalg.norm(r) <= 1e-8 * lam[j] * np.linalg.norm(s.B @ V[:, j])

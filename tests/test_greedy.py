@@ -69,10 +69,6 @@ def test_estimate_components_recombine(quiet_warnings, rng):
     np.testing.assert_allclose(
         est.eta, est.residual_quadform / (est.gap * est.lam_red), rtol=1e-14
     )
-    # doubling the gap halves the estimate, all else equal
-    assert estimate(s, Z, 1, lam, V, upscaled=U, g=2.0).eta == pytest.approx(
-        est.eta / 2.0
-    )
 
 
 def test_estimate_exact_containment_is_tiny(quiet_warnings):
@@ -186,11 +182,14 @@ def test_greedy_appends_degenerate_clusters_whole(quiet_warnings):
 
 
 def test_greedy_warns_on_small_initial_size():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="below the recommended") as record:
         GreedyConfig(
             K=5, tau=2, N_init=5, xi_train=np.linspace(0, 1, 3), tol=1e-6,
             N_max=10,
         )
+    # the warning names the line that built the config, not the
+    # dataclass-generated __init__ (whose filename is "<string>")
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_greedy_nmax_cap(quiet_warnings):
