@@ -1,7 +1,8 @@
 """Timing table: one eigensolve and one full tracking per system variant.
 
-Reproduces the comparison of the ungauged high-fidelity system, the
-cotree-condensed system, and the two reduced bases at ~1.6e3 unknowns.
+Reproduces the comparison of the high-fidelity system (the full pencil's
+physical modes, reported with the edge and with the cotree dimension) and
+the two reduced bases at ~1.6e3 unknowns.
 
 Usage: python scripts/bench_table.py [--config configs/bench_n24.cfg]
 """

@@ -23,7 +23,7 @@ from cavityrb.problem import CavityProblem
 
 
 def endpoint_error(problem, basis, t, K):
-    truth = problem.solve_full(t, K).lambdas
+    truth = problem.solve_condensed(t, K).lambdas
     A_red, B_red, _ = problem.reduced_pencil(basis.Z, t, space=basis.space)
     lam, _ = solve_dense_gevp(A_red, B_red)
     return (np.abs(lam[:K] - truth) / truth).max()

@@ -9,7 +9,6 @@ from .eigensolve import (
     b_orthonormalize,
     count_null,
     eigenvalue_clusters,
-    solve_gevp,
 )
 from .errors import (
     CavityError,

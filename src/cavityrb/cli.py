@@ -109,7 +109,13 @@ def cmd_solve(args):
     if k < 1:
         raise ConfigError(f"--k must be at least 1, got {k}")
     problem = bench_mod.build_problem(cfg)
-    sol = problem.solve_gauged(float(args.t), k)
+    n_physical = problem.n_curl - problem.n_grad
+    if k > n_physical:
+        raise ConfigError(
+            f"--k must be at most {n_physical}, the number of physical modes "
+            f"of the mesh, got {k}"
+        )
+    sol = problem.solve_condensed(float(args.t), k)
     print(f"t = {args.t}: {sol.k} eigenvalues ({problem.gauge} gauge)")
     print(f"{'mode':>4} {'lambda':>24} {'freq':>24}")
     for i, (lam, f) in enumerate(zip(sol.lambdas, sol.frequencies)):

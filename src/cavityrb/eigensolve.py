@@ -46,35 +46,6 @@ class EigenSolution:
         return len(self.lambdas)
 
 
-def solve_gevp(A, B, k: int, null_tol: float = DEFAULT_NULL_TOL) -> EigenSolution:
-    """Smallest k eigenpairs of A v = lambda B v above the null threshold.
-
-    A must be symmetric positive semi-definite and B symmetric positive
-    definite. Eigenvalues at or below null_tol times the largest computed
-    magnitude count as gradient null modes and are discarded.
-    """
-    if k < 1:
-        raise ValueError(f"requested eigenpair count must be >= 1, got {k}")
-    lam, V = solve_dense_gevp(A, B)
-    nonzero = ~null_mask(lam, null_tol)
-    n_discarded = int((~nonzero).sum())
-    idx = np.flatnonzero(nonzero)
-    if idx.size < k:
-        raise NumericalError(
-            f"only {idx.size} eigenvalues above the null threshold, requested {k}"
-        )
-    idx = idx[:k]
-    lambdas = lam[idx].copy()
-    vectors = V[:, idx].copy()
-    res = residual_norms(A, B, lambdas, vectors)
-    return EigenSolution(
-        lambdas=lambdas,
-        vectors=vectors,
-        n_discarded_null=n_discarded,
-        residuals=res,
-    )
-
-
 def solve_dense_gevp(A, B):
     """All eigenpairs of a symmetric-definite pencil, no null filtering.
 

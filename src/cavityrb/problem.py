@@ -12,7 +12,6 @@ from .eigensolve import (
     EigenSolution,
     b_orthonormalize,
     residual_norms,
-    solve_gevp,
 )
 from .errors import NumericalError
 from .geometry import MappingFamily, ReferenceMesh
@@ -26,8 +25,8 @@ class CavityProblem:
 
     Mesh and mapping are immutable; assembled systems are cached per
     parameter value and shared by every consumer (snapshots, greedy sweeps,
-    tracking). The gauge strategy decides how high-fidelity eigenvectors are
-    produced and how basis matrices are cleaned.
+    tracking). The gauge strategy decides the coordinate space of snapshot
+    vectors and how basis matrices are cleaned.
     """
 
     def __init__(
@@ -97,18 +96,12 @@ class CavityProblem:
 
     # ----------------------------------------------------------------- solve
 
-    def solve_full(self, t: float, k: int) -> EigenSolution:
-        """Ungauged solve with null filtering; vectors in the full edge space."""
-        sys_t = self.system(t)
-        try:
-            sol = solve_gevp(sys_t.A, sys_t.B, k, null_tol=self.null_tol)
-        except NumericalError as exc:
-            raise NumericalError(f"high-fidelity solve failed at t={t!r}: {exc}") from exc
-        sol.t = float(t)
-        return sol
-
     def condensed_pairs(self, t: float, k: int):
-        """First k physical eigenpairs: (lambdas, cotree vectors, edge vectors)."""
+        """First k physical eigenpairs: (lambdas, cotree vectors, edge vectors).
+
+        The one solve of the full pencil: every high-fidelity consumer
+        (snapshots, tracking, error-study truth, the CLI) goes through it.
+        """
         sys_t = self.system(t)
         try:
             return gauge_mod.condensed_eigensolve(
@@ -118,8 +111,9 @@ class CavityProblem:
             raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
 
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
-        """Cotree-gauged solve: physical modes only, checked against the
-        gradient-space dimension."""
+        """First k physical eigenpairs with edge-space vectors and residuals;
+        the null-mode count is checked against the gradient-space dimension.
+        The spectrum does not depend on the gauge strategy."""
         sys_t = self.system(t)
         lambdas, _, V = self.condensed_pairs(t, k)
         res = residual_norms(sys_t.A, sys_t.B, lambdas, V)
@@ -130,17 +124,6 @@ class CavityProblem:
             residuals=res,
             t=float(t),
         )
-
-    def solve_gauged(self, t: float, k: int) -> EigenSolution:
-        """High-fidelity eigenpairs produced per the active gauge strategy.
-
-        Tree-cotree snapshots come from the condensed pencil and are expanded
-        back, so they are divergence-free by construction; the remaining
-        strategies solve the ungauged pencil and defer cleanup to the basis.
-        """
-        if self.gauge == "tree-cotree":
-            return self.solve_condensed(t, k)
-        return self.solve_full(t, k)
 
     # --------------------------------------------------------- basis support
 
@@ -177,10 +160,8 @@ class CavityProblem:
 
     def snapshot_solve(self, t: float, k: int):
         """First k eigenpairs with vectors in the basis coordinate space."""
-        if self.basis_space == "cotree":
-            return self.condensed_pairs(t, k)[:2]
-        sol = self.solve_full(t, k)
-        return sol.lambdas, sol.vectors
+        lambdas, Y, V = self.condensed_pairs(t, k)
+        return lambdas, Y if self.basis_space == "cotree" else V
 
     def upscale_matrix(
         self, Z: np.ndarray, t: float, space: str | None = None, factor=None

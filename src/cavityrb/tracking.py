@@ -24,12 +24,14 @@ from .eigensolve import (
     b_orthonormalize,
     cluster_of,
     eigenvalue_clusters,
-    null_mask,
     solve_dense_gevp,
 )
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
+# "high-fidelity" and "cotree" both track the physical modes of the full
+# pencil (the cotree solve checks that exactly n_grad null modes were
+# dropped); "reduced" tracks the pencil of a reduced basis.
 SYSTEMS = ("high-fidelity", "cotree", "reduced")
 
 # Relative residual accepted for the input eigenpair and the bordered solve.
@@ -261,10 +263,11 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
 
 
 class _FullOps:
-    """High-fidelity systems: sparse pencil, dense solve, null filtering."""
+    """High-fidelity systems: the full sparse pencil and its physical modes."""
 
     def __init__(self, problem: CavityProblem):
         self.problem = problem
+        self.size = problem.n_curl - problem.n_grad
 
     def pencil(self, t):
         s = self.problem.system(t)
@@ -273,11 +276,9 @@ class _FullOps:
     def derivative_pencil(self, t):
         return self.problem.derivative_pencil(t)
 
-    def solve_all(self, t):
-        s = self.problem.system(t)
-        lam, V = solve_dense_gevp(s.A, s.B)
-        keep = ~null_mask(lam, self.problem.null_tol)
-        return lam[keep], V[:, keep]
+    def solve(self, t, k):
+        lam, _, V = self.problem.condensed_pairs(t, k)
+        return lam, V
 
 
 class _ReducedOps:
@@ -287,6 +288,7 @@ class _ReducedOps:
         self.problem = problem
         self.Z = Z
         self.space = space
+        self.size = Z.shape[1]
         self._pencil = lru_cache(maxsize=4)(self._reduce)
 
     def _reduce(self, t):
@@ -305,12 +307,14 @@ class _ReducedOps:
             self.Z, t, U, space=self.space, factor=factor
         )
 
-    def solve_all(self, t):
-        return solve_dense_gevp(*self.pencil(t))
+    def solve(self, t, k):
+        lam, V = solve_dense_gevp(*self.pencil(t))
+        return lam[:k], V[:, :k]
 
 
-def _seed_degenerate_clusters(ops, lam0, V0, config):
-    """Align degenerate starting clusters with the directions they split into.
+def _seed_degenerate_clusters(ops, config):
+    """First eigenpairs at t = 0, with degenerate starting clusters aligned
+    to the directions they split into.
 
     The eigensolver returns an arbitrary rotation inside each multiple
     eigenspace at t = 0; projecting the eigenvectors from a small probe
@@ -318,15 +322,17 @@ def _seed_degenerate_clusters(ops, lam0, V0, config):
     labels (the member that stays lower gets the lower index), consistently
     across system variants.
     """
-    scan = min(lam0.size, config.K + config.overtrack + 2)
-    clusters = _clusters_unsorted(lam0[:scan], config.delta_mult)
+    scan = min(ops.size, config.K + config.overtrack + 2)
+    lam0, V0 = ops.solve(0.0, scan)
+    V0 = V0.copy()
+    clusters = _clusters_unsorted(lam0, config.delta_mult)
     if all(c.size < 2 for c in clusters):
-        return V0
+        return lam0, V0
     delta = min(config.h / 4.0, 0.25)
-    _, V_d = ops.solve_all(delta)
+    _, V_d = ops.solve(delta, scan)
     _, B0 = ops.pencil(0.0)
     for idx in clusters:
-        if idx.size < 2 or idx.max() >= V_d.shape[1]:
+        if idx.size < 2:
             continue
         idx = np.sort(idx)
         Q, kept = b_orthonormalize(V0[:, idx], B0)
@@ -337,18 +343,12 @@ def _seed_degenerate_clusters(ops, lam0, V0, config):
         seeded, kept = b_orthonormalize(Q @ coeff, B0)
         if len(kept) == idx.size:
             V0[:, idx] = seeded
-    return V0
+    return lam0, V0
 
 
 def _make_ops(config, problem, basis):
-    if config.system == "high-fidelity":
+    if config.system in ("high-fidelity", "cotree"):
         return _FullOps(problem)
-    if config.system == "cotree":
-        # The complete cotree basis (all eigen-coordinates at t_ref): its
-        # reduced pencil is congruent to the condensed pencil at every t.
-        n_cotree = problem.n_curl - problem.n_grad
-        Z = problem.condensed_pairs(problem.t_ref, n_cotree)[1]
-        return _ReducedOps(problem, Z, "cotree")
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
     return _ReducedOps(problem, basis.Z, basis.space)
@@ -393,12 +393,12 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         gauge=basis.gauge if basis is not None else problem.gauge,
     )
 
-    lam0, V0 = ops.solve_all(0.0)
-    if lam0.size < config.K:
+    if ops.size < config.K:
         raise NumericalError(
-            f"system provides only {lam0.size} eigenvalues, tracking needs {config.K}"
+            f"system provides only {ops.size} eigenvalues, tracking needs {config.K}"
         )
-    V0 = _seed_degenerate_clusters(ops, lam0, V0.copy(), config)
+    lam0, V0 = _seed_degenerate_clusters(ops, config)
+    window = min(ops.size, config.K + config.overtrack)
     lam_cur = lam0[: config.K].copy()
     V_cur = V0[:, : config.K].copy()
     trace.steps.append(
@@ -410,11 +410,10 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
             rhos=np.full(config.K, np.nan),
             dlambdas=np.zeros(config.K),
             flags=(),
-            window=min(lam0.size, config.K + config.overtrack),
+            window=window,
         )
     )
 
-    window = min(lam0.size, config.K + config.overtrack)
     lam_all = lam0
     positions = np.arange(config.K)
     t = 0.0
@@ -423,9 +422,10 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         Ap_t, Bp_t = ops.derivative_pencil(t)
 
         # Eigenvector/eigenvalue derivatives per tracked mode. Degeneracy is
-        # judged against the full spectrum at t (an untracked partner of a
-        # multiple eigenvalue still makes the bordered system singular), and
-        # affected modes fall back to zero-order prediction.
+        # judged against the solved spectrum at t, which reaches one past the
+        # candidate window (an untracked partner of a multiple eigenvalue
+        # still makes the bordered system singular), and affected modes fall
+        # back to zero-order prediction.
         dlam = np.zeros(config.K)
         Vdot = np.zeros_like(V_cur)
         clustered = {
@@ -456,21 +456,21 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
             t_next = min(t + h_cur, 1.0)
             dt = t_next - t
             V_pred = V_cur + dt * Vdot
-            lam_next, V_next = ops.solve_all(t_next)
-            if lam_next.size < config.K:
-                raise NumericalError(f"system lost eigenvalues at t={t_next!r}")
             _, B_next = ops.pencil(t_next)
-            win = min(max(window, config.K + config.overtrack), lam_next.size)
+            win = min(max(window, config.K + config.overtrack), ops.size)
             # Low correlation first widens the candidate window (tracked
-            # modes may have been overtaken), then shrinks the step.
+            # modes may have been overtaken), then shrinks the step. One
+            # eigenvalue beyond the window shows whether a candidate at its
+            # edge belongs to a multiplicity cluster.
             while True:
+                lam_next, V_next = ops.solve(t_next, min(win + 1, ops.size))
                 match = _cluster_aware_match(
                     V_pred, lam_cur, V_next[:, :win], B_next,
                     config.delta_mult, config.rho_min,
                 )
-                if match.ok or win >= lam_next.size:
+                if match.ok or win >= ops.size:
                     break
-                win = min(2 * win, lam_next.size)
+                win = min(2 * win, ops.size)
             if match.ok or halvings >= config.max_halvings:
                 break
             halvings += 1

@@ -7,6 +7,14 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from cavityrb import affine_stretch, build_reference_mesh, identity_map, sine_bump
+from cavityrb.eigensolve import (
+    DEFAULT_NULL_TOL,
+    EigenSolution,
+    null_mask,
+    residual_norms,
+    solve_dense_gevp,
+)
+from cavityrb.errors import NumericalError
 from cavityrb.gauge import expand_cotree, mass_factor
 from cavityrb.problem import CavityProblem
 
@@ -35,6 +43,44 @@ def make_problem(n=8, family="affine", gauge="tree-cotree", **kw):
         "bump": sine_bump(0.3),
     }[family]
     return CavityProblem(mesh(n), fam, gauge=gauge, **kw)
+
+
+def solve_gevp(A, B, k: int, null_tol: float = DEFAULT_NULL_TOL) -> EigenSolution:
+    """Smallest k eigenpairs of A v = lambda B v above the null threshold
+    (generic null-filtering oracle).
+
+    A must be symmetric positive semi-definite and B symmetric positive
+    definite. Eigenvalues at or below null_tol times the largest computed
+    magnitude count as gradient null modes and are discarded; unlike the
+    package's cotree solve, their number is not checked.
+    """
+    if k < 1:
+        raise ValueError(f"requested eigenpair count must be >= 1, got {k}")
+    lam, V = solve_dense_gevp(A, B)
+    nonzero = ~null_mask(lam, null_tol)
+    n_discarded = int((~nonzero).sum())
+    idx = np.flatnonzero(nonzero)
+    if idx.size < k:
+        raise NumericalError(
+            f"only {idx.size} eigenvalues above the null threshold, requested {k}"
+        )
+    idx = idx[:k]
+    lambdas = lam[idx].copy()
+    vectors = V[:, idx].copy()
+    res = residual_norms(A, B, lambdas, vectors)
+    return EigenSolution(
+        lambdas=lambdas,
+        vectors=vectors,
+        n_discarded_null=n_discarded,
+        residuals=res,
+    )
+
+
+def solve_full(problem, t, k):
+    """First k physical eigenpairs of the problem's full pencil at t, by the
+    null-filtering oracle."""
+    s = problem.system(t)
+    return solve_gevp(s.A, s.B, k, null_tol=problem.null_tol)
 
 
 def central_difference(f, t, h):

@@ -22,7 +22,6 @@ from cavityrb import (
     gram_schmidt_clean,
     identity_map,
     sine_bump,
-    solve_gevp,
 )
 from cavityrb.bench import build_basis, run_bench, run_error_study
 from cavityrb.config import RunConfig
@@ -38,7 +37,7 @@ from cavityrb.tracking import (
     track,
 )
 
-from conftest import standard_form_eigensolve
+from conftest import solve_full, solve_gevp, standard_form_eigensolve
 
 EXACT_SQUARE = np.pi**2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0])
 CROSSING_MAIN = 2.0 / 3.0
@@ -225,7 +224,7 @@ def test_criterion_06_degenerate_mode_safety():
     assert all(a != 1 for a in appended), f"a degenerate pair was split: {appended}"
     A_red, B_red, _ = problem.reduced_pencil(basis.Z, 0.0)
     lam_red, _ = solve_dense_gevp(A_red, B_red)
-    truth = problem.solve_full(0.0, 5).lambdas
+    truth = solve_full(problem, 0.0, 5).lambdas
     rel = np.abs(lam_red[:5] - truth) / truth
     assert rel.max() <= 1e-6, f"reduced errors {rel}"
     _report(
@@ -284,7 +283,7 @@ def test_criterion_08_gauge_quality_ordering():
         for gauge in ("tree-cotree", "gram-schmidt"):
             problem = CavityProblem(mesh, sine_bump(0.3), gauge=gauge)
             basis, _, _ = build_basis(problem, cfg)
-            truth = problem.solve_full(1.0, cfg.K).lambdas
+            truth = solve_full(problem, 1.0, cfg.K).lambdas
             A_red, B_red, _ = problem.reduced_pencil(basis.Z, 1.0)
             lam_red, _ = solve_dense_gevp(A_red, B_red)
             endpoint_err[gauge] = (
@@ -325,8 +324,8 @@ def test_criterion_09_derivative_correctness():
     _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
     errs = []
     for delta in (2e-3, 1e-3):
-        lam_p = problem.solve_full(t + delta, 1).lambdas[0]
-        lam_m = problem.solve_full(t - delta, 1).lambdas[0]
+        lam_p = solve_full(problem, t + delta, 1).lambdas[0]
+        lam_m = solve_full(problem, t - delta, 1).lambdas[0]
         errs.append(abs((lam_p - lam_m) / (2 * delta) - lp))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.2, f"oracle convergence ratio {ratio:.2f}"

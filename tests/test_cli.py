@@ -63,6 +63,7 @@ def test_solve_command(cfg_path, tmp_path, capsys):
         (["solve", "--k", "0"], "--k"),
         (["solve", "--k", "-2", "--gauge", "none"], "--k"),
         (["solve", "--k", "-2"], "--k"),
+        (["solve", "--k", "100000"], "--k"),
         (["solve", "--t", "nan"], "--t"),
         (["solve", "--t", "7"], "--t"),
         (["check", "--export", "EXPORT", "--t", "nan"], "--t"),
@@ -70,6 +71,7 @@ def test_solve_command(cfg_path, tmp_path, capsys):
     ],
     ids=[
         "solve-k-zero", "solve-k-negative-ungauged", "solve-k-negative-cotree",
+        "solve-k-above-physical",
         "solve-t-nan", "solve-t-outside", "export-t-nan", "export-t-outside",
     ],
 )
@@ -224,6 +226,20 @@ def test_pipeline_rerun_from_manifest(cfg_path, tmp_path, quiet_warnings):
     )
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+
+def test_pipeline_records_stage_warnings(tmp_path, capsys):
+    path = tmp_path / "small.cfg"
+    path.write_text(BASE.replace("N_init = 6", "N_init = 4"))
+    out = tmp_path / "small-out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["pipeline", "--config", str(path), "--out", str(out), "--no-bench"]) == 0
+    assert not [str(w.message) for w in caught if "N_init" in str(w.message)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    small = [w for w in manifest["warnings"] if "N_init=4 is below" in w]
+    assert len(small) == 1 and small[0].startswith("greedy: "), manifest["warnings"]
+    assert capsys.readouterr().out.count("N_init=4 is below") == 1
 
 
 def test_pipeline_warns_without_gauge(tmp_path, quiet_warnings):

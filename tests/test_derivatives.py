@@ -1,13 +1,13 @@
-"""Exact parameter derivatives of the cotree tracking and reduced pencils
-against central-difference oracles, over t in [0, 1] and both mapping
-families."""
+"""Exact parameter derivatives of reduced pencils, on a complete cotree
+basis and on random bases, against central-difference oracles, over t in
+[0, 1] and both mapping families."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityrb.eigensolve import solve_dense_gevp
-from cavityrb.tracking import TrackingConfig, _make_ops
+from cavityrb.tracking import _ReducedOps
 
 from conftest import central_difference, make_problem
 
@@ -21,9 +21,12 @@ def _rel_err(exact, oracle):
 
 
 def _cotree_ops(problem):
-    """The ops of ``system="cotree"`` tracking: the reduced pencil of the
-    complete cotree basis."""
-    return _make_ops(TrackingConfig(K=3, h=0.1, system="cotree"), problem, None)
+    """Reduced ops over the complete cotree basis (all n_curl - n_grad
+    eigen-coordinates at t_ref), whose pencil is congruent to the condensed
+    pencil at every t."""
+    n_cot = problem.n_curl - problem.n_grad
+    Z = problem.condensed_pairs(problem.t_ref, n_cot)[1]
+    return _ReducedOps(problem, Z, "cotree")
 
 
 @given(FAMILIES, PARAMS)

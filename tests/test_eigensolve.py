@@ -12,12 +12,11 @@ from cavityrb import (
     eigenvalue_clusters,
     identity_map,
     affine_stretch,
-    solve_gevp,
 )
 from cavityrb.eigensolve import cluster_of, solve_dense_gevp
 from cavityrb.errors import NumericalError
 
-from conftest import mesh
+from conftest import mesh, solve_gevp
 
 
 def test_identity_pencil():

@@ -12,13 +12,12 @@ from cavityrb import (
     gram_schmidt_clean,
     identity_map,
     sine_bump,
-    solve_gevp,
 )
 from cavityrb.eigensolve import DEFAULT_NULL_TOL
 from cavityrb.errors import NumericalError
 from cavityrb.gauge import condensed_eigensolve, expand_cotree, mass_factor
 
-from conftest import mesh, standard_form_eigensolve
+from conftest import mesh, solve_gevp, standard_form_eigensolve
 
 
 def naive_condense(A, B, tc):

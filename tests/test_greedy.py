@@ -10,13 +10,12 @@ from cavityrb import (
     greedy_extend,
     pod_basis,
     residual,
-    solve_gevp,
 )
 from cavityrb.errors import GapUndefinedError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.greedy import estimate
 
-from conftest import make_problem, pod_clamped
+from conftest import make_problem, pod_clamped, solve_gevp
 
 
 def test_gap_two_simple_eigenvalues():

@@ -5,12 +5,11 @@ from cavityrb import (
     collect_snapshots,
     pod_basis,
     reduce_system,
-    solve_gevp,
     upscale,
 )
 from cavityrb.errors import RankDeficiencyError
 
-from conftest import make_problem, pod_clamped
+from conftest import make_problem, pod_clamped, solve_full, solve_gevp
 
 
 def test_single_snapshot_basis(rng):
@@ -88,7 +87,7 @@ def test_snapshots_vary_across_parameters(quiet_warnings):
 def test_single_parameter_snapshots_match_solver(quiet_warnings):
     problem = make_problem(n=4, family="affine", gauge="none")
     snaps = collect_snapshots(problem, [0.0], 3)
-    sol = problem.solve_full(0.0, 3)
+    sol = solve_full(problem, 0.0, 3)
     np.testing.assert_allclose(np.abs(snaps.Y), np.abs(sol.vectors), atol=1e-12)
 
 
@@ -155,5 +154,5 @@ def test_reduced_eigenvalues_are_upper_bounds(quiet_warnings):
     for t in (0.2, 0.9):
         A_red, B_red, _ = problem.reduced_pencil(basis.Z, t)
         lam_red, _ = solve_dense_gevp(A_red, B_red)
-        truth = problem.solve_full(t, 4).lambdas
+        truth = solve_full(problem, t, 4).lambdas
         assert (lam_red[:4] >= truth * (1 - 1e-8)).all()

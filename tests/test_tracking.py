@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityrb import (
     TrackingConfig,
@@ -7,14 +9,14 @@ from cavityrb import (
     classify_endpoint,
     correlation_match,
     eigen_derivatives,
-    solve_gevp,
     taylor_predict,
     track,
 )
+from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError, SingularDerivativeError
-from cavityrb.tracking import TrackingTrace, TrackStep
+from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _ReducedOps
 
-from conftest import make_problem
+from conftest import make_problem, solve_full, solve_gevp
 
 
 def test_derivative_stationary_family():
@@ -68,8 +70,8 @@ def test_derivative_finite_difference_oracle():
     _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
     errs = []
     for delta in (2e-3, 1e-3):
-        lam_p = problem.solve_full(t + delta, 1).lambdas[0]
-        lam_m = problem.solve_full(t - delta, 1).lambdas[0]
+        lam_p = solve_full(problem, t + delta, 1).lambdas[0]
+        lam_m = solve_full(problem, t - delta, 1).lambdas[0]
         errs.append(abs((lam_p - lam_m) / (2 * delta) - lp))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.2
@@ -107,7 +109,7 @@ def test_taylor_predict_second_order():
     errs = []
     for h in (0.1, 0.05, 0.025):
         _, lam_pred = taylor_predict(v, lam, 0 * v, lp, h)
-        lam_true = problem.solve_full(t + h, 1).lambdas[0]
+        lam_true = solve_full(problem, t + h, 1).lambdas[0]
         errs.append(abs(lam_pred - lam_true))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
@@ -178,7 +180,7 @@ def test_track_multiset_matches_sorted_solver_values():
     problem = make_problem(n=8, family="affine")
     trace = track(TrackingConfig(K=4, h=0.2, system="high-fidelity"), problem)
     for step in trace.steps:
-        sol = problem.solve_full(step.t, 10)
+        sol = solve_full(problem, step.t, 10)
         tracked = np.sort(step.lambdas)
         # tracked values are solver values (possibly beyond the first K)
         for lam in tracked:
@@ -189,8 +191,47 @@ def test_track_cotree_agrees_with_full():
     problem = make_problem(n=8, family="affine")
     a = track(TrackingConfig(K=4, h=0.2, system="high-fidelity"), problem)
     b = track(TrackingConfig(K=4, h=0.2, system="cotree"), problem)
+    assert len(a.steps) == len(b.steps)
     for sa, sb in zip(a.steps, b.steps):
+        assert (sb.t, sb.perm, sb.flags, sb.window) == (sa.t, sa.perm, sa.flags, sa.window)
         np.testing.assert_allclose(sb.lambdas, sa.lambdas, rtol=1e-9)
+
+
+@pytest.mark.parametrize("system", ["high-fidelity", "cotree"])
+def test_track_widens_window_on_low_correlation(system):
+    # without overtracked candidates, a tracked mode is overtaken between
+    # t = 0.6 and 0.7: the window doubles and the solve takes more pairs
+    problem = make_problem(n=8, family="affine")
+    trace = track(TrackingConfig(K=2, h=0.1, overtrack=0, system=system), problem)
+    assert trace.complete
+    assert [s.window for s in trace.steps] == [2] * 7 + [4, 3, 3, 3]
+
+
+@given(
+    st.sampled_from(["full", "edge", "cotree"]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.data(),
+)
+def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
+    if ops_kind == "full":
+        problem = make_problem(n=4, family=family)
+        ops = _FullOps(problem)
+        ref = solve_gevp(*ops.pencil(t), ops.size, null_tol=problem.null_tol)
+        assert ref.n_discarded_null == problem.n_grad
+        lam_all, V_all = ref.lambdas, ref.vectors
+    else:
+        gauge = "tree-cotree" if ops_kind == "cotree" else "gram-schmidt"
+        problem = make_problem(n=4, family=family, gauge=gauge)
+        rows = problem.n_curl - problem.n_grad if ops_kind == "cotree" else problem.n_curl
+        Z = np.random.default_rng(3).standard_normal((rows, 7))
+        ops = _ReducedOps(problem, Z, ops_kind)
+        lam_all, V_all = solve_dense_gevp(*ops.pencil(t))
+    assert lam_all.size == ops.size
+    k = data.draw(st.integers(min_value=1, max_value=ops.size))
+    lam, V = ops.solve(t, k)
+    np.testing.assert_allclose(lam, lam_all[:k], rtol=1e-12)
+    np.testing.assert_allclose(V, V_all[:, :k], rtol=0, atol=1e-12 * abs(V_all).max())
 
 
 def test_classify_endpoint_table_and_errors():
