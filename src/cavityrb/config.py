@@ -61,6 +61,9 @@ class RunConfig:
         for name in positive_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau < 0 or self.N_init < 0:
             raise ConfigError("tau and N_init must be non-negative")
         if self.family not in FAMILIES:
@@ -147,8 +150,3 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"value for {name!r} must be {kind}, got {value!r}")
         values[name] = float(value) if kind == "float" else value
     return RunConfig(**values).validate()
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {getattr(cfg, f.name)!r}".replace("'", "") for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"

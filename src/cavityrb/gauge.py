@@ -2,10 +2,11 @@
 
 Three interchangeable strategies:
 
-* orthogonalization of basis columns against the gradient space in a fixed
-  mass inner product (cheap, but ties divergence-freeness to one domain),
-* a grad-div projector built from the mixed coupling block (same fixed-
-  parameter limitation),
+* orthogonalization of basis columns against the gradient space in the
+  fixed mass inner product B(t_ref), then re-orthonormalization in it
+  (cheap, but ties divergence-freeness to one domain),
+* the grad-div projector alone (same fixed-parameter limitation); both
+  apply ``graddiv_project`` with the coupling block B(t_ref) G,
 * tree-cotree condensation, which eliminates the gradient kernel purely
   topologically and therefore works uniformly in the deformation parameter.
 """
@@ -13,12 +14,14 @@ Three interchangeable strategies:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import discrete_gradient
 from .errors import GeometryError, NumericalError
 from .eigensolve import b_orthonormalize, null_mask, solve_dense_gevp
 from .geometry import ReferenceMesh
@@ -30,17 +33,24 @@ class TreeCotree:
 
     The tree spans the interior vertices against a single root that stands
     for the whole (eliminated) boundary, so there are exactly n_grad tree
-    edges. Indices refer to the interior-edge numbering.
+    edges. Indices refer to the interior-edge numbering. ``tree_block`` is
+    the square tree block G[tree, :] of the discrete gradient.
     """
 
     tree: np.ndarray
     cotree: np.ndarray
     n_curl: int
+    tree_block: sp.csc_matrix = field(compare=False, repr=False)
 
     def __post_init__(self):
         both = np.concatenate([self.tree, self.cotree])
         if len(np.unique(both)) != self.n_curl or len(both) != self.n_curl:
             raise GeometryError("tree/cotree sets do not partition the edge unknowns")
+
+    @cached_property
+    def tree_lu(self):
+        """Sparse LU of the tree block, factored once, at the first tree map."""
+        return spla.splu(self.tree_block)
 
 
 def mass_factor(B):
@@ -97,7 +107,10 @@ def build_tree_cotree(mesh: ReferenceMesh) -> TreeCotree:
     tree_arr = np.array(sorted(tree), dtype=int)
     mask = np.ones(n_curl, dtype=bool)
     mask[tree_arr] = False
-    return TreeCotree(tree=tree_arr, cotree=np.flatnonzero(mask), n_curl=n_curl)
+    return TreeCotree(
+        tree=tree_arr, cotree=np.flatnonzero(mask), n_curl=n_curl,
+        tree_block=sp.csc_matrix(discrete_gradient(mesh)[tree_arr, :]),
+    )
 
 
 def expand_cotree(Y, A, tc: TreeCotree, factor):
@@ -147,55 +160,8 @@ def condensed_eigensolve(A, B, G, tc: TreeCotree, k: int, null_tol: float):
     lam, V = lam[keep], V[:, keep]
     W = V / lam
     if len(tc.tree):
-        G_tree = spla.splu(sp.csc_matrix(G[tc.tree, :]))
-        W = W - G @ G_tree.solve(W[tc.tree])
+        W = W - G @ tc.tree_lu.solve(W[tc.tree])
     return lam, W[tc.cotree], V
-
-
-def gradient_basis(G, B0) -> np.ndarray:
-    """B0-orthonormal basis of the discrete gradient space.
-
-    Orthonormalizing the raw incidence columns first makes the subsequent
-    sweep an exact projection; a single pass over non-orthogonal gradient
-    columns would leave O(1) residual coupling between neighboring vertices.
-    """
-    Gd = G.toarray() if sp.issparse(G) else np.asarray(G, dtype=float)
-    if Gd.shape[1] == 0:
-        return np.zeros((Gd.shape[0], 0))
-    Q, kept = b_orthonormalize(Gd, B0)
-    if len(kept) != Gd.shape[1]:
-        raise NumericalError("gradient incidence columns are numerically dependent")
-    return Q
-
-def gram_schmidt_clean(Z, G, B0, drop_tol: float = 1e-10):
-    """Orthogonalize basis columns against the gradient space in B0.
-
-    Modified Gram-Schmidt sweeps (applied twice) against the orthonormalized
-    gradient columns, with the normalizing denominators that make each step a
-    projection. Columns that collapse to (numerically) pure gradients are
-    dropped and reported; the surviving columns are re-orthonormalized in B0.
-
-    Returns (Z_orth, dropped_column_indices).
-    """
-    Z = np.array(Z, dtype=float, copy=True)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if G.shape[1] == 0:
-        return Z, []
-    Q = gradient_basis(G, B0)
-    before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
-    for _ in range(2):
-        for j in range(Q.shape[1]):
-            q = Q[:, j]
-            Z -= np.outer(q, (B0 @ q) @ Z)
-    after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
-    alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)
-    dropped = [int(i) for i in np.flatnonzero(~alive)]
-    Z = Z[:, alive]
-    Z, kept = b_orthonormalize(Z, B0, drop_tol=drop_tol)
-    alive_idx = [int(i) for i in np.flatnonzero(alive)]
-    dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
-    return Z, sorted(dropped)
 
 
 def graddiv_project(Z, G, C0):
@@ -219,6 +185,33 @@ def graddiv_project(Z, G, C0):
     coeff = factor.solve(np.asarray(C0.T @ Zm))
     out = Zm - G @ coeff
     return out[:, 0] if single else out
+
+
+def gram_schmidt_clean(Z, G, B0, drop_tol: float = 1e-10):
+    """Orthogonalize basis columns against the gradient space in B0.
+
+    The B0-orthogonal projection is ``graddiv_project`` with the coupling
+    block B0 G, applied twice: one sparse solve leaves its rounding error in
+    the gradient space. Columns that collapse to (numerically) pure gradients
+    are dropped and reported; the rest are re-orthonormalized in B0.
+
+    Returns (Z_orth, dropped_column_indices).
+    """
+    Z = np.array(Z, dtype=float, copy=True)
+    if Z.ndim == 1:
+        Z = Z[:, None]
+    if G.shape[1] == 0:
+        return Z, []
+    before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
+    C0 = B0 @ G
+    Z = graddiv_project(graddiv_project(Z, G, C0), G, C0)
+    after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
+    alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)
+    dropped = [int(i) for i in np.flatnonzero(~alive)]
+    Z, kept = b_orthonormalize(Z[:, alive], B0, drop_tol=drop_tol)
+    alive_idx = [int(i) for i in np.flatnonzero(alive)]
+    dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
+    return Z, sorted(dropped)
 
 
 def divergence_defect(v, C, B) -> float:

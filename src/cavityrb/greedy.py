@@ -124,21 +124,19 @@ def residual(Z, v_red, lam_red: float, A, B) -> np.ndarray:
 
 def estimate(
     system,
-    Z,
+    U,
     i: int,
     lambdas_red: np.ndarray,
     vectors_red: np.ndarray,
     delta_mult: float = 1e-6,
     residual_form: str = "mass",
     b_factor=None,
-    upscaled=None,
 ) -> ErrorEstimate:
     """Gap-weighted residual estimate for reduced mode i at one parameter.
 
-    eta_i = (r^T B r) / (d_i lam_red_i) with the residual of the upscaled
-    eigenpair; the optional mass-inverse form replaces the numerator with
-    r^T B^{-1} r. ``upscaled`` overrides the upscaling matrix when the basis
-    does not live in the edge space.
+    eta_i = (r^T B r) / (d_i lam_red_i) with the residual of the eigenpair
+    upscaled by U (the third entry of ``reduced_pencil``); the optional
+    mass-inverse form replaces the numerator with r^T B^{-1} r.
     """
     lam_i = float(lambdas_red[i])
     try:
@@ -148,7 +146,6 @@ def estimate(
             t=system.t, mode=i, eta=np.inf, residual_quadform=np.nan,
             gap=np.nan, lam_red=lam_i, valid=False,
         )
-    U = Z if upscaled is None else upscaled
     r = residual(U, vectors_red[:, i], lam_i, system.A, system.B)
     if residual_form == "mass":
         quad = float(r @ (system.B @ r))
@@ -183,10 +180,9 @@ def _sweep(problem, Z, config):
                 etas[it_t, i] = np.inf
                 continue
             est = estimate(
-                sys_t, Z, i, lam_k, V,
+                sys_t, U, i, lam_k, V,
                 delta_mult=config.delta_mult,
                 residual_form=config.residual_form, b_factor=b_factor,
-                upscaled=U,
             )
             etas[it_t, i] = est.eta
     return etas

@@ -163,53 +163,24 @@ class CavityProblem:
         lambdas, Y, V = self.condensed_pairs(t, k)
         return lambdas, Y if self.basis_space == "cotree" else V
 
-    def upscale_matrix(
-        self, Z: np.ndarray, t: float, space: str | None = None, factor=None
-    ) -> np.ndarray:
-        """Full-space image of the basis columns at parameter t.
-
-        Identity for edge-space bases; for cotree bases the columns map
-        through the parameter's expansion B(t)^{-1} H(t)^T, so the reduced
-        trial space is divergence-free on every domain configuration.
-        ``factor`` is a factorization of B(t) the caller already holds.
-        """
-        if (space or self.basis_space) == "edge":
-            return np.asarray(Z, dtype=float)
-        return gauge_mod.expand_cotree(
-            Z, self.system(t).A, self.tree_cotree, factor or self.mass_factor(t)
-        )
-
     def reduced_pencil(
         self, Z: np.ndarray, t: float, space: str | None = None, factor=None
     ):
-        """(A_red, B_red, U) of the basis at t; U upscales reduced vectors."""
-        sys_t = self.system(t)
-        U = self.upscale_matrix(Z, t, space=space, factor=factor)
-        return (*reduce_system(U, sys_t.A, sys_t.B), U)
+        """(A_red, B_red, U) of the basis at t; U upscales reduced vectors.
 
-    def reduced_derivative(
-        self, Z: np.ndarray, t: float, U: np.ndarray, space: str | None = None,
-        factor=None,
-    ):
-        """Exact (A_red'(t), B_red'(t)) of the basis by the chain rule.
-
-        U is the upscaled basis at t. Cotree bases have U = B^{-1} H^T Z with
-        H^T = A[:, cotree], so U' = B^{-1} (A'[:, cotree] Z - B' U); edge-space
-        bases have U' = 0. Then A_red' = sym(2 U'^T A U) + U^T A' U, and the
-        same for B_red.
+        U = Z for edge-space bases; cotree bases map through the parameter's
+        expansion B(t)^{-1} H(t)^T, so the reduced trial space is
+        divergence-free on every domain configuration. ``factor`` is a
+        factorization of B(t) the caller already holds.
         """
         sys_t = self.system(t)
-        A_p, B_p = self.derivative_pencil(t)
-        dA, dB = reduce_system(U, A_p, B_p)
-        if (space or self.basis_space) == "cotree":
-            U_p = gauge_mod.expand_cotree_derivative(
-                Z, U, A_p, B_p, self.tree_cotree, factor or self.mass_factor(t)
+        if (space or self.basis_space) == "edge":
+            U = np.asarray(Z, dtype=float)
+        else:
+            U = gauge_mod.expand_cotree(
+                Z, sys_t.A, self.tree_cotree, factor or self.mass_factor(t)
             )
-            dA_u = U_p.T @ (sys_t.A @ U)
-            dB_u = U_p.T @ (sys_t.B @ U)
-            dA += dA_u + dA_u.T
-            dB += dB_u + dB_u.T
-        return dA, dB
+        return (*reduce_system(U, sys_t.A, sys_t.B), U)
 
     # ----------------------------------------------------------------- gauge
 

@@ -122,6 +122,8 @@ def load_basis(path) -> ReducedBasis:
         data = np.array([float(x) for x in lines[6 + N : 6 + N + n * N]])
         if data.size != n * N:
             raise ConfigError(f"basis artifact truncated: {path}")
+        if not (np.isfinite(data).all() and np.isfinite(t_ref)):
+            raise ConfigError(f"basis artifact {path} holds non-finite values")
         Z = data.reshape(N, n).T.copy()
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed basis artifact {path}: {exc}") from exc

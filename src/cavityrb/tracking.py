@@ -11,7 +11,7 @@ are not crossings and stay unflagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,8 @@ from .eigensolve import (
     eigenvalue_clusters,
     solve_dense_gevp,
 )
-from .pod import ReducedBasis
+from .gauge import expand_cotree_derivative
+from .pod import ReducedBasis, reduce_system
 from .problem import CavityProblem
 
 # "high-fidelity" and "cotree" both track the physical modes of the full
@@ -281,31 +282,49 @@ class _FullOps:
         return lam, V
 
 
+def _reduce(problem, Z, space, t):
+    """(A_red, B_red, U, LU of B(t) or None) of a basis at t."""
+    factor = problem.mass_factor(t) if space == "cotree" else None
+    return (*problem.reduced_pencil(Z, t, space=space, factor=factor), factor)
+
+
 class _ReducedOps:
-    """Reduced pencil restricted to a fixed basis; reduction happens per t."""
+    """Reduced pencil restricted to a fixed basis; reduction happens per t.
+
+    The memo wraps a partial of a module-level function, not a bound method,
+    so a dropped ops object is freed without the cycle collector.
+    """
 
     def __init__(self, problem: CavityProblem, Z: np.ndarray, space: str):
         self.problem = problem
         self.Z = Z
         self.space = space
         self.size = Z.shape[1]
-        self._pencil = lru_cache(maxsize=4)(self._reduce)
-
-    def _reduce(self, t):
-        factor = self.problem.mass_factor(t) if self.space == "cotree" else None
-        A_red, B_red, U = self.problem.reduced_pencil(
-            self.Z, t, space=self.space, factor=factor
-        )
-        return A_red, B_red, U, factor
+        self._pencil = lru_cache(maxsize=4)(partial(_reduce, problem, Z, space))
 
     def pencil(self, t):
         return self._pencil(t)[:2]
 
     def derivative_pencil(self, t):
+        """Exact (A_red'(t), B_red'(t)) of the basis by the chain rule.
+
+        Cotree bases have U = B^{-1} H^T Z with H^T = A[:, cotree], so
+        U' = B^{-1} (A'[:, cotree] Z - B' U); edge-space bases have U' = 0.
+        Then A_red' = sym(2 U'^T A U) + U^T A' U, and the same for B_red.
+        """
         _, _, U, factor = self._pencil(t)
-        return self.problem.reduced_derivative(
-            self.Z, t, U, space=self.space, factor=factor
-        )
+        sys_t = self.problem.system(t)
+        A_p, B_p = self.problem.derivative_pencil(t)
+        dA, dB = reduce_system(U, A_p, B_p)
+        if self.space == "cotree":
+            U_p = expand_cotree_derivative(
+                self.Z, U, A_p, B_p, self.problem.tree_cotree, factor
+            )
+            dA_u = U_p.T @ (sys_t.A @ U)
+            dB_u = U_p.T @ (sys_t.B @ U)
+            dA += dA_u + dA_u.T
+            dB += dB_u + dB_u.T
+        return dA, dB
 
     def solve(self, t, k):
         lam, V = solve_dense_gevp(*self.pencil(t))

@@ -10,6 +10,7 @@ from cavityrb import affine_stretch, build_reference_mesh, identity_map, sine_bu
 from cavityrb.eigensolve import (
     DEFAULT_NULL_TOL,
     EigenSolution,
+    b_orthonormalize,
     null_mask,
     residual_norms,
     solve_dense_gevp,
@@ -116,6 +117,32 @@ def standard_form_eigensolve(A, B, tc):
     lam, Y_std = scipy.linalg.eigh(0.5 * (C_std + C_std.T))
     Y = scipy.linalg.solve_triangular(R, Y_std, lower=False)
     return lam, Y, Q @ Y_std
+
+
+def mgs_gradient_clean(Z, G, B0, drop_tol=1e-10):
+    """Gram-Schmidt cleaning against a dense gradient basis (oracle).
+
+    The raw incidence columns are B0-orthonormalized first, so that two
+    modified Gram-Schmidt sweeps over them make an exact B0-orthogonal
+    projection. Collapsed columns are dropped and the rest re-orthonormalized
+    in B0, with the same rule as the package's sparse-solve cleaning.
+    Returns (Z_orth, dropped_column_indices).
+    """
+    Z = np.array(Z, dtype=float, copy=True)
+    Q, kept = b_orthonormalize(G.toarray(), B0)
+    assert len(kept) == G.shape[1], "gradient columns are numerically dependent"
+    before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
+    for _ in range(2):
+        for j in range(Q.shape[1]):
+            q = Q[:, j]
+            Z -= np.outer(q, (B0 @ q) @ Z)
+    after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
+    alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)
+    dropped = [int(i) for i in np.flatnonzero(~alive)]
+    Z, kept = b_orthonormalize(Z[:, alive], B0, drop_tol=drop_tol)
+    alive_idx = [int(i) for i in np.flatnonzero(alive)]
+    dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
+    return Z, sorted(dropped)
 
 
 @pytest.fixture

@@ -302,6 +302,18 @@ def _basis_text(mesh_n, space):
     return write
 
 
+def _basis_with_value(value):
+    write_valid = _basis_text(4, "cotree")
+
+    def write(path):
+        write_valid(path)
+        lines = path.read_text().splitlines()
+        lines[-1] = value
+        path.write_text("\n".join(lines) + "\n")
+
+    return write
+
+
 @pytest.mark.parametrize(
     "write, needle",
     [
@@ -310,8 +322,10 @@ def _basis_text(mesh_n, space):
         (_basis_text(4, "vertex"), "'vertex'"),
         (lambda path: path.write_text(""), "malformed basis artifact"),
         (lambda path: path.write_text("cavityrb-basis x\n"), "malformed basis artifact"),
+        (_basis_with_value("nan"), "non-finite"),
+        (_basis_with_value("inf"), "non-finite"),
     ],
-    ids=["other-mesh", "unknown-space", "empty-file", "bad-header"],
+    ids=["other-mesh", "unknown-space", "empty-file", "bad-header", "nan-value", "inf-value"],
 )
 def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):
     basis = tmp_path / "basis.txt"

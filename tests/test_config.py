@@ -72,6 +72,12 @@ def test_malformed_line():
         ("family", "square"),
         ("bump_beta", 1.5),
         ("repetitions", 0),
+        ("stretch_a1", float("nan")),
+        ("stretch_a1", float("inf")),
+        ("bump_beta", float("nan")),
+        ("tol", float("nan")),
+        ("delta_mult", float("nan")),
+        ("null_tol", float("inf")),
     ],
 )
 def test_validation_rejects(key, value):

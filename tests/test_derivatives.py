@@ -45,8 +45,7 @@ def test_reduced_derivative_matches_central_differences(space, kind, t):
     problem = make_problem(n=4, family=kind, gauge=gauge)
     rows = problem.n_curl - problem.n_grad if space == "cotree" else problem.n_curl
     Z = np.random.default_rng(5).standard_normal((rows, 6))
-    _, _, U = problem.reduced_pencil(Z, t, space=space)
-    exact = problem.reduced_derivative(Z, t, U, space=space)
+    exact = _ReducedOps(problem, Z, space).derivative_pencil(t)
     oracle = central_difference(
         lambda tt: problem.reduced_pencil(Z, tt, space=space)[:2], t, H
     )

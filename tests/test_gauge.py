@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +18,13 @@ from cavityrb.eigensolve import DEFAULT_NULL_TOL
 from cavityrb.errors import NumericalError
 from cavityrb.gauge import condensed_eigensolve, expand_cotree, mass_factor
 
-from conftest import mesh, solve_gevp, standard_form_eigensolve
+from conftest import (
+    make_problem,
+    mesh,
+    mgs_gradient_clean,
+    solve_gevp,
+    standard_form_eigensolve,
+)
 
 
 def naive_condense(A, B, tc):
@@ -210,6 +217,54 @@ def test_gram_schmidt_keeps_clean_vectors():
     assert dropped == []
     # already divergence-free orthonormal columns pass through unchanged
     np.testing.assert_allclose(Z_orth, sol.vectors, atol=1e-8)
+
+
+def test_tree_block_factored_once_per_partition(monkeypatch):
+    # G[tree, :] depends on the mesh only; its LU lives on the partition
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(M, *args, **kwargs):
+        calls.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    problem = make_problem(n=4, family="bump")
+    problem.condensed_pairs(0.2, 3)
+    problem.condensed_pairs(0.7, 3)
+    assert calls == [(problem.n_grad, problem.n_grad)]
+
+
+@given(
+    st.sampled_from([2, 4, 8]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_gram_schmidt_clean_matches_dense_mgs_oracle(n, family, t, seed, data):
+    # the sparse grad-div solve against two MGS sweeps over a dense
+    # B0-orthonormal gradient basis, with pure-gradient columns mixed in
+    s0 = make_problem(n=n, family=family).system(t)
+    rng = np.random.default_rng(seed)
+    # at most 6 free columns: the divergence-free space has n_cot >= 7
+    # dimensions on these meshes, so only the gradient columns collapse
+    grad = data.draw(
+        st.lists(st.booleans(), min_size=1, max_size=8).filter(
+            lambda g: g.count(False) <= 6
+        )
+    )
+    n_cols = len(grad)
+    Z = rng.standard_normal((s0.n_curl, n_cols))
+    for j in np.flatnonzero(grad):
+        Z[:, j] = s0.G @ rng.standard_normal(s0.G.shape[1])
+    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B)
+    Z_ref, dropped_ref = mgs_gradient_clean(Z, s0.G, s0.B)
+    assert dropped == dropped_ref == [int(j) for j in np.flatnonzero(grad)]
+    assert Z_orth.shape == Z_ref.shape
+    assert np.max(abs(Z_orth - Z_ref), initial=0.0) <= 1e-10 * max(
+        np.max(abs(Z_ref), initial=0.0), 1.0
+    )
 
 
 def test_projector_laws(rng):

@@ -63,7 +63,7 @@ def test_estimate_components_recombine(quiet_warnings, rng):
     Z = pod_clamped(snaps.Y, problem.b_ref, 5).Z
     A_red, B_red, U = problem.reduced_pencil(Z, 0.3, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    est = estimate(s, Z, 1, lam, V, upscaled=U)
+    est = estimate(s, U, 1, lam, V)
     assert est.valid
     np.testing.assert_allclose(
         est.eta, est.residual_quadform / (est.gap * est.lam_red), rtol=1e-14
@@ -77,7 +77,7 @@ def test_estimate_exact_containment_is_tiny(quiet_warnings):
     Z = sol.vectors
     A_red, B_red, U = problem.reduced_pencil(Z, 0.0, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    est = estimate(s, Z, 0, lam, V, upscaled=U)
+    est = estimate(s, U, 0, lam, V)
     assert est.eta <= 1e-15 * sol.lambdas[0]
 
 
@@ -89,7 +89,7 @@ def test_estimate_singular_mass_matrix_is_numerical_error(quiet_warnings):
     lam, V = solve_dense_gevp(A_red, B_red)
     singular = dataclasses.replace(s, B=0.0 * s.B)
     with pytest.raises(NumericalError, match="mass-matrix factorization failed"):
-        estimate(singular, Z, 0, lam, V, residual_form="mass-inverse", upscaled=U)
+        estimate(singular, U, 0, lam, V, residual_form="mass-inverse")
 
 
 def _small_setup(gauge="tree-cotree", family="affine", n=4, K=3, n_pod=4):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -232,6 +235,23 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
     lam, V = ops.solve(t, k)
     np.testing.assert_allclose(lam, lam_all[:k], rtol=1e-12)
     np.testing.assert_allclose(V, V_all[:, :k], rtol=0, atol=1e-12 * abs(V_all).max())
+
+
+def test_dropped_reduced_ops_is_freed_without_the_cycle_collector():
+    # the pencil memo must not refer back to its ops object, or every
+    # dropped ops (upscaled bases, B(t) factors) waits for gc.collect()
+    problem = make_problem(n=4, family="affine")
+    Z = problem.condensed_pairs(0.0, 5)[1]
+    ops = _ReducedOps(problem, Z, "cotree")
+    ops.pencil(0.3)
+    ops.derivative_pencil(0.3)
+    ref = weakref.ref(ops)
+    gc.disable()
+    try:
+        del ops
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_classify_endpoint_table_and_errors():
