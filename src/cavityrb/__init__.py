@@ -35,6 +35,7 @@ from .geometry import (
     sine_bump,
 )
 from .greedy import ErrorEstimate, GreedyConfig, estimate, gap, greedy_extend, residual
+from .online import PencilInterpolant, pencil_interpolant
 from .pod import (
     ReducedBasis,
     SnapshotSet,

@@ -214,7 +214,7 @@ def _adjugate_metric(P, Q, w):
 
 
 def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledSystem:
-    """Assemble A(t), B(t), C(t) and the topological G for one parameter.
+    """Assemble A(t), B(t), C(t) for one parameter, with the mesh's G.
 
     Raises GeometryError when det J <= 0 at any quadrature point, reporting
     the offending point and parameter value.
@@ -225,7 +225,7 @@ def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledS
         A=_scatter_edge_edge(A_loc, mesh),
         B=_scatter_edge_edge(B_loc, mesh),
         C=_scatter_edge_vertex(C_loc, mesh),
-        G=discrete_gradient(mesh),
+        G=mesh.gradient,
     )
 
 

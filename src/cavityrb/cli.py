@@ -173,9 +173,40 @@ def cmd_build_rb(args):
     _write_artifacts(out, {"basis": basis, "greedy_log": log})
     print(
         f"built basis of size {basis.size} ({basis.gauge} gauge), "
-        f"greedy status: {log.status}"
+        f"greedy status: {log.status}, pencil interpolant m={basis.interpolant.m} "
+        f"(coefficient tail {basis.interpolant.tail:.1e})"
     )
     print(f"artifacts in {out}")
+
+
+def _check_basis(basis, problem):
+    """A stored basis must fit the config's problem: its fingerprint when
+    it carries an interpolant, and always its space and row count."""
+    if basis.interpolant is not None:
+        names = ("mesh_n", "n_curl", "family", "parameter", "gauge", "space", "t_ref")
+        stored = (
+            *basis.interpolant.fingerprint, basis.gauge, basis.space, basis.t_ref
+        )
+        wanted = (
+            *problem.fingerprint, problem.gauge, problem.basis_space, problem.t_ref
+        )
+        diffs = [
+            f"{name} {a} (config: {b})"
+            for name, a, b in zip(names, stored, wanted) if a != b
+        ]
+        if diffs:
+            raise ConfigError(
+                "basis fingerprint does not match the config's problem: "
+                + ", ".join(diffs)
+            )
+    rows = {"edge": problem.n_curl, "cotree": problem.n_curl - problem.n_grad}
+    if basis.space not in rows:
+        raise ConfigError(f"basis space {basis.space!r} is neither edge nor cotree")
+    if basis.n != rows[basis.space]:
+        raise ConfigError(
+            f"basis has {basis.n} rows, the problem's {basis.space} space "
+            f"has {rows[basis.space]} (built for another mesh?)"
+        )
 
 
 def cmd_track(args):
@@ -186,14 +217,7 @@ def cmd_track(args):
     system = cfg.track_system
     if args.basis:
         basis = ser.load_basis(args.basis)
-        rows = {"edge": problem.n_curl, "cotree": problem.n_curl - problem.n_grad}
-        if basis.space not in rows:
-            raise ConfigError(f"basis space {basis.space!r} is neither edge nor cotree")
-        if basis.n != rows[basis.space]:
-            raise ConfigError(
-                f"basis has {basis.n} rows, the problem's {basis.space} space "
-                f"has {rows[basis.space]} (built for another mesh?)"
-            )
+        _check_basis(basis, problem)
         system = "reduced"
     elif system == "reduced":
         print("no basis artifact given, building one")

@@ -8,6 +8,7 @@ every degree of freedom keeps its identity for all parameter values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,18 @@ class ReferenceMesh:
     def n_grad(self) -> int:
         """Number of interior-vertex degrees of freedom."""
         return int((self.interior_vertex_index >= 0).sum())
+
+    @property
+    def subdivisions(self) -> int:
+        """Cells per side of the structured grid, (n + 1)^2 vertices."""
+        return int(round(np.sqrt(self.num_vertices))) - 1
+
+    @cached_property
+    def gradient(self):
+        """Discrete gradient G, built once per mesh (it is topological)."""
+        from .assembly import discrete_gradient  # assembly imports this module
+
+        return discrete_gradient(self)
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_triangles
@@ -164,6 +177,11 @@ class MappingFamily:
     @property
     def affine(self) -> bool:
         return self.kind == AFFINE_STRETCH
+
+    @property
+    def parameter(self) -> float:
+        """The family's shape parameter: stretch_end or bump_beta."""
+        return self.stretch_end if self.affine else self.bump_beta
 
     def stretch(self, t: float) -> float:
         """Stretch factor a(t) of the affine family."""

@@ -12,6 +12,7 @@ from .errors import NumericalError, RankDeficiencyError
 from .eigensolve import b_orthonormalize
 
 if TYPE_CHECKING:  # pod is imported by problem
+    from .online import PencilInterpolant
     from .problem import CavityProblem
 
 
@@ -39,7 +40,8 @@ class ReducedBasis:
     ``space`` records the coordinates the columns live in: "edge" for the
     full tangential space, "cotree" for the condensed coordinates of the
     tree-cotree strategy (those upscale through the parameter's expansion
-    map rather than as-is).
+    map rather than as-is). ``interpolant`` is the basis's reduced pencil
+    on the problem it was built for, attached by the offline build.
     """
 
     Z: np.ndarray
@@ -47,6 +49,7 @@ class ReducedBasis:
     gauge: str
     provenance: list = field(default_factory=list)
     space: str = "edge"
+    interpolant: PencilInterpolant | None = None
 
     @property
     def n(self) -> int:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import gauge as gauge_mod
-from .assembly import AssembledSystem, assemble, discrete_gradient, matrix_derivatives
+from .assembly import AssembledSystem, assemble, matrix_derivatives
 from .eigensolve import (
     DEFAULT_MULT_TOL,
     DEFAULT_NULL_TOL,
@@ -46,9 +48,9 @@ class CavityProblem:
         self.delta_mult = delta_mult
         self.t_ref = 0.0
         self._systems: dict[float, AssembledSystem] = {}
-        self._G = None
         self._tc = None
         self._bhat_ref = None
+        self._gram = None
 
     # ------------------------------------------------------------------ data
 
@@ -62,9 +64,16 @@ class CavityProblem:
 
     @property
     def G(self):
-        if self._G is None:
-            self._G = discrete_gradient(self.mesh)
-        return self._G
+        return self.mesh.gradient
+
+    @property
+    def fingerprint(self) -> tuple:
+        """(mesh_n, n_curl, family kind, family parameter): what a reduced
+        pencil depends on besides its basis."""
+        return (
+            self.mesh.subdivisions, self.n_curl, self.family.kind,
+            float(self.family.parameter),
+        )
 
     @property
     def tree_cotree(self) -> gauge_mod.TreeCotree:
@@ -80,6 +89,18 @@ class CavityProblem:
             hit = assemble(self.mesh, self.family, key)
             self._systems[key] = hit
         return hit
+
+    @contextmanager
+    def transient_systems(self):
+        """Systems first assembled inside the block leave the cache when it
+        ends: for one-off parameters, such as interpolation nodes, that would
+        otherwise stay in memory for the problem's lifetime."""
+        before = set(self._systems)
+        try:
+            yield
+        finally:
+            for key in set(self._systems) - before:
+                del self._systems[key]
 
     @property
     def b_ref(self):
@@ -192,11 +213,25 @@ class CavityProblem:
         ungauged runs deliberately skip it.
         """
         if self.gauge == "gram-schmidt":
-            return gauge_mod.gram_schmidt_clean(Z, self.G, self.b_ref)
+            return gauge_mod.gram_schmidt_clean(
+                Z, self.G, self.b_ref, factor=self._gram_factor()
+            )
         if self.gauge == "projection":
             sys_ref = self.system(self.t_ref)
-            return gauge_mod.graddiv_project(Z, self.G, sys_ref.C), []
+            return gauge_mod.graddiv_project(
+                Z, self.G, sys_ref.C, factor=self._gram_factor()
+            ), []
         return np.array(Z, dtype=float, copy=True), []
+
+    def _gram_factor(self):
+        """LU of the cleaning's gradient Gram matrix C0^T G, factored once
+        per problem: C0 = B(t_ref) G for gram-schmidt, the assembled coupling
+        block C(t_ref) for projection. None without interior vertices."""
+        if self._gram is None and self.n_grad:
+            sys_ref = self.system(self.t_ref)
+            C0 = sys_ref.B @ self.G if self.gauge == "gram-schmidt" else sys_ref.C
+            self._gram = gauge_mod.gram_factor(self.G, C0)
+        return self._gram
 
     def orthonormalize(self, V: np.ndarray, against: np.ndarray | None = None):
         return b_orthonormalize(V, self.basis_metric, against=against)

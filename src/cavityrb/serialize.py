@@ -14,10 +14,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
+from .online import PencilInterpolant, lobatto_nodes
 from .pod import ReducedBasis
 
 BASIS_MAGIC = "cavityrb-basis"
-BASIS_VERSION = 1
+BASIS_VERSION = 2
+# Header keys in file order; version 1 has the first five only, and a
+# version-2 basis without an interpolant writes ``m 0`` and no fingerprint.
+BASIS_KEYS = (
+    "n", "N", "t_ref", "gauge", "space", "mesh_n", "n_curl", "family", "m", "tail",
+)
 
 
 def fmt(x) -> str:
@@ -85,49 +91,86 @@ def write_csv(path, header, rows):
 
 
 def save_basis(path, basis: ReducedBasis):
-    """Binary-free basis artifact: header, provenance, column-major values."""
+    """Binary-free basis artifact: header, provenance, column-major values,
+    then the interpolant's node values (the upper triangles of A_N and B_N,
+    row-major, per node).
+
+    The header fingerprints the problem the interpolant was built on:
+    mesh_n, n_curl, the family kind and its parameter, beside the basis's
+    gauge, space and t_ref.
+    """
     Z = np.asarray(basis.Z, dtype=float)
+    interp = basis.interpolant
+    header = [
+        f"{BASIS_MAGIC} {BASIS_VERSION}", f"n {Z.shape[0]}", f"N {Z.shape[1]}",
+        f"t_ref {fmt(basis.t_ref)}", f"gauge {basis.gauge}", f"space {basis.space}",
+    ]
+    values = [Z.T.ravel()]
+    if interp is None:
+        header.append("m 0")
+    else:
+        mesh_n, n_curl, kind, parameter = interp.fingerprint
+        header += [
+            f"mesh_n {mesh_n}", f"n_curl {n_curl}", f"family {kind} {fmt(parameter)}",
+            f"m {interp.m}", f"tail {fmt(interp.tail)}",
+        ]
+        values.append(interp.values.ravel())
+    for j in range(Z.shape[1]):
+        tag = basis.provenance[j] if j < len(basis.provenance) else "unknown"
+        header.append(f"column {j} {tag}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{BASIS_MAGIC} {BASIS_VERSION}\n")
-        fh.write(f"n {Z.shape[0]}\n")
-        fh.write(f"N {Z.shape[1]}\n")
-        fh.write(f"t_ref {fmt(basis.t_ref)}\n")
-        fh.write(f"gauge {basis.gauge}\n")
-        fh.write(f"space {basis.space}\n")
-        for j in range(Z.shape[1]):
-            tag = basis.provenance[j] if j < len(basis.provenance) else "unknown"
-            fh.write(f"column {j} {tag}\n")
-        for j in range(Z.shape[1]):
-            for i in range(Z.shape[0]):
-                fh.write(fmt(Z[i, j]) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for v in np.concatenate(values):
+            fh.write(fmt(v) + "\n")
 
 
 def load_basis(path) -> ReducedBasis:
-    """Read a basis artifact; a malformed file is a ConfigError."""
+    """Read a basis artifact of version 1 or 2; a malformed file is a
+    ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     try:
         head = lines[0].split()
-        if head[0] != BASIS_MAGIC or int(head[1]) != BASIS_VERSION:
+        if head[0] != BASIS_MAGIC or int(head[1]) not in (1, BASIS_VERSION):
             raise ConfigError(f"not a basis artifact: {path}")
-        n = int(lines[1].split()[1])
-        N = int(lines[2].split()[1])
-        t_ref = float(lines[3].split()[1])
-        gauge = lines[4].split(maxsplit=1)[1]
-        space = lines[5].split(maxsplit=1)[1]
+        fields = {}
+        row = 1
+        while lines[row].split(maxsplit=1)[0] in BASIS_KEYS:
+            key, value = lines[row].split(maxsplit=1)
+            fields[key] = value
+            row += 1
+        n, N, m = int(fields["n"]), int(fields["N"]), int(fields.get("m", 0))
+        t_ref = float(fields["t_ref"])
         provenance = []
         for j in range(N):
-            parts = lines[6 + j].split(maxsplit=2)
+            parts = lines[row + j].split(maxsplit=2)
             provenance.append(parts[2] if len(parts) > 2 else "unknown")
-        data = np.array([float(x) for x in lines[6 + N : 6 + N + n * N]])
-        if data.size != n * N:
+        row += N
+        count = n * N + (m + 1) * N * (N + 1) if m else n * N
+        data = np.array([float(x) for x in lines[row : row + count]])
+        if data.size != count:
             raise ConfigError(f"basis artifact truncated: {path}")
         if not (np.isfinite(data).all() and np.isfinite(t_ref)):
             raise ConfigError(f"basis artifact {path} holds non-finite values")
-        Z = data.reshape(N, n).T.copy()
-    except (IndexError, ValueError) as exc:
+        Z = data[: n * N].reshape(N, n).T.copy()
+        interp = None
+        if m:
+            kind, parameter = fields["family"].split()
+            interp = PencilInterpolant(
+                nodes=lobatto_nodes(m),
+                values=data[n * N :].reshape(m + 1, 2, -1),
+                size=N,
+                tail=float(fields["tail"]),
+                fingerprint=(
+                    int(fields["mesh_n"]), int(fields["n_curl"]), kind, float(parameter)
+                ),
+            )
+    except (IndexError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed basis artifact {path}: {exc}") from exc
-    return ReducedBasis(Z=Z, t_ref=t_ref, gauge=gauge, provenance=provenance, space=space)
+    return ReducedBasis(
+        Z=Z, t_ref=t_ref, gauge=fields["gauge"], provenance=provenance,
+        space=fields["space"], interpolant=interp,
+    )
 
 
 def write_tree_cotree(path, tc):

@@ -11,7 +11,6 @@ are not crossings and stay unflagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -26,8 +25,8 @@ from .eigensolve import (
     eigenvalue_clusters,
     solve_dense_gevp,
 )
-from .gauge import expand_cotree_derivative
-from .pod import ReducedBasis, reduce_system
+from .online import PencilInterpolant, pencil_interpolant
+from .pod import ReducedBasis
 from .problem import CavityProblem
 
 # "high-fidelity" and "cotree" both track the physical modes of the full
@@ -282,49 +281,14 @@ class _FullOps:
         return lam, V
 
 
-def _reduce(problem, Z, space, t):
-    """(A_red, B_red, U, LU of B(t) or None) of a basis at t."""
-    factor = problem.mass_factor(t) if space == "cotree" else None
-    return (*problem.reduced_pencil(Z, t, space=space, factor=factor), factor)
-
-
 class _ReducedOps:
-    """Reduced pencil restricted to a fixed basis; reduction happens per t.
+    """Reduced pencil of a basis, evaluated from its Chebyshev interpolant:
+    every evaluation is N x N work, whatever the mesh."""
 
-    The memo wraps a partial of a module-level function, not a bound method,
-    so a dropped ops object is freed without the cycle collector.
-    """
-
-    def __init__(self, problem: CavityProblem, Z: np.ndarray, space: str):
-        self.problem = problem
-        self.Z = Z
-        self.space = space
-        self.size = Z.shape[1]
-        self._pencil = lru_cache(maxsize=4)(partial(_reduce, problem, Z, space))
-
-    def pencil(self, t):
-        return self._pencil(t)[:2]
-
-    def derivative_pencil(self, t):
-        """Exact (A_red'(t), B_red'(t)) of the basis by the chain rule.
-
-        Cotree bases have U = B^{-1} H^T Z with H^T = A[:, cotree], so
-        U' = B^{-1} (A'[:, cotree] Z - B' U); edge-space bases have U' = 0.
-        Then A_red' = sym(2 U'^T A U) + U^T A' U, and the same for B_red.
-        """
-        _, _, U, factor = self._pencil(t)
-        sys_t = self.problem.system(t)
-        A_p, B_p = self.problem.derivative_pencil(t)
-        dA, dB = reduce_system(U, A_p, B_p)
-        if self.space == "cotree":
-            U_p = expand_cotree_derivative(
-                self.Z, U, A_p, B_p, self.problem.tree_cotree, factor
-            )
-            dA_u = U_p.T @ (sys_t.A @ U)
-            dB_u = U_p.T @ (sys_t.B @ U)
-            dA += dA_u + dA_u.T
-            dB += dB_u + dB_u.T
-        return dA, dB
+    def __init__(self, interpolant: PencilInterpolant):
+        self.pencil = interpolant.pencil
+        self.derivative_pencil = interpolant.derivative_pencil
+        self.size = interpolant.size
 
     def solve(self, t, k):
         lam, V = solve_dense_gevp(*self.pencil(t))
@@ -370,7 +334,11 @@ def _make_ops(config, problem, basis):
         return _FullOps(problem)
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
-    return _ReducedOps(problem, basis.Z, basis.space)
+    # bases from the offline build carry their interpolant; others (a
+    # version-1 file, a bare POD basis) get one here
+    return _ReducedOps(
+        basis.interpolant or pencil_interpolant(problem, basis.Z, basis.space)
+    )
 
 
 def _rank_permutation(prev_lam, cur_lam, delta):

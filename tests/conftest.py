@@ -17,6 +17,7 @@ from cavityrb.eigensolve import (
 )
 from cavityrb.errors import NumericalError
 from cavityrb.gauge import expand_cotree, mass_factor
+from cavityrb.pod import reduce_system
 from cavityrb.problem import CavityProblem
 
 settings.register_profile(
@@ -89,6 +90,38 @@ def central_difference(f, t, h):
     taken entrywise over the tuple of matrices that f returns."""
     plus, minus = f(t + h), f(t - h)
     return tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
+
+
+def expand_cotree_derivative(Y, XY, A_p, B_p, tc, factor):
+    """t-derivative X' Y = B^{-1} (A'[:, cotree] Y - B' X Y) of the cotree
+    expansion (oracle).
+
+    XY is ``expand_cotree(Y, ...)`` at the same parameter, (A_p, B_p) the
+    derivative pencil there and ``factor`` a factorization of B.
+    """
+    H_p = sp.csr_matrix(A_p)[tc.cotree, :]
+    return factor.solve(H_p.T @ np.asarray(Y, dtype=float) - B_p @ XY)
+
+
+def reduced_derivative(problem, Z, space, t):
+    """Exact (A_red'(t), B_red'(t)) of a basis by the chain rule (oracle).
+
+    Cotree bases have U = B^{-1} H^T Z with H^T = A[:, cotree], so
+    U' = B^{-1} (A'[:, cotree] Z - B' U); edge-space bases have U' = 0.
+    Then A_red' = sym(2 U'^T A U) + U^T A' U, and the same for B_red.
+    """
+    factor = problem.mass_factor(t) if space == "cotree" else None
+    _, _, U = problem.reduced_pencil(Z, t, space=space, factor=factor)
+    sys_t = problem.system(t)
+    A_p, B_p = problem.derivative_pencil(t)
+    dA, dB = reduce_system(U, A_p, B_p)
+    if space == "cotree":
+        U_p = expand_cotree_derivative(Z, U, A_p, B_p, problem.tree_cotree, factor)
+        dA_u = U_p.T @ (sys_t.A @ U)
+        dB_u = U_p.T @ (sys_t.B @ U)
+        dA += dA_u + dA_u.T
+        dB += dB_u + dB_u.T
+    return dA, dB
 
 
 def standard_form_eigensolve(A, B, tc):

@@ -104,6 +104,31 @@ def test_gradient_independent_of_t():
     np.testing.assert_array_equal(g0, g1)
 
 
+def test_gradient_built_once_per_mesh(monkeypatch):
+    # G is topological: every assembly, problem and partition on one mesh
+    # shares a single build
+    import cavityrb.assembly as assembly_mod
+    from cavityrb import CavityProblem, build_reference_mesh
+
+    calls = []
+    build = assembly_mod.discrete_gradient
+
+    def counting(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(assembly_mod, "discrete_gradient", counting)
+    m = build_reference_mesh(3)
+    for t in (0.0, 0.4, 1.0):
+        assemble(m, sine_bump(0.3), t)
+    for gauge in ("tree-cotree", "gram-schmidt"):
+        problem = CavityProblem(m, affine_stretch(2.5), gauge=gauge)
+        problem.system(0.5)
+        problem.tree_cotree
+        problem.G
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_gradient_matches_loop_oracle(n):
     G = discrete_gradient(mesh(n))

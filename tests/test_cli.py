@@ -334,3 +334,64 @@ def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):
     assert main(args + ["--basis", str(basis)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and needle in err[0], err
+
+
+@pytest.fixture
+def built_basis(cfg_path, tmp_path, capsys, quiet_warnings):
+    """basis.txt of a build-rb run on the base config."""
+    rb_dir = tmp_path / "rb"
+    assert main(["build-rb", "--config", cfg_path, "--out", str(rb_dir)]) == 0
+    assert "pencil interpolant m=" in capsys.readouterr().out
+    return rb_dir / "basis.txt"
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        ("stretch_a1 = 3.0", "parameter 2.5 (config: 3.0)"),
+        ("family = sine-bump", "family affine-stretch (config: sine-bump)"),
+        ("gauge = gram-schmidt", "gauge tree-cotree (config: gram-schmidt)"),
+    ],
+    ids=["stretch", "family", "gauge"],
+)
+def test_track_basis_fingerprint_mismatch_exits_2(
+    built_basis, tmp_path, capsys, change, needle
+):
+    # a stored pencil belongs to one problem: tracking it on another would
+    # silently use the wrong pencil
+    key = change.split()[0]
+    lines = [ln for ln in BASE.splitlines() if not ln.startswith(key + " ")]
+    other = tmp_path / "other.cfg"
+    other.write_text("\n".join(lines + [change]) + "\n")
+    args = ["track", "--config", str(other), "--out", str(tmp_path / "tr")]
+    assert main(args + ["--basis", str(built_basis)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "fingerprint" in err[0] and needle in err[0], err
+
+
+def test_track_version_1_basis_rebuilds_interpolant(cfg_path, built_basis, tmp_path):
+    # a version-1 file has no fingerprint and no interpolant; tracking
+    # rebuilds the interpolant from the problem, to the same trace
+    lines = built_basis.read_text().splitlines()
+    header = dict(ln.split(maxsplit=1) for ln in lines[1:11])
+    n, N, m = int(header["n"]), int(header["N"]), int(header["m"])
+    v1 = ["cavityrb-basis 1"] + lines[1:6] + lines[11 : 11 + N + n * N]
+    assert len(lines) == 11 + N + n * N + (m + 1) * N * (N + 1)
+    old = tmp_path / "basis_v1.txt"
+    old.write_text("\n".join(v1) + "\n")
+    traces = []
+    for path in (built_basis, old):
+        out = tmp_path / path.stem
+        args = ["track", "--config", cfg_path, "--out", str(out), "--basis", str(path)]
+        assert main(args) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_pipeline_manifest_records_interpolant(cfg_path, tmp_path, quiet_warnings):
+    out = tmp_path / "p"
+    args = ["pipeline", "--config", cfg_path, "--out", str(out), "--no-bench"]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["interpolant"]["m"] in (8, 16, 32, 64, 128)
+    assert 0.0 < manifest["interpolant"]["coefficient_tail"] <= 1e-13

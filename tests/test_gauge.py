@@ -235,6 +235,25 @@ def test_tree_block_factored_once_per_partition(monkeypatch):
     assert calls == [(problem.n_grad, problem.n_grad)]
 
 
+@pytest.mark.parametrize("gauge", ["gram-schmidt", "projection"])
+def test_gradient_gram_matrix_factored_once_per_problem(monkeypatch, gauge, rng):
+    # the cleaning's Gram matrix C0^T G is fixed at t_ref: one LU per
+    # problem, however many cleanings the offline build runs
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(M, *args, **kwargs):
+        calls.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    problem = make_problem(n=4, family="bump", gauge=gauge)
+    problem.system(problem.t_ref)
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    for _ in range(5):
+        problem.clean_basis(rng.standard_normal((problem.n_curl, 3)))
+    assert calls == [(problem.n_grad, problem.n_grad)]
+
+
 @given(
     st.sampled_from([2, 4, 8]),
     st.sampled_from(["affine", "bump"]),

@@ -51,6 +51,35 @@ def test_basis_roundtrip(tmp_path, rng):
     assert back.provenance == basis.provenance
 
 
+def test_basis_roundtrip_with_interpolant(tmp_path):
+    from cavityrb.online import pencil_interpolant
+    from cavityrb.serialize import BASIS_VERSION
+
+    from conftest import make_problem
+
+    problem = make_problem(n=4, family="bump")
+    Z = problem.condensed_pairs(0.0, 4)[1]
+    interp = pencil_interpolant(problem, Z, "cotree")
+    basis = ReducedBasis(
+        Z=Z, t_ref=0.0, gauge="tree-cotree", space="cotree", interpolant=interp,
+        provenance=[f"pod:{j}" for j in range(4)],
+    )
+    path = tmp_path / "basis.txt"
+    save_basis(path, basis)
+    header = path.read_text().splitlines()[:12]
+    assert header[0] == f"cavityrb-basis {BASIS_VERSION}" and BASIS_VERSION == 2
+    assert "mesh_n 4" in header and "family sine-bump 0.29999999999999999" in header
+    assert f"m {interp.m}" in header
+    back = load_basis(path)
+    np.testing.assert_array_equal(back.Z, Z)
+    np.testing.assert_array_equal(back.interpolant.nodes, interp.nodes)
+    np.testing.assert_array_equal(back.interpolant.values, interp.values)
+    assert back.interpolant.tail == interp.tail
+    assert back.interpolant.fingerprint == problem.fingerprint
+    for t in (0.0, 0.37, 1.0):
+        np.testing.assert_array_equal(back.interpolant.pencil(t), interp.pencil(t))
+
+
 def test_csv_writer_stable(tmp_path):
     path = tmp_path / "rows.csv"
     write_csv(path, ("a", "b"), [(1, 0.5), (2, 1.0 / 3.0)])

@@ -17,6 +17,7 @@ from cavityrb import (
 )
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError, SingularDerivativeError
+from cavityrb.online import pencil_interpolant
 from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _ReducedOps
 
 from conftest import make_problem, solve_full, solve_gevp
@@ -228,7 +229,7 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
         problem = make_problem(n=4, family=family, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if ops_kind == "cotree" else problem.n_curl
         Z = np.random.default_rng(3).standard_normal((rows, 7))
-        ops = _ReducedOps(problem, Z, ops_kind)
+        ops = _ReducedOps(pencil_interpolant(problem, Z, ops_kind))
         lam_all, V_all = solve_dense_gevp(*ops.pencil(t))
     assert lam_all.size == ops.size
     k = data.draw(st.integers(min_value=1, max_value=ops.size))
@@ -238,11 +239,11 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
 
 
 def test_dropped_reduced_ops_is_freed_without_the_cycle_collector():
-    # the pencil memo must not refer back to its ops object, or every
-    # dropped ops (upscaled bases, B(t) factors) waits for gc.collect()
+    # nothing in the ops may refer back to it, or every dropped ops waits
+    # for gc.collect()
     problem = make_problem(n=4, family="affine")
     Z = problem.condensed_pairs(0.0, 5)[1]
-    ops = _ReducedOps(problem, Z, "cotree")
+    ops = _ReducedOps(pencil_interpolant(problem, Z, "cotree"))
     ops.pencil(0.3)
     ops.derivative_pencil(0.3)
     ref = weakref.ref(ops)
