@@ -64,7 +64,7 @@ print(json.dumps({
 """
 
 
-def run_json(cmd, cwd, env=None):
+def run_lines(cmd, cwd, env=None):
     """Run a command; return its stdout lines, raising on failure."""
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -77,7 +77,7 @@ def run_json(cmd, cwd, env=None):
 def bench_run(checkout, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    lines = run_json(cmd, checkout)
+    lines = run_lines(cmd, checkout)
     record = json.loads(lines[0])["run_record"]
     summary = json.loads(lines[-1])
     return record, {
@@ -105,7 +105,7 @@ def ladder(checkout, repeats):
         env[var] = "1"
     rungs = []
     for n in LADDER_MESHES:
-        lines = run_json(
+        lines = run_lines(
             [sys.executable, "-c", LADDER_CHILD, str(n), str(repeats)], checkout, env
         )
         rungs.append(json.loads(lines[-1]))
