@@ -1,15 +1,15 @@
 """Record the benchmark of one checkout in ``BENCH_<label>.json``.
 
     python3 scripts/bench_record.py --label NAME [--checkout DIR]
-        [--seconds S] [--seeds 1 2 3] [--repeats R]
 
 Runs ``perfbench/run.py`` of the checkout on its three workloads, untraced
 (``--trace 0``, the end-to-end metrics) and traced (``--trace 1``, the
-per-layer counters and times), once per seed, and keeps every run's
+per-layer counters and times), for ``SECONDS`` each, once per seed of
+``SEEDS``, and keeps every run's
 metrics with their per-metric medians over the seeds. A mesh ladder then
 times reduced tracking for n in {12, 16, 24}: one basis per n with the
-``configs/bench_n24.cfg`` settings and ``mesh_n`` replaced, then ``R``
-reduced tracking runs on fresh problems sharing the mesh (as the
+``configs/bench_n24.cfg`` settings and ``mesh_n`` replaced, then
+``LADDER_REPEATS`` reduced tracking runs on fresh problems sharing the mesh (as the
 ``online-affine`` ops run), of which the median is kept. The ladder records
 whether the online cost grows with the mesh.
 
@@ -33,6 +33,9 @@ import time
 
 WORKLOADS = ("offline-bump", "online-affine", "hf-track")
 LADDER_MESHES = (12, 16, 24)
+SECONDS = 18
+SEEDS = (1, 2, 3)
+LADDER_REPEATS = 5
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LADDER_CHILD = """
@@ -74,9 +77,9 @@ def run_lines(cmd, cwd, env=None):
     return proc.stdout.strip().splitlines()
 
 
-def bench_run(checkout, workload, seed, seconds, trace):
+def bench_run(checkout, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     lines = run_lines(cmd, checkout)
     record = json.loads(lines[0])["run_record"]
     summary = json.loads(lines[-1])
@@ -98,7 +101,7 @@ def medians(runs):
     }
 
 
-def ladder(checkout, repeats):
+def ladder(checkout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(checkout, "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -106,7 +109,7 @@ def ladder(checkout, repeats):
     rungs = []
     for n in LADDER_MESHES:
         lines = run_lines(
-            [sys.executable, "-c", LADDER_CHILD, str(n), str(repeats)], checkout, env
+            [sys.executable, "-c", LADDER_CHILD, str(n), str(LADDER_REPEATS)], checkout, env
         )
         rungs.append(json.loads(lines[-1]))
         print(f"ladder n={n}: reduced track {rungs[-1]['track_s_median']:.4f} s",
@@ -127,10 +130,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name: BENCH_<label>.json")
     parser.add_argument("--checkout", default=REPO, help="source checkout to measure")
-    parser.add_argument("--seconds", type=float, default=18.0)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="reduced tracking runs per ladder mesh")
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
 
@@ -141,8 +140,8 @@ def main(argv=None):
         workloads[workload] = {}
         for trace in (0, 1):
             runs = []
-            for seed in args.seeds:
-                record, run = bench_run(checkout, workload, seed, args.seconds, trace)
+            for seed in SEEDS:
+                record, run = bench_run(checkout, workload, seed, trace)
                 runs.append(run)
                 print(f"{workload} trace={trace} seed={seed}: "
                       f"{len(run['metrics'])} metrics, correct={run['correct']}",
@@ -159,14 +158,14 @@ def main(argv=None):
         },
         "protocol": {
             "command": "python3 perfbench/run.py --workload W --seed N "
-                       f"--seconds {args.seconds:g} --trace T",
-            "seeds": args.seeds,
+                       f"--seconds {SECONDS} --trace T",
+            "seeds": list(SEEDS),
             "aggregation": "median over seeds",
             "ladder": f"bench_n24 settings, mesh_n in {list(LADDER_MESHES)}, "
-                      f"median of {args.repeats} reduced tracking runs",
+                      f"median of {LADDER_REPEATS} reduced tracking runs",
         },
         "workloads": workloads,
-        "ladder": ladder(checkout, args.repeats),
+        "ladder": ladder(checkout),
         "wall_s": time.time() - started,
     }
     path = os.path.join(REPO, f"BENCH_{args.label}.json")

@@ -169,13 +169,13 @@ def gram_factor(G, C0):
         raise NumericalError(f"gradient Gram matrix is singular: {exc}") from exc
 
 
-def graddiv_project(Z, G, C0, factor=None):
+def graddiv_project(Z, G, C0, factor):
     """Apply the grad-div projector P = I - G (C^T G)^{-1} C^T to columns.
 
     C0 is the mixed coupling block at the chosen parameter (n_curl x n_grad,
     equal to B G there), so C0^T G is the symmetric positive-definite
-    gradient Gram matrix; ``factor`` is its ``gram_factor`` when the caller
-    holds one. P annihilates gradients and is idempotent.
+    gradient Gram matrix and ``factor`` is its ``gram_factor``. P annihilates
+    gradients and is idempotent.
     """
     Z = np.asarray(Z, dtype=float)
     single = Z.ndim == 1
@@ -183,20 +183,18 @@ def graddiv_project(Z, G, C0, factor=None):
     if G.shape[1] == 0:
         out = Zm.copy()
         return out[:, 0] if single else out
-    if factor is None:
-        factor = gram_factor(G, C0)
     coeff = factor.solve(np.asarray(C0.T @ Zm))
     out = Zm - G @ coeff
     return out[:, 0] if single else out
 
 
-def gram_schmidt_clean(Z, G, B0, drop_tol: float = 1e-10, factor=None):
+def gram_schmidt_clean(Z, G, B0, factor, drop_tol: float = 1e-10):
     """Orthogonalize basis columns against the gradient space in B0.
 
     The B0-orthogonal projection is ``graddiv_project`` with the coupling
     block B0 G, applied twice: one sparse solve leaves its rounding error in
-    the gradient space. ``factor`` is the ``gram_factor`` of that block when
-    the caller holds one. Columns that collapse to (numerically) pure
+    the gradient space. ``factor`` is the ``gram_factor`` of that block.
+    Columns that collapse to (numerically) pure
     gradients are dropped and reported; the rest are re-orthonormalized in B0.
 
     Returns (Z_orth, dropped_column_indices).
@@ -208,8 +206,6 @@ def gram_schmidt_clean(Z, G, B0, drop_tol: float = 1e-10, factor=None):
         return Z, []
     before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
     C0 = B0 @ G
-    if factor is None:
-        factor = gram_factor(G, C0)
     Z = graddiv_project(graddiv_project(Z, G, C0, factor), G, C0, factor)
     after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
     alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)

@@ -66,6 +66,8 @@ class CavityProblem:
     def G(self):
         return self.mesh.gradient
 
+    FINGERPRINT_FIELDS = ("mesh_n", "n_curl", "family", "parameter")
+
     @property
     def fingerprint(self) -> tuple:
         """(mesh_n, n_curl, family kind, family parameter): what a reduced
@@ -213,14 +215,10 @@ class CavityProblem:
         ungauged runs deliberately skip it.
         """
         if self.gauge == "gram-schmidt":
-            return gauge_mod.gram_schmidt_clean(
-                Z, self.G, self.b_ref, factor=self._gram_factor()
-            )
+            return gauge_mod.gram_schmidt_clean(Z, self.G, self.b_ref, self._gram_factor())
         if self.gauge == "projection":
             sys_ref = self.system(self.t_ref)
-            return gauge_mod.graddiv_project(
-                Z, self.G, sys_ref.C, factor=self._gram_factor()
-            ), []
+            return gauge_mod.graddiv_project(Z, self.G, sys_ref.C, self._gram_factor()), []
         return np.array(Z, dtype=float, copy=True), []
 
     def _gram_factor(self):

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
-from .errors import NumericalError, SingularDerivativeError
+from .errors import ConfigError, NumericalError, SingularDerivativeError
 from .eigensolve import (
     b_orthonormalize,
     cluster_of,
@@ -334,11 +334,25 @@ def _make_ops(config, problem, basis):
         return _FullOps(problem)
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
-    # bases from the offline build carry their interpolant; others (a
-    # version-1 file, a bare POD basis) get one here
-    return _ReducedOps(
-        basis.interpolant or pencil_interpolant(problem, basis.Z, basis.space)
-    )
+    interpolant = basis.interpolant
+    if interpolant is None:
+        # bases from the offline build carry their interpolant; others (a
+        # version-1 file, a bare POD basis) get one here
+        return _ReducedOps(pencil_interpolant(problem, basis.Z, basis.space))
+    # a stored pencil belongs to one mesh and family; the gauge does not
+    # enter it, so a basis may be tracked on a problem of another gauge
+    diffs = [
+        f"{name} {a} (problem: {b})"
+        for name, a, b in zip(
+            problem.FINGERPRINT_FIELDS, interpolant.fingerprint, problem.fingerprint
+        )
+        if a != b
+    ]
+    if diffs:
+        raise ConfigError(
+            "basis fingerprint does not match the problem: " + ", ".join(diffs)
+        )
+    return _ReducedOps(interpolant)
 
 
 def _rank_permutation(prev_lam, cur_lam, delta):

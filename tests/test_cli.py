@@ -348,8 +348,8 @@ def built_basis(cfg_path, tmp_path, capsys, quiet_warnings):
 @pytest.mark.parametrize(
     "change, needle",
     [
-        ("stretch_a1 = 3.0", "parameter 2.5 (config: 3.0)"),
-        ("family = sine-bump", "family affine-stretch (config: sine-bump)"),
+        ("stretch_a1 = 3.0", "parameter 2.5 (problem: 3.0)"),
+        ("family = sine-bump", "family affine-stretch (problem: sine-bump)"),
         ("gauge = gram-schmidt", "gauge tree-cotree (config: gram-schmidt)"),
     ],
     ids=["stretch", "family", "gauge"],

@@ -16,7 +16,7 @@ from cavityrb import (
 )
 from cavityrb.eigensolve import DEFAULT_NULL_TOL
 from cavityrb.errors import NumericalError
-from cavityrb.gauge import condensed_eigensolve, expand_cotree, mass_factor
+from cavityrb.gauge import condensed_eigensolve, expand_cotree, gram_factor, mass_factor
 
 from conftest import (
     make_problem,
@@ -186,7 +186,7 @@ def test_gram_schmidt_annihilates_gradient_components(rng):
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     Z = rng.standard_normal((m.n_curl, 5))
-    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B)
+    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
     assert dropped == []
     defect = abs(s0.G.T @ (s0.B @ Z_orth)).max()
     assert defect <= 1e-10 * abs(s0.B).max()
@@ -196,8 +196,9 @@ def test_gram_schmidt_idempotent(rng):
     m = mesh(4)
     s0 = assemble(m, affine_stretch(2.5), 0.0)
     Z = rng.standard_normal((m.n_curl, 4))
-    once, _ = gram_schmidt_clean(Z, s0.G, s0.B)
-    twice, _ = gram_schmidt_clean(once, s0.G, s0.B)
+    factor = gram_factor(s0.G, s0.B @ s0.G)
+    once, _ = gram_schmidt_clean(Z, s0.G, s0.B, factor)
+    twice, _ = gram_schmidt_clean(once, s0.G, s0.B, factor)
     np.testing.assert_allclose(np.abs(once), np.abs(twice), atol=1e-11)
 
 
@@ -205,7 +206,7 @@ def test_gram_schmidt_drops_pure_gradient():
     m = mesh(4)
     s0 = assemble(m, identity_map(), 0.0)
     g = s0.G.toarray()[:, 2]
-    _, dropped = gram_schmidt_clean(g[:, None], s0.G, s0.B)
+    _, dropped = gram_schmidt_clean(g[:, None], s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
     assert dropped == [0]
 
 
@@ -213,7 +214,9 @@ def test_gram_schmidt_keeps_clean_vectors():
     m = mesh(4)
     s0 = assemble(m, identity_map(), 0.0)
     sol = solve_gevp(s0.A, s0.B, 2)
-    Z_orth, dropped = gram_schmidt_clean(sol.vectors, s0.G, s0.B)
+    Z_orth, dropped = gram_schmidt_clean(
+        sol.vectors, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
+    )
     assert dropped == []
     # already divergence-free orthonormal columns pass through unchanged
     np.testing.assert_allclose(Z_orth, sol.vectors, atol=1e-8)
@@ -277,7 +280,7 @@ def test_gram_schmidt_clean_matches_dense_mgs_oracle(n, family, t, seed, data):
     Z = rng.standard_normal((s0.n_curl, n_cols))
     for j in np.flatnonzero(grad):
         Z[:, j] = s0.G @ rng.standard_normal(s0.G.shape[1])
-    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B)
+    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
     Z_ref, dropped_ref = mgs_gradient_clean(Z, s0.G, s0.B)
     assert dropped == dropped_ref == [int(j) for j in np.flatnonzero(grad)]
     assert Z_orth.shape == Z_ref.shape
@@ -290,11 +293,12 @@ def test_projector_laws(rng):
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     Z = rng.standard_normal((m.n_curl, 6))
-    PZ = graddiv_project(Z, s0.G, s0.C)
-    PPZ = graddiv_project(PZ, s0.G, s0.C)
+    factor = gram_factor(s0.G, s0.C)
+    PZ = graddiv_project(Z, s0.G, s0.C, factor)
+    PPZ = graddiv_project(PZ, s0.G, s0.C, factor)
     scale = abs(Z).max()
     assert abs(PPZ - PZ).max() <= 1e-12 * scale
-    assert abs(graddiv_project(s0.G.toarray(), s0.G, s0.C)).max() <= 1e-12
+    assert abs(graddiv_project(s0.G.toarray(), s0.G, s0.C, factor)).max() <= 1e-12
     assert abs(s0.C.T @ PZ).max() <= 1e-10 * abs(s0.C).max() * scale
 
 
@@ -302,8 +306,10 @@ def test_projector_fixes_divergence_free_vectors():
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     sol = solve_gevp(s0.A, s0.B, 3)
-    cleaned, _ = gram_schmidt_clean(sol.vectors, s0.G, s0.B)
-    P_cleaned = graddiv_project(cleaned, s0.G, s0.C)
+    cleaned, _ = gram_schmidt_clean(
+        sol.vectors, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
+    )
+    P_cleaned = graddiv_project(cleaned, s0.G, s0.C, gram_factor(s0.G, s0.C))
     np.testing.assert_allclose(P_cleaned, cleaned, atol=1e-10)
 
 
@@ -322,7 +328,9 @@ def test_fixed_parameter_cleanup_defect_grows_with_t():
     s0 = assemble(m, fam, 0.0)
     s1 = assemble(m, fam, 1.0)
     sol = solve_gevp(s1.A, s1.B, 1)  # eigenvector of the deformed domain
-    z, _ = gram_schmidt_clean(sol.vectors[:, :1], s0.G, s0.B)
+    z, _ = gram_schmidt_clean(
+        sol.vectors[:, :1], s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
+    )
     d0 = divergence_defect(z[:, 0], s0.C, s0.B)
     d1 = divergence_defect(z[:, 0], s1.C, s1.B)
     assert d0 <= 1e-10

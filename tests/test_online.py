@@ -15,7 +15,7 @@ import cavityrb.problem as problem_mod
 from cavityrb import TrackingConfig, track
 from cavityrb.bench import build_basis, build_problem
 from cavityrb.config import RunConfig
-from cavityrb.errors import NumericalError
+from cavityrb.errors import ConfigError, NumericalError
 from cavityrb.online import lobatto_nodes, pencil_interpolant
 
 from conftest import make_problem, reduced_derivative
@@ -116,6 +116,23 @@ def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch):
     config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
     trace = track(config, fresh, basis=basis)
     assert trace.complete and calls == []
+
+
+def test_track_on_another_problem_is_config_error():
+    # a stored pencil belongs to one mesh and family: tracking it on a
+    # problem with another stretch would silently use the wrong pencil
+    cfg = RunConfig(
+        mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, tol=1e-6,
+        N_max=20, track_h=0.25,
+    )
+    problem = build_problem(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        basis, _, _ = build_basis(problem, cfg)
+    cfg.stretch_a1 += 0.5
+    config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
+    with pytest.raises(ConfigError, match="fingerprint.*parameter"):
+        track(config, build_problem(cfg, mesh=problem.mesh), basis=basis)
 
 
 def test_interpolant_build_keeps_no_node_systems():
