@@ -14,15 +14,10 @@ import warnings
 import numpy as np
 
 from cavityrb import affine_stretch, build_reference_mesh
-from cavityrb.bench import build_basis
+from cavityrb.bench import build_basis, tracking_config
 from cavityrb.config import RunConfig
 from cavityrb.problem import CavityProblem
-from cavityrb.tracking import (
-    TrackingConfig,
-    analytic_rectangle_table,
-    classify_endpoint,
-    track,
-)
+from cavityrb.tracking import analytic_rectangle_table, classify_endpoint, track
 
 
 def main():
@@ -51,10 +46,8 @@ def main():
         ("high-fidelity", "high-fidelity", None),
         ("reduced", "reduced", basis),
     ):
-        tcfg = TrackingConfig(K=cfg.K, h=args.h, system=system,
-                              rho_min=cfg.rho_min, overtrack=cfg.tau)
         t0 = time.perf_counter()
-        trace = track(tcfg, problem, basis=b)
+        trace = track(tracking_config(cfg, system), problem, basis=b)
         dt = time.perf_counter() - t0
         labels = classify_endpoint(trace, table)
         results[name] = trace

@@ -7,16 +7,21 @@ trailing quarter of the Chebyshev coefficients has decayed to round-off.
 Online, the pencil and its t-derivative at any t are weighted sums of the
 stored node values: the barycentric Lagrange weights and their derivative,
 applied in one matrix-vector product each. No online evaluation touches the
-mesh. See Trefethen, *Approximation Theory and Approximation Practice*, and
+mesh. The interpolant is the reduced tracker's operator layer itself: its
+``solve(t, k)`` returns the pencil it solved beside the eigenpairs, so a
+tracking step evaluates it once for the solve and once for the derivative.
+See Trefethen, *Approximation Theory and Approximation Practice*, and
 Berrut & Trefethen, Barycentric Lagrange interpolation, SIAM Review 2004.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .eigensolve import solve_dense_gevp
 from .errors import NumericalError
 
 # The trailing quarter of the Chebyshev coefficients of each of A_N and B_N
@@ -34,12 +39,6 @@ def lobatto_nodes(m: int) -> np.ndarray:
     """
     j = np.arange(m + 1)
     return 0.5 * (1.0 + np.sin(np.pi * (2 * j - m) / (2 * m)))
-
-
-def _barycentric_weights(m: int) -> np.ndarray:
-    w = (-1.0) ** np.arange(m + 1)
-    w[[0, -1]] *= 0.5
-    return w
 
 
 def coefficient_tail(values: np.ndarray) -> float:
@@ -80,6 +79,19 @@ class PencilInterpolant:
     def m(self) -> int:
         return self.nodes.size - 1
 
+    @cached_property
+    def barycentric_weights(self) -> np.ndarray:
+        """(-1)^j, halved at both ends: the barycentric weights of the
+        Lobatto nodes, built once per interpolant."""
+        w = (-1.0) ** np.arange(self.m + 1)
+        w[[0, -1]] *= 0.5
+        return w
+
+    @cached_property
+    def triangle(self):
+        """Row and column indices of the packed upper triangles."""
+        return np.triu_indices(self.size)
+
     def weights(self, t: float):
         """Lagrange weights of the nodes at t and their t-derivatives.
 
@@ -90,7 +102,7 @@ class PencilInterpolant:
         t_k is minus the sum of the others (the weights of a constant sum to
         zero), which avoids the cancellation next to a node.
         """
-        w = _barycentric_weights(self.m)
+        w = self.barycentric_weights
         diff = float(t) - self.nodes
         k = int(np.argmin(np.abs(diff)))
         delta, diff[k] = diff[k], 1.0
@@ -108,7 +120,7 @@ class PencilInterpolant:
         return ell, dell
 
     def _combine(self, weights):
-        rows, cols = np.triu_indices(self.size)
+        rows, cols = self.triangle
         packed = (weights @ self.values.reshape(weights.size, -1)).reshape(2, -1)
         out = np.empty((2, self.size, self.size))
         out[:, rows, cols] = packed
@@ -122,6 +134,13 @@ class PencilInterpolant:
     def derivative_pencil(self, t: float):
         """(A_N'(t), B_N'(t)), the derivative of the interpolant."""
         return self._combine(self.weights(t)[1])
+
+    def solve(self, t: float, k: int):
+        """The pencil at t and its first k eigenpairs, as
+        ((A_N, B_N), lambdas, vectors)."""
+        pencil = self.pencil(t)
+        lam, V = solve_dense_gevp(*pencil)
+        return pencil, lam[:k], V[:, :k]
 
 
 def pencil_interpolant(problem, Z: np.ndarray, space: str) -> PencilInterpolant:

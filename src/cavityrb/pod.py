@@ -64,7 +64,8 @@ def collect_snapshots(problem: CavityProblem, parameters, K: int) -> SnapshotSet
     """First K gauged eigenvectors at every parameter of the training set.
 
     Columns live in the problem's basis coordinate space and are stored in
-    (parameter, mode) order.
+    (parameter, mode) order. The snapshot parameters are one-off: systems
+    first assembled here leave the problem's cache afterwards.
     """
     ts = np.asarray(parameters, dtype=float)
     if ts.size == 0:
@@ -73,14 +74,15 @@ def collect_snapshots(problem: CavityProblem, parameters, K: int) -> SnapshotSet
         raise ValueError(f"snapshot mode count must be >= 1, got {K}")
     columns = []
     provenance = []
-    for t in ts:
-        lams, vectors = problem.snapshot_solve(float(t), K)
-        for j in range(K):
-            v = vectors[:, j]
-            if not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0.0:
-                raise NumericalError(f"degenerate snapshot at t={t!r}, mode {j}")
-            columns.append(v)
-            provenance.append((float(t), j, float(lams[j])))
+    with problem.transient_systems():
+        for t in ts:
+            lams, vectors = problem.snapshot_solve(float(t), K)
+            for j in range(K):
+                v = vectors[:, j]
+                if not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0.0:
+                    raise NumericalError(f"degenerate snapshot at t={t!r}, mode {j}")
+                columns.append(v)
+                provenance.append((float(t), j, float(lams[j])))
     return SnapshotSet(parameters=ts, Y=np.column_stack(columns), provenance=provenance)
 
 

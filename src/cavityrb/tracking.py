@@ -23,9 +23,8 @@ from .eigensolve import (
     b_orthonormalize,
     cluster_of,
     eigenvalue_clusters,
-    solve_dense_gevp,
 )
-from .online import PencilInterpolant, pencil_interpolant
+from .online import pencil_interpolant
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
@@ -263,41 +262,26 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
 
 
 class _FullOps:
-    """High-fidelity systems: the full sparse pencil and its physical modes."""
+    """High-fidelity systems: the full sparse pencil and its physical modes.
+    The reduced ops, with the same ``size``, ``derivative_pencil`` and
+    ``solve``, are the basis's ``PencilInterpolant`` itself."""
 
     def __init__(self, problem: CavityProblem):
         self.problem = problem
         self.size = problem.n_curl - problem.n_grad
 
-    def pencil(self, t):
-        s = self.problem.system(t)
-        return s.A, s.B
-
     def derivative_pencil(self, t):
         return self.problem.derivative_pencil(t)
 
     def solve(self, t, k):
+        s = self.problem.system(t)
         lam, _, V = self.problem.condensed_pairs(t, k)
-        return lam, V
-
-
-class _ReducedOps:
-    """Reduced pencil of a basis, evaluated from its Chebyshev interpolant:
-    every evaluation is N x N work, whatever the mesh."""
-
-    def __init__(self, interpolant: PencilInterpolant):
-        self.pencil = interpolant.pencil
-        self.derivative_pencil = interpolant.derivative_pencil
-        self.size = interpolant.size
-
-    def solve(self, t, k):
-        lam, V = solve_dense_gevp(*self.pencil(t))
-        return lam[:k], V[:, :k]
+        return (s.A, s.B), lam, V
 
 
 def _seed_degenerate_clusters(ops, config):
-    """First eigenpairs at t = 0, with degenerate starting clusters aligned
-    to the directions they split into.
+    """Pencil and first eigenpairs at t = 0, with degenerate starting
+    clusters aligned to the directions they split into.
 
     The eigensolver returns an arbitrary rotation inside each multiple
     eigenspace at t = 0; projecting the eigenvectors from a small probe
@@ -306,14 +290,14 @@ def _seed_degenerate_clusters(ops, config):
     across system variants.
     """
     scan = min(ops.size, config.K + config.overtrack + 2)
-    lam0, V0 = ops.solve(0.0, scan)
+    pencil0, lam0, V0 = ops.solve(0.0, scan)
     V0 = V0.copy()
     clusters = _clusters_unsorted(lam0, config.delta_mult)
     if all(c.size < 2 for c in clusters):
-        return lam0, V0
+        return pencil0, lam0, V0
     delta = min(config.h / 4.0, 0.25)
-    _, V_d = ops.solve(delta, scan)
-    _, B0 = ops.pencil(0.0)
+    _, _, V_d = ops.solve(delta, scan)
+    B0 = pencil0[1]
     for idx in clusters:
         if idx.size < 2:
             continue
@@ -326,7 +310,7 @@ def _seed_degenerate_clusters(ops, config):
         seeded, kept = b_orthonormalize(Q @ coeff, B0)
         if len(kept) == idx.size:
             V0[:, idx] = seeded
-    return lam0, V0
+    return pencil0, lam0, V0
 
 
 def _make_ops(config, problem, basis):
@@ -338,7 +322,7 @@ def _make_ops(config, problem, basis):
     if interpolant is None:
         # bases from the offline build carry their interpolant; others (a
         # version-1 file, a bare POD basis) get one here
-        return _ReducedOps(pencil_interpolant(problem, basis.Z, basis.space))
+        return pencil_interpolant(problem, basis.Z, basis.space)
     # a stored pencil belongs to one mesh and family; the gauge does not
     # enter it, so a basis may be tracked on a problem of another gauge
     diffs = [
@@ -352,7 +336,7 @@ def _make_ops(config, problem, basis):
         raise ConfigError(
             "basis fingerprint does not match the problem: " + ", ".join(diffs)
         )
-    return _ReducedOps(interpolant)
+    return interpolant
 
 
 def _rank_permutation(prev_lam, cur_lam, delta):
@@ -398,7 +382,7 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         raise NumericalError(
             f"system provides only {ops.size} eigenvalues, tracking needs {config.K}"
         )
-    lam0, V0 = _seed_degenerate_clusters(ops, config)
+    (A_t, B_t), lam0, V0 = _seed_degenerate_clusters(ops, config)
     window = min(ops.size, config.K + config.overtrack)
     lam_cur = lam0[: config.K].copy()
     V_cur = V0[:, : config.K].copy()
@@ -419,7 +403,6 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
     positions = np.arange(config.K)
     t = 0.0
     while t < 1.0 - 1e-12:
-        A_t, B_t = ops.pencil(t)
         Ap_t, Bp_t = ops.derivative_pencil(t)
 
         # Eigenvector/eigenvalue derivatives per tracked mode. Degeneracy is
@@ -456,17 +439,16 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         while True:
             t_next = min(t + h_cur, 1.0)
             dt = t_next - t
-            V_pred = V_cur + dt * Vdot
-            _, B_next = ops.pencil(t_next)
-            win = min(max(window, config.K + config.overtrack), ops.size)
+            V_pred, _ = taylor_predict(V_cur, lam_cur, Vdot, dlam, dt)
+            win = min(window, ops.size)
             # Low correlation first widens the candidate window (tracked
             # modes may have been overtaken), then shrinks the step. One
             # eigenvalue beyond the window shows whether a candidate at its
             # edge belongs to a multiplicity cluster.
             while True:
-                lam_next, V_next = ops.solve(t_next, min(win + 1, ops.size))
+                pencil, lam_next, V_next = ops.solve(t_next, min(win + 1, ops.size))
                 match = _cluster_aware_match(
-                    V_pred, lam_cur, V_next[:, :win], B_next,
+                    V_pred, lam_cur, V_next[:, :win], pencil[1],
                     config.delta_mult, config.rho_min,
                 )
                 if match.ok or win >= ops.size:
@@ -504,6 +486,9 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         )
         window = max(config.K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
         lam_cur, V_cur = lam_new, V_new
+        # the pencil solved at t_next serves the next bordered systems, so
+        # every parameter is evaluated once
+        A_t, B_t = pencil
         lam_all = lam_next
         positions = match.perm
         t = t_next

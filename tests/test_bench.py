@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+import cavityrb.bench as bench_mod
 from cavityrb import build_reference_mesh, sine_bump
-from cavityrb.bench import ErrorStudy, build_basis, build_problem, run_error_study
+from cavityrb.bench import (
+    ErrorStudy,
+    build_basis,
+    build_problem,
+    initial_basis,
+    run_bench,
+    run_error_study,
+)
 from cavityrb.config import RunConfig
 from cavityrb.problem import CavityProblem
 from cavityrb.tracking import TrackingConfig, track
@@ -99,3 +107,44 @@ def test_error_study_final_errors_helper(quiet_warnings):
     signed, max_abs = study.final_errors()
     assert signed.shape == (cfg.K,)
     assert (max_abs >= np.abs(signed) - 1e-15).all()
+
+
+def test_initial_basis_keeps_no_snapshot_systems(quiet_warnings):
+    # snapshot parameters off the training grid are one-off: their
+    # assembled systems must not stay cached on the problem
+    cfg = _bump_cfg(mesh_n=4, K=3, N_init=4, N_pod=5)
+    problem = build_problem(cfg)
+    initial_basis(problem, cfg)
+    snapshot_only = {float(t) for t in np.linspace(0.0, 1.0, cfg.N_pod)} - {problem.t_ref}
+    assert not snapshot_only & set(problem._systems)
+
+
+def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings):
+    # "cotree" tracking takes the high-fidelity path with the same solve, so
+    # its row reports the high-fidelity timings with the cotree dimension
+    systems = []
+
+    def counted(config, problem, basis=None):
+        systems.append(config.system)
+        return track(config, problem, basis=basis)
+
+    monkeypatch.setattr(bench_mod, "track", counted)
+    cfg = RunConfig(
+        mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, tol=1e-6,
+        N_max=20, track_h=0.25, repetitions=3,
+    )
+    report = run_bench(cfg)
+    assert [s for s in systems if s != "reduced"] == ["high-fidelity"] * 4
+    rows = {r["label"]: r for r in report["rows"]}
+    assert list(rows) == [
+        "high-fidelity", "high-fidelity-cotree", "rb-tree-cotree", "rb-gram-schmidt",
+    ]
+    assert all(r["status"] == "ok" for r in report["rows"]), report["rows"]
+    hf, cotree = rows["high-fidelity"], rows["high-fidelity-cotree"]
+    for key in ("evp_time_median", "evp_time_mean", "tracking_time_median",
+                "tracking_time_mean"):
+        assert cotree[key] == hf[key]
+    problem = build_problem(cfg)
+    assert (hf["dof_count"], cotree["dof_count"]) == (
+        problem.n_curl, problem.n_curl - problem.n_grad,
+    )

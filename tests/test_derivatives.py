@@ -6,9 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.online import pencil_interpolant
-from cavityrb.tracking import _ReducedOps
 
 from conftest import central_difference, make_problem
 
@@ -25,26 +23,25 @@ _OPS = {}
 
 
 def _cotree_ops(kind):
-    """Problem and reduced ops over the complete cotree basis (all
+    """Problem and interpolant over the complete cotree basis (all
     n_curl - n_grad eigen-coordinates at t_ref), whose pencil is congruent
     to the condensed pencil at every t; built once per family."""
     if kind not in _OPS:
         problem = make_problem(n=4, family=kind)
         n_cot = problem.n_curl - problem.n_grad
         Z = problem.condensed_pairs(problem.t_ref, n_cot)[1]
-        _OPS[kind] = problem, Z, _ReducedOps(pencil_interpolant(problem, Z, "cotree"))
+        _OPS[kind] = problem, Z, pencil_interpolant(problem, Z, "cotree")
     return _OPS[kind]
 
 
 def _random_ops(space, kind):
-    """Problem, random 6-column basis and its reduced ops; built once."""
+    """Problem, random 6-column basis and its interpolant; built once."""
     if (space, kind) not in _OPS:
         gauge = "tree-cotree" if space == "cotree" else "gram-schmidt"
         problem = make_problem(n=4, family=kind, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if space == "cotree" else problem.n_curl
         Z = np.random.default_rng(5).standard_normal((rows, 6))
-        ops = _ReducedOps(pencil_interpolant(problem, Z, space))
-        _OPS[space, kind] = problem, Z, ops
+        _OPS[space, kind] = problem, Z, pencil_interpolant(problem, Z, space)
     return _OPS[space, kind]
 
 
@@ -76,7 +73,7 @@ def test_standard_form_eigenvalue_derivatives_match_full_pencil(kind, t):
     # depend on the reduced coordinates, so it checks (A_red', B_red') far
     # below the difference step's truncation error
     problem, Z, ops = _cotree_ops(kind)
-    lam, Y = solve_dense_gevp(*ops.pencil(t))
+    _, lam, Y = ops.solve(t, 4)
     dA, dB = ops.derivative_pencil(t)
     V = problem.reduced_pencil(Z, t, space="cotree")[2] @ Y[:, :4]
     A_p, B_p = problem.derivative_pencil(t)

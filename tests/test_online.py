@@ -3,6 +3,7 @@ chain-rule derivative as oracles, over random t, edge and cotree bases and
 both mapping families; and reduced tracking that never touches the mesh."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +92,10 @@ def test_unresolved_pencil_is_numerical_error(monkeypatch):
         pencil_interpolant(problem, Z, "cotree")
 
 
-def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch):
+@pytest.fixture(scope="module")
+def built():
+    """A problem and the basis the offline build made for it, with its
+    interpolant."""
     cfg = RunConfig(
         mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, tol=1e-6,
         N_max=20, track_h=0.25,
@@ -101,6 +105,11 @@ def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch):
         warnings.simplefilter("ignore")
         basis, _, _ = build_basis(problem, cfg)
     assert basis.interpolant is not None
+    return cfg, problem, basis
+
+
+def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch, built):
+    cfg, problem, basis = built
     calls = []
 
     def forbidden(name):
@@ -118,21 +127,33 @@ def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch):
     assert trace.complete and calls == []
 
 
-def test_track_on_another_problem_is_config_error():
+def test_reduced_track_evaluates_the_interpolant_twice_per_step(monkeypatch, built):
+    # one solve at each new parameter, whose pencil also serves the next
+    # bordered system, and one derivative; plus the seeding solves at t = 0
+    # and at the probe parameter
+    cfg, problem, basis = built
+    evaluations = []
+    weights = online.PencilInterpolant.weights
+
+    def counted(self, t):
+        evaluations.append(t)
+        return weights(self, t)
+
+    monkeypatch.setattr(online.PencilInterpolant, "weights", counted)
+    config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
+    trace = track(config, problem, basis=basis)
+    assert trace.complete
+    assert len(evaluations) <= 2 * (len(trace.steps) - 1) + 2, evaluations
+
+
+def test_track_on_another_problem_is_config_error(built):
     # a stored pencil belongs to one mesh and family: tracking it on a
     # problem with another stretch would silently use the wrong pencil
-    cfg = RunConfig(
-        mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, tol=1e-6,
-        N_max=20, track_h=0.25,
-    )
-    problem = build_problem(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        basis, _, _ = build_basis(problem, cfg)
-    cfg.stretch_a1 += 0.5
+    cfg, problem, basis = built
+    other = replace(cfg, stretch_a1=cfg.stretch_a1 + 0.5)
     config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
     with pytest.raises(ConfigError, match="fingerprint.*parameter"):
-        track(config, build_problem(cfg, mesh=problem.mesh), basis=basis)
+        track(config, build_problem(other, mesh=problem.mesh), basis=basis)
 
 
 def test_interpolant_build_keeps_no_node_systems():

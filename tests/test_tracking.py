@@ -18,7 +18,7 @@ from cavityrb import (
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
-from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _ReducedOps
+from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps
 
 from conftest import make_problem, solve_full, solve_gevp
 
@@ -221,30 +221,33 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
     if ops_kind == "full":
         problem = make_problem(n=4, family=family)
         ops = _FullOps(problem)
-        ref = solve_gevp(*ops.pencil(t), ops.size, null_tol=problem.null_tol)
-        assert ref.n_discarded_null == problem.n_grad
-        lam_all, V_all = ref.lambdas, ref.vectors
     else:
         gauge = "tree-cotree" if ops_kind == "cotree" else "gram-schmidt"
         problem = make_problem(n=4, family=family, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if ops_kind == "cotree" else problem.n_curl
         Z = np.random.default_rng(3).standard_normal((rows, 7))
-        ops = _ReducedOps(pencil_interpolant(problem, Z, ops_kind))
-        lam_all, V_all = solve_dense_gevp(*ops.pencil(t))
-    assert lam_all.size == ops.size
+        ops = pencil_interpolant(problem, Z, ops_kind)
     k = data.draw(st.integers(min_value=1, max_value=ops.size))
-    lam, V = ops.solve(t, k)
+    pencil, lam, V = ops.solve(t, k)
+    if ops_kind == "full":
+        ref = solve_gevp(*pencil, ops.size, null_tol=problem.null_tol)
+        assert ref.n_discarded_null == problem.n_grad
+        lam_all, V_all = ref.lambdas, ref.vectors
+    else:
+        lam_all, V_all = solve_dense_gevp(*pencil)
+    assert lam_all.size == ops.size
     np.testing.assert_allclose(lam, lam_all[:k], rtol=1e-12)
     np.testing.assert_allclose(V, V_all[:, :k], rtol=0, atol=1e-12 * abs(V_all).max())
 
 
 def test_dropped_reduced_ops_is_freed_without_the_cycle_collector():
-    # nothing in the ops may refer back to it, or every dropped ops waits
-    # for gc.collect()
+    # the interpolant is the reduced ops: nothing it caches (barycentric
+    # weights, triangle indices) may refer back to it, or every dropped
+    # interpolant waits for gc.collect()
     problem = make_problem(n=4, family="affine")
     Z = problem.condensed_pairs(0.0, 5)[1]
-    ops = _ReducedOps(pencil_interpolant(problem, Z, "cotree"))
-    ops.pencil(0.3)
+    ops = pencil_interpolant(problem, Z, "cotree")
+    ops.solve(0.3, 2)
     ops.derivative_pencil(0.3)
     ref = weakref.ref(ops)
     gc.disable()
