@@ -34,7 +34,7 @@ from .geometry import (
     identity_map,
     sine_bump,
 )
-from .greedy import ErrorEstimate, GreedyConfig, estimate, gap, greedy_extend, residual
+from .greedy import GreedyConfig, estimate, gap, greedy_extend
 from .online import PencilInterpolant, pencil_interpolant
 from .pod import (
     ReducedBasis,
@@ -42,7 +42,6 @@ from .pod import (
     collect_snapshots,
     pod_basis,
     reduce_system,
-    upscale,
 )
 from .problem import CavityProblem
 from .tracking import (

@@ -19,7 +19,7 @@ from statistics import mean, median
 import numpy as np
 
 from .config import RunConfig, config_to_dict
-from .errors import CavityError, RankDeficiencyError
+from .errors import CavityError, ConfigError, RankDeficiencyError
 from .eigensolve import null_mask, solve_dense_gevp
 from .geometry import affine_stretch, build_reference_mesh, sine_bump
 from .greedy import GreedyConfig, greedy_extend
@@ -46,7 +46,6 @@ def build_problem(cfg: RunConfig, gauge: str | None = None, mesh=None) -> Cavity
         family=family,
         gauge=gauge or cfg.gauge,
         null_tol=cfg.null_tol,
-        delta_mult=cfg.delta_mult,
     )
 
 
@@ -257,7 +256,7 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
     protocol.
     """
     if cfg.repetitions < 3:
-        raise CavityError("benchmark needs at least 3 repetitions")
+        raise ConfigError("benchmark needs at least 3 repetitions")
     prebuilt = dict(prebuilt or {})
     mesh = build_reference_mesh(cfg.mesh_n)
     problem = build_problem(cfg, gauge="tree-cotree", mesh=mesh)

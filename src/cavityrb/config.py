@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .geometry import FAMILIES
-from .greedy import RESIDUAL_FORMS
+from .greedy import RESIDUAL_FORMS, recommended_n_init
 from .problem import GAUGES
 from .tracking import SYSTEMS
 
@@ -45,9 +45,7 @@ class RunConfig:
     repetitions: int = 10
 
     def resolved_n_init(self) -> int:
-        if self.N_init > 0:
-            return self.N_init
-        return math.ceil(1.5 * (self.K + self.tau))
+        return self.N_init or recommended_n_init(self.K, self.tau)
 
     def validate(self) -> "RunConfig":
         if self.schema != SCHEMA_VERSION:
@@ -56,7 +54,7 @@ class RunConfig:
             )
         positive_ints = (
             "mesh_n", "K", "N_pod", "N_train", "N_test", "N_max",
-            "repetitions", "max_halvings", "seed",
+            "max_halvings", "seed",
         )
         for name in positive_ints:
             if getattr(self, name) < 1:
@@ -64,6 +62,8 @@ class RunConfig:
         for name, kind in _FIELD_TYPES.items():
             if kind == "float" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.repetitions < 3:
+            raise ConfigError("repetitions must be at least 3")
         if self.tau < 0 or self.N_init < 0:
             raise ConfigError("tau and N_init must be non-negative")
         if self.family not in FAMILIES:

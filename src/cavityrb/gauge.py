@@ -178,14 +178,9 @@ def graddiv_project(Z, G, C0, factor):
     gradients and is idempotent.
     """
     Z = np.asarray(Z, dtype=float)
-    single = Z.ndim == 1
-    Zm = Z[:, None] if single else Z
     if G.shape[1] == 0:
-        out = Zm.copy()
-        return out[:, 0] if single else out
-    coeff = factor.solve(np.asarray(C0.T @ Zm))
-    out = Zm - G @ coeff
-    return out[:, 0] if single else out
+        return Z.copy()
+    return Z - G @ factor.solve(np.asarray(C0.T @ Z))
 
 
 def gram_schmidt_clean(Z, G, B0, factor, drop_tol: float = 1e-10):
@@ -200,8 +195,6 @@ def gram_schmidt_clean(Z, G, B0, factor, drop_tol: float = 1e-10):
     Returns (Z_orth, dropped_column_indices).
     """
     Z = np.array(Z, dtype=float, copy=True)
-    if Z.ndim == 1:
-        Z = Z[:, None]
     if G.shape[1] == 0:
         return Z, []
     before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))

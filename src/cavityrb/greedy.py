@@ -16,11 +16,15 @@ import numpy as np
 
 from .errors import GapUndefinedError
 from .eigensolve import cluster_of, solve_dense_gevp
-from .gauge import mass_factor
-from .pod import ReducedBasis, upscale
+from .pod import ReducedBasis
 from .problem import CavityProblem
 
 RESIDUAL_FORMS = ("mass", "mass-inverse")
+
+
+def recommended_n_init(K: int, tau: int) -> int:
+    """Initial basis size ceil(1.5 (K + tau)) for reliable estimator gaps."""
+    return math.ceil(1.5 * (K + tau))
 
 
 @dataclass
@@ -50,29 +54,14 @@ class GreedyConfig:
             raise ValueError("training set is empty")
         if self.residual_form not in RESIDUAL_FORMS:
             raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
-        if self.N_init < self.recommended_n_init():
+        recommended = recommended_n_init(self.K, self.tau)
+        if self.N_init < recommended:
             warnings.warn(
                 f"N_init={self.N_init} is below the recommended "
-                f"{self.recommended_n_init()} = ceil(1.5 (K + tau)); "
+                f"{recommended} = ceil(1.5 (K + tau)); "
                 "estimator reliability may suffer",
                 stacklevel=3,
             )
-
-    def recommended_n_init(self) -> int:
-        return math.ceil(1.5 * (self.K + self.tau))
-
-
-@dataclass
-class ErrorEstimate:
-    """One estimator evaluation with its recombinable components."""
-
-    t: float
-    mode: int
-    eta: float
-    residual_quadform: float
-    gap: float
-    lam_red: float
-    valid: bool = True
 
 
 @dataclass
@@ -116,75 +105,56 @@ def gap(lambdas_red: np.ndarray, i: int, delta_mult: float = 1e-6) -> float:
     return abs((lam[j] - lam[i]) / lam[j])
 
 
-def residual(Z, v_red, lam_red: float, A, B) -> np.ndarray:
-    """Full-space residual of an upscaled reduced eigenpair."""
-    v = upscale(np.asarray(Z, dtype=float), np.asarray(v_red, dtype=float))
-    return A @ v - lam_red * (B @ v)
-
-
 def estimate(
     system,
     U,
-    i: int,
     lambdas_red: np.ndarray,
     vectors_red: np.ndarray,
+    K: int,
     delta_mult: float = 1e-6,
-    residual_form: str = "mass",
     b_factor=None,
-) -> ErrorEstimate:
-    """Gap-weighted residual estimate for reduced mode i at one parameter.
+) -> np.ndarray:
+    """Gap-weighted residual estimates of the first K reduced modes at one
+    parameter, as an array of length K.
 
-    eta_i = (r^T B r) / (d_i lam_red_i) with the residual of the eigenpair
-    upscaled by U (the third entry of ``reduced_pencil``); the optional
-    mass-inverse form replaces the numerator with r^T B^{-1} r.
+    eta_i = (r_i^T B r_i) / (d_i lam_red_i) with r_i the residual of
+    eigenpair i upscaled by U (the third entry of ``reduced_pencil``); with
+    the factorization ``b_factor`` of B the numerator is r_i^T B^{-1} r_i
+    (the mass-inverse form). All residuals come from one block product.
+    Modes past the reduced spectrum or with an undefined gap score inf.
     """
-    lam_i = float(lambdas_red[i])
-    try:
-        d_i = gap(lambdas_red, i, delta_mult)
-    except GapUndefinedError:
-        return ErrorEstimate(
-            t=system.t, mode=i, eta=np.inf, residual_quadform=np.nan,
-            gap=np.nan, lam_red=lam_i, valid=False,
-        )
-    r = residual(U, vectors_red[:, i], lam_i, system.A, system.B)
-    if residual_form == "mass":
-        quad = float(r @ (system.B @ r))
-    elif residual_form == "mass-inverse":
-        if b_factor is None:
-            b_factor = mass_factor(system.B)
-        quad = float(r @ b_factor.solve(r))
-    else:
-        raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
-    eta = quad / (d_i * lam_i)
-    return ErrorEstimate(
-        t=system.t, mode=i, eta=eta, residual_quadform=quad,
-        gap=d_i, lam_red=lam_i,
-    )
+    lam = np.asarray(lambdas_red, dtype=float)
+    etas = np.full(K, np.inf)
+    live, gaps = [], []
+    for i in range(min(K, lam.size)):
+        try:
+            gaps.append(gap(lam, i, delta_mult))
+            live.append(i)
+        except GapUndefinedError:
+            pass
+    if not live:
+        return etas
+    W = U @ vectors_red[:, live]
+    R = system.A @ W - (system.B @ W) * lam[live]
+    weighted = system.B @ R if b_factor is None else b_factor.solve(R)
+    quad = np.einsum("ij,ij->j", R, weighted)
+    etas[live] = quad / (np.asarray(gaps) * lam[live])
+    return etas
 
 
 def _sweep(problem, Z, config):
     """Estimator values over the training set, shape (N_train, K)."""
-    n_train = config.xi_train.size
-    etas = np.empty((n_train, config.K))
-    for it_t, t in enumerate(config.xi_train):
-        sys_t = problem.system(float(t))
+    etas = np.empty((config.xi_train.size, config.K))
+    for it_t, t in enumerate(config.xi_train.tolist()):
         b_factor = None
         if config.residual_form == "mass-inverse":
-            b_factor = problem.mass_factor(float(t))
-        A_red, B_red, U = problem.reduced_pencil(Z, float(t), factor=b_factor)
+            b_factor = problem.mass_factor(t)
+        A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
         lam, V = solve_dense_gevp(A_red, B_red)
-        keep = min(config.K + config.tau, lam.size)
-        lam_k = lam[:keep]
-        for i in range(config.K):
-            if i >= lam_k.size:
-                etas[it_t, i] = np.inf
-                continue
-            est = estimate(
-                sys_t, U, i, lam_k, V,
-                delta_mult=config.delta_mult,
-                residual_form=config.residual_form, b_factor=b_factor,
-            )
-            etas[it_t, i] = est.eta
+        etas[it_t] = estimate(
+            problem.system(t), U, lam[: config.K + config.tau], V, config.K,
+            config.delta_mult, b_factor,
+        )
     return etas
 
 

@@ -148,13 +148,3 @@ def reduce_system(Z: np.ndarray, A, B):
     B_red = Z.T @ (B @ Z)
     return 0.5 * (A_red + A_red.T), 0.5 * (B_red + B_red.T)
 
-
-def upscale(Z: np.ndarray, v_red: np.ndarray) -> np.ndarray:
-    """Map reduced coefficients back to the full space, v = Z v_red."""
-    Z = np.asarray(Z, dtype=float)
-    v_red = np.asarray(v_red, dtype=float)
-    if v_red.shape[0] != Z.shape[1]:
-        raise ValueError(
-            f"reduced vector length {v_red.shape[0]} does not match basis size {Z.shape[1]}"
-        )
-    return Z @ v_red

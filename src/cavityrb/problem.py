@@ -9,7 +9,6 @@ import numpy as np
 from . import gauge as gauge_mod
 from .assembly import AssembledSystem, assemble, matrix_derivatives
 from .eigensolve import (
-    DEFAULT_MULT_TOL,
     DEFAULT_NULL_TOL,
     EigenSolution,
     b_orthonormalize,
@@ -37,7 +36,6 @@ class CavityProblem:
         family: MappingFamily,
         gauge: str = "tree-cotree",
         null_tol: float = DEFAULT_NULL_TOL,
-        delta_mult: float = DEFAULT_MULT_TOL,
     ):
         if gauge not in GAUGES:
             raise ValueError(f"unknown gauge {gauge!r}, expected one of {GAUGES}")
@@ -45,7 +43,6 @@ class CavityProblem:
         self.family = family
         self.gauge = gauge
         self.null_tol = null_tol
-        self.delta_mult = delta_mult
         self.t_ref = 0.0
         self._systems: dict[float, AssembledSystem] = {}
         self._tc = None

@@ -116,6 +116,17 @@ def test_malformed_config_input_exits_2(tmp_path, capsys, name, content):
     assert len(err) == 1 and err[0].startswith("configuration error:"), err
 
 
+@pytest.mark.parametrize("command", ["bench", "pipeline"])
+def test_too_few_repetitions_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "short.cfg"
+    path.write_text(BASE.replace("repetitions = 3", "repetitions = 2"))
+    args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: repetitions must be at least 3"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("schema = 1\nmesh_nn = 4\n")

@@ -72,6 +72,7 @@ def test_malformed_line():
         ("family", "square"),
         ("bump_beta", 1.5),
         ("repetitions", 0),
+        ("repetitions", 2),
         ("stretch_a1", float("nan")),
         ("stretch_a1", float("inf")),
         ("bump_beta", float("nan")),

@@ -1,19 +1,23 @@
-import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityrb import (
     GreedyConfig,
     collect_snapshots,
     gap,
+    greedy,
     greedy_extend,
     pod_basis,
-    residual,
 )
 from cavityrb.errors import GapUndefinedError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
-from cavityrb.greedy import estimate
+from cavityrb.gauge import mass_factor
+from cavityrb.greedy import RESIDUAL_FORMS, estimate
 
 from conftest import make_problem, pod_clamped, solve_gevp
 
@@ -36,26 +40,6 @@ def test_gap_undefined_in_single_cluster():
         gap(np.array([1.0, 1.0 + 1e-12]), 0, 1e-6)
 
 
-def test_residual_of_exact_eigenpair():
-    problem = make_problem(n=4, family="identity", gauge="none")
-    s = problem.system(0.0)
-    sol = solve_gevp(s.A, s.B, 2)
-    r = residual(sol.vectors, np.array([1.0, 0.0]), sol.lambdas[0], s.A, s.B)
-    assert np.linalg.norm(r) <= 1e-9 * sol.lambdas[0]
-
-
-def test_residual_matches_recomputation(rng):
-    problem = make_problem(n=4, family="affine", gauge="none")
-    s = problem.system(0.4)
-    Z = rng.standard_normal((s.n_curl, 3))
-    v_red = rng.standard_normal(3)
-    lam = 7.3
-    r = residual(Z, v_red, lam, s.A, s.B)
-    v = Z @ v_red
-    np.testing.assert_allclose(r, s.A @ v - lam * (s.B @ v), atol=1e-13)
-    assert np.linalg.norm(r) > 0
-
-
 def test_estimate_components_recombine(quiet_warnings, rng):
     problem = make_problem(n=4, family="affine", gauge="none")
     s = problem.system(0.3)
@@ -63,10 +47,11 @@ def test_estimate_components_recombine(quiet_warnings, rng):
     Z = pod_clamped(snaps.Y, problem.b_ref, 5).Z
     A_red, B_red, U = problem.reduced_pencil(Z, 0.3, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    est = estimate(s, U, 1, lam, V)
-    assert est.valid
+    etas = estimate(s, U, lam, V, 2)
+    u = (U @ V[:, :2])[:, 1]
+    r = s.A @ u - lam[1] * (s.B @ u)
     np.testing.assert_allclose(
-        est.eta, est.residual_quadform / (est.gap * est.lam_red), rtol=1e-14
+        etas[1], (r @ (s.B @ r)) / (gap(lam, 1) * lam[1]), rtol=1e-14
     )
 
 
@@ -77,19 +62,66 @@ def test_estimate_exact_containment_is_tiny(quiet_warnings):
     Z = sol.vectors
     A_red, B_red, U = problem.reduced_pencil(Z, 0.0, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    est = estimate(s, U, 0, lam, V)
-    assert est.eta <= 1e-15 * sol.lambdas[0]
+    etas = estimate(s, U, lam, V, 1)
+    assert etas[0] <= 1e-15 * sol.lambdas[0]
 
 
-def test_estimate_singular_mass_matrix_is_numerical_error(quiet_warnings):
-    problem = make_problem(n=4, family="affine", gauge="none")
-    s = problem.system(0.3)
-    Z = solve_gevp(s.A, s.B, 4).vectors
-    A_red, B_red, U = problem.reduced_pencil(Z, 0.3, space="edge")
-    lam, V = solve_dense_gevp(A_red, B_red)
-    singular = dataclasses.replace(s, B=0.0 * s.B)
+def test_estimate_singular_mass_matrix_is_numerical_error():
+    # the mass-inverse estimator's factorization of B(t) comes from here
+    s = make_problem(n=4, family="affine", gauge="none").system(0.3)
     with pytest.raises(NumericalError, match="mass-matrix factorization failed"):
-        estimate(singular, U, 0, lam, V, residual_form="mass-inverse")
+        mass_factor(0.0 * s.B)
+
+
+def test_estimate_scores_missing_and_gapless_modes_inf(rng):
+    s = make_problem(n=4, family="affine", gauge="none").system(0.3)
+    U = rng.standard_normal((s.n_curl, 2))
+    # one multiplicity cluster: no gap is defined; K = 3 exceeds the spectrum
+    etas = estimate(s, U, np.array([1.0, 1.0 + 1e-12]), np.eye(2), 3)
+    assert etas.shape == (3,) and np.isinf(etas).all()
+
+
+@functools.cache
+def _estimator_basis(family, gauge):
+    problem = make_problem(n=4, family=family, gauge=gauge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        snaps = collect_snapshots(problem, np.linspace(0, 1, 3), 3)
+        basis = pod_clamped(
+            snaps.Y, problem.basis_metric, 6, space=problem.basis_space
+        )
+    return problem, basis.Z
+
+
+@given(
+    st.sampled_from(["affine", "bump"]),
+    st.sampled_from(["none", "tree-cotree"]),
+    st.sampled_from(RESIDUAL_FORMS),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_block_estimate_matches_per_column_recomputation(family, gauge, form, t):
+    # the one block residual against r = A u - lam B u mode by mode, on
+    # edge ("none") and cotree ("tree-cotree") bases
+    problem, Z = _estimator_basis(family, gauge)
+    K, tau = 3, 1
+    s = problem.system(t)
+    b_factor = problem.mass_factor(t) if form == "mass-inverse" else None
+    A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
+    lam, V = solve_dense_gevp(A_red, B_red)
+    lam = lam[: K + tau]
+    etas = estimate(s, U, lam, V, K, 1e-6, b_factor)
+    assert etas.shape == (K,)
+    for i in range(K):
+        try:
+            d_i = gap(lam, i, 1e-6)
+        except GapUndefinedError:
+            assert etas[i] == np.inf
+            continue
+        u = U @ V[:, i]
+        r = s.A @ u - lam[i] * (s.B @ u)
+        quad = r @ (s.B @ r) if b_factor is None else r @ b_factor.solve(r)
+        ref = quad / (d_i * lam[i])
+        assert abs(etas[i] - ref) <= 1e-8 * abs(ref) + 1e-20
 
 
 def _small_setup(gauge="tree-cotree", family="affine", n=4, K=3, n_pod=4):
@@ -103,6 +135,24 @@ def _small_setup(gauge="tree-cotree", family="affine", n=4, K=3, n_pod=4):
         space=problem.basis_space,
     )
     return problem, basis
+
+
+def test_sweep_estimates_once_per_training_parameter(quiet_warnings, monkeypatch):
+    problem, basis = _small_setup()
+    cfg = GreedyConfig(
+        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 5),
+        tol=1e-6, N_max=20,
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "estimate", counted)
+    etas = greedy._sweep(problem, basis.Z, cfg)
+    assert etas.shape == (5, 3)
+    assert calls == cfg.xi_train.tolist()
 
 
 def test_greedy_infinite_tolerance_is_noop(quiet_warnings):

@@ -5,7 +5,6 @@ from cavityrb import (
     collect_snapshots,
     pod_basis,
     reduce_system,
-    upscale,
 )
 from cavityrb.errors import RankDeficiencyError
 
@@ -125,20 +124,12 @@ def test_reduced_mass_identity_at_reference(quiet_warnings):
     np.testing.assert_allclose(B_red, np.eye(basis.size), atol=1e-10)
 
 
-def test_upscale_columns():
-    Z = np.arange(12.0).reshape(4, 3)
-    np.testing.assert_array_equal(upscale(Z, np.array([1.0, 0, 0])), Z[:, 0])
-    np.testing.assert_array_equal(upscale(Z, np.zeros(3)), np.zeros(4))
-    with pytest.raises(ValueError):
-        upscale(Z, np.zeros(4))
-
-
 def test_upscale_roundtrip(quiet_warnings):
     problem = make_problem(n=4, family="affine", gauge="none")
     snaps = collect_snapshots(problem, np.linspace(0, 1, 3), 3)
     basis = pod_clamped(snaps.Y, problem.b_ref, 5)
     v_red = np.linspace(-1, 1, basis.size)
-    v = upscale(basis.Z, v_red)
+    v = basis.Z @ v_red
     back = basis.Z.T @ (problem.b_ref @ v)
     np.testing.assert_allclose(back, v_red, atol=1e-10)
 
