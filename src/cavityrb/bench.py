@@ -128,7 +128,7 @@ def extend_basis(problem: CavityProblem, cfg: RunConfig, basis0, study=None):
         basis0, greedy_config(cfg, basis0.size), problem,
         callback=None if study is None else lambda iteration, Z: study.evaluate(Z),
     )
-    interpolant = pencil_interpolant(problem, basis.Z, basis.space)
+    interpolant = pencil_interpolant(problem, basis.Z)
     return replace(basis, interpolant=interpolant), log
 
 
@@ -234,6 +234,9 @@ def _time_callable(fn, repetitions: int):
     return median(times), mean(times)
 
 
+BENCH_GAUGES = ("tree-cotree", "gram-schmidt")
+
+
 @dataclass
 class BenchVariant:
     label: str
@@ -259,15 +262,13 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
         raise ConfigError("benchmark needs at least 3 repetitions")
     prebuilt = dict(prebuilt or {})
     mesh = build_reference_mesh(cfg.mesh_n)
-    problem = build_problem(cfg, gauge="tree-cotree", mesh=mesh)
-
-    bases = {}
-    for gauge in ("tree-cotree", "gram-schmidt"):
-        if gauge in prebuilt:
-            bases[gauge] = prebuilt[gauge]
-            continue
-        gauge_problem = build_problem(cfg, gauge=gauge, mesh=mesh)
-        bases[gauge], _, _ = build_basis(gauge_problem, cfg)
+    # each reduced basis is tracked on a problem of its own gauge
+    problems = {g: build_problem(cfg, gauge=g, mesh=mesh) for g in BENCH_GAUGES}
+    problem = problems["tree-cotree"]
+    bases = {
+        g: prebuilt[g] if g in prebuilt else build_basis(p, cfg)[0]
+        for g, p in problems.items()
+    }
 
     t_evp = 0.5
     k = cfg.K
@@ -275,11 +276,11 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
     def evp_full():
         problem.solve_condensed(t_evp, k)
 
-    def make_track(system, basis=None):
+    def make_track(system, basis=None, track_problem=problem):
         tcfg = tracking_config(cfg, system)
 
         def _run():
-            trace = track(tcfg, problem, basis=basis)
+            trace = track(tcfg, track_problem, basis=basis)
             if not trace.complete:
                 raise CavityError(f"benchmark tracking aborted: {trace.status}")
 
@@ -292,9 +293,9 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
             f"rb-{gauge}",
             bases[gauge].size,
             partial(bases[gauge].interpolant.solve, t_evp, k),
-            make_track("reduced", bases[gauge]),
+            make_track("reduced", bases[gauge], problems[gauge]),
         )
-        for gauge in ("tree-cotree", "gram-schmidt")
+        for gauge in problems
     ]
 
     rows = []
@@ -438,7 +439,7 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
 
     def _bench():
         prebuilt = {}
-        if cfg.gauge in ("tree-cotree", "gram-schmidt") and "basis" in artifacts:
+        if cfg.gauge in BENCH_GAUGES and "basis" in artifacts:
             prebuilt[cfg.gauge] = artifacts["basis"]
         artifacts["bench"] = run_bench(cfg, prebuilt=prebuilt)
 

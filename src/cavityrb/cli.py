@@ -179,33 +179,6 @@ def cmd_build_rb(args):
     print(f"artifacts in {out}")
 
 
-def _check_basis(basis, problem):
-    """A stored basis must fit the config's problem: its gauge, space and
-    t_ref when it carries an interpolant (``track`` checks the interpolant's
-    mesh and family), and always its space and row count."""
-    if basis.interpolant is not None:
-        names = ("gauge", "space", "t_ref")
-        stored = (basis.gauge, basis.space, basis.t_ref)
-        wanted = (problem.gauge, problem.basis_space, problem.t_ref)
-        diffs = [
-            f"{name} {a} (config: {b})"
-            for name, a, b in zip(names, stored, wanted) if a != b
-        ]
-        if diffs:
-            raise ConfigError(
-                "basis fingerprint does not match the config's problem: "
-                + ", ".join(diffs)
-            )
-    rows = {"edge": problem.n_curl, "cotree": problem.n_curl - problem.n_grad}
-    if basis.space not in rows:
-        raise ConfigError(f"basis space {basis.space!r} is neither edge nor cotree")
-    if basis.n != rows[basis.space]:
-        raise ConfigError(
-            f"basis has {basis.n} rows, the problem's {basis.space} space "
-            f"has {rows[basis.space]} (built for another mesh?)"
-        )
-
-
 def cmd_track(args):
     cfg = _load(args)
     out = _out_dir(args)
@@ -214,7 +187,6 @@ def cmd_track(args):
     system = cfg.track_system
     if args.basis:
         basis = ser.load_basis(args.basis)
-        _check_basis(basis, problem)
         system = "reduced"
     elif system == "reduced":
         print("no basis artifact given, building one")

@@ -66,6 +66,9 @@ class RunConfig:
             raise ConfigError("repetitions must be at least 3")
         if self.tau < 0 or self.N_init < 0:
             raise ConfigError("tau and N_init must be non-negative")
+        n_init = self.resolved_n_init()
+        if self.N_max < n_init:
+            raise ConfigError(f"N_max is below the initial basis size {n_init}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
         if self.gauge not in GAUGES:

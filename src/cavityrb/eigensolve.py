@@ -17,6 +17,9 @@ from .errors import NumericalError
 
 DEFAULT_NULL_TOL = 1e-8
 DEFAULT_MULT_TOL = 1e-6
+# A column whose B norm falls below this fraction of its norm before an
+# orthogonalization is numerically dependent and dropped.
+DROP_TOL = 1e-10
 
 
 def null_mask(lam: np.ndarray, null_tol: float) -> np.ndarray:
@@ -91,13 +94,12 @@ def b_orthonormalize(
     V: np.ndarray,
     B,
     against: np.ndarray | None = None,
-    drop_tol: float = 1e-10,
 ):
     """Modified Gram-Schmidt in the B inner product with re-orthogonalization.
 
     Columns are first orthogonalized against ``against`` (assumed already
     B-orthonormal), then against each other; each projection pass runs twice.
-    Columns whose B norm shrinks below drop_tol times the input norm are
+    Columns whose B norm shrinks below DROP_TOL times the input norm are
     dropped. Returns (Q, kept_indices).
     """
     V = np.array(V, dtype=float, copy=True)
@@ -116,7 +118,7 @@ def b_orthonormalize(
             for q in kept_cols:
                 v -= q * float(q @ (B @ v))
         after = float(np.sqrt(max(v @ (B @ v), 0.0)))
-        if after < drop_tol * before:
+        if after < DROP_TOL * before:
             continue
         kept_cols.append(v / after)
         kept_idx.append(j)

@@ -29,15 +29,8 @@ class GapUndefinedError(CavityError):
 
 
 class SingularDerivativeError(NumericalError):
-    """The bordered derivative system is numerically singular.
-
-    Typically caused by a multiple eigenvalue; ``cluster_size`` carries the
-    multiplicity diagnosis when available.
-    """
-
-    def __init__(self, message, cluster_size=None):
-        super().__init__(message)
-        self.cluster_size = cluster_size
+    """The bordered derivative system is numerically singular, typically
+    because of a multiple eigenvalue."""
 
 
 class ConfigError(CavityError):

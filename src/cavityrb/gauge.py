@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, NumericalError
-from .eigensolve import b_orthonormalize, null_mask, solve_dense_gevp
+from .eigensolve import DROP_TOL, b_orthonormalize, null_mask, solve_dense_gevp
 from .geometry import ReferenceMesh
 
 
@@ -183,7 +183,7 @@ def graddiv_project(Z, G, C0, factor):
     return Z - G @ factor.solve(np.asarray(C0.T @ Z))
 
 
-def gram_schmidt_clean(Z, G, B0, factor, drop_tol: float = 1e-10):
+def gram_schmidt_clean(Z, G, B0, factor):
     """Orthogonalize basis columns against the gradient space in B0.
 
     The B0-orthogonal projection is ``graddiv_project`` with the coupling
@@ -201,9 +201,9 @@ def gram_schmidt_clean(Z, G, B0, factor, drop_tol: float = 1e-10):
     C0 = B0 @ G
     Z = graddiv_project(graddiv_project(Z, G, C0, factor), G, C0, factor)
     after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
-    alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)
+    alive = after >= DROP_TOL * np.maximum(before, np.finfo(float).tiny)
     dropped = [int(i) for i in np.flatnonzero(~alive)]
-    Z, kept = b_orthonormalize(Z[:, alive], B0, drop_tol=drop_tol)
+    Z, kept = b_orthonormalize(Z[:, alive], B0)
     alive_idx = [int(i) for i in np.flatnonzero(alive)]
     dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
     return Z, sorted(dropped)

@@ -54,6 +54,8 @@ class GreedyConfig:
             raise ValueError("training set is empty")
         if self.residual_form not in RESIDUAL_FORMS:
             raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
+        if self.N_max < self.N_init:
+            raise ValueError(f"N_max={self.N_max} is below N_init={self.N_init}")
         recommended = recommended_n_init(self.K, self.tau)
         if self.N_init < recommended:
             warnings.warn(

@@ -143,8 +143,8 @@ class PencilInterpolant:
         return pencil, lam[:k], V[:, :k]
 
 
-def pencil_interpolant(problem, Z: np.ndarray, space: str) -> PencilInterpolant:
-    """Interpolant of the basis's exact reduced pencil on the problem.
+def pencil_interpolant(problem, Z: np.ndarray) -> PencilInterpolant:
+    """Interpolant of the exact reduced pencil of Z on the problem.
 
     Raises NumericalError when m = M_MAX does not resolve the pencil.
     """
@@ -157,7 +157,7 @@ def pencil_interpolant(problem, Z: np.ndarray, space: str) -> PencilInterpolant:
         for t in nodes:
             if t not in computed:
                 with problem.transient_systems():
-                    A_red, B_red, _ = problem.reduced_pencil(Z, float(t), space=space)
+                    A_red, B_red, _ = problem.reduced_pencil(Z, float(t))
                 computed[t] = (A_red[rows, cols], B_red[rows, cols])
         values = np.array([computed[t] for t in nodes])
         tail = coefficient_tail(values)

@@ -11,6 +11,10 @@ import scipy.linalg
 from .errors import NumericalError, RankDeficiencyError
 from .eigensolve import b_orthonormalize
 
+# Gram eigenvalues below this fraction of the leading one carry no usable
+# POD mode.
+RANK_TOL = 1e-12
+
 if TYPE_CHECKING:  # pod is imported by problem
     from .online import PencilInterpolant
     from .problem import CavityProblem
@@ -92,14 +96,13 @@ def pod_basis(
     N_init: int,
     t_ref: float = 0.0,
     gauge: str = "none",
-    rank_tol: float = 1e-12,
     space: str = "edge",
 ) -> ReducedBasis:
     """Orthonormal basis of the N_init dominant snapshot directions.
 
     Method of snapshots: eigendecompose the weighted Gram matrix Y^T B Y,
     keep the N_init largest modes and scale each combination Y u_i by
-    1/sqrt(lam_i). Modes below rank_tol times the leading Gram eigenvalue
+    1/sqrt(lam_i). Modes below RANK_TOL times the leading Gram eigenvalue
     are unusable (the scaling would amplify noise into the basis), so asking
     for more raises a rank-deficiency error that reports the achievable size.
     """
@@ -114,11 +117,11 @@ def pod_basis(
     lam = lam[::-1]
     U = U[:, ::-1]
     lead = max(lam[0], np.finfo(float).tiny)
-    usable = int((lam > rank_tol * lead).sum())
+    usable = int((lam > RANK_TOL * lead).sum())
     if usable < N_init:
         raise RankDeficiencyError(
             f"snapshot set supports only {usable} POD modes "
-            f"(rank tolerance {rank_tol!r}), requested {N_init}",
+            f"(rank tolerance {RANK_TOL!r}), requested {N_init}",
             achievable=usable,
         )
     Z = Y @ (U[:, :N_init] / np.sqrt(lam[:N_init]))

@@ -139,6 +139,8 @@ def load_basis(path) -> ReducedBasis:
             key, value = lines[row].split(maxsplit=1)
             fields[key] = value
             row += 1
+        if fields["space"] not in ("edge", "cotree"):
+            raise ValueError(f"space {fields['space']!r} is neither edge nor cotree")
         n, N, m = int(fields["n"]), int(fields["N"]), int(fields.get("m", 0))
         t_ref = float(fields["t_ref"])
         provenance = []

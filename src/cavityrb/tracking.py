@@ -36,6 +36,9 @@ SYSTEMS = ("high-fidelity", "cotree", "reduced")
 # Relative residual accepted for the input eigenpair and the bordered solve.
 RESIDUAL_TOL = 1e-8
 
+RECTANGLE_MAX_INDEX = 12  # largest m, n of the analytic rectangle table
+MISMATCH_TOL = 0.05  # relative mismatch above which an endpoint is unclassified
+
 
 @dataclass
 class TrackingConfig:
@@ -82,8 +85,6 @@ class TrackStep:
 class TrackingTrace:
     steps: list = field(default_factory=list)
     status: str = "completed"
-    system: str = "high-fidelity"
-    gauge: str = "none"
     labels: list | None = None
 
     @property
@@ -314,28 +315,32 @@ def _seed_degenerate_clusters(ops, config):
 
 
 def _make_ops(config, problem, basis):
+    """Operators of the tracked system. A reduced basis fits only the
+    problem it was built for: every mismatch is one ConfigError."""
     if config.system in ("high-fidelity", "cotree"):
         return _FullOps(problem)
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
+    rows = problem.n_curl - (problem.n_grad if problem.basis_space == "cotree" else 0)
+    names = ["gauge", "space", "t_ref", "rows"]
+    stored = [basis.gauge, basis.space, basis.t_ref, basis.n]
+    wanted = [problem.gauge, problem.basis_space, problem.t_ref, rows]
     interpolant = basis.interpolant
-    if interpolant is None:
-        # bases from the offline build carry their interpolant; others (a
-        # version-1 file, a bare POD basis) get one here
-        return pencil_interpolant(problem, basis.Z, basis.space)
-    # a stored pencil belongs to one mesh and family; the gauge does not
-    # enter it, so a basis may be tracked on a problem of another gauge
+    if interpolant is not None:
+        names += problem.FINGERPRINT_FIELDS
+        stored += interpolant.fingerprint
+        wanted += problem.fingerprint
     diffs = [
         f"{name} {a} (problem: {b})"
-        for name, a, b in zip(
-            problem.FINGERPRINT_FIELDS, interpolant.fingerprint, problem.fingerprint
-        )
-        if a != b
+        for name, a, b in zip(names, stored, wanted) if a != b
     ]
     if diffs:
         raise ConfigError(
             "basis fingerprint does not match the problem: " + ", ".join(diffs)
         )
+    if interpolant is None:
+        # a version-1 file or a bare POD basis stores no interpolant
+        interpolant = pencil_interpolant(problem, basis.Z)
     return interpolant
 
 
@@ -344,23 +349,18 @@ def _rank_permutation(prev_lam, cur_lam, delta):
 
     Returns the step permutation sigma with sigma[old rank] = new rank for
     each tracked mode. A rank swap only counts as a crossing when the
-    swapped modes were separated (outside one multiplicity cluster) before
-    the step; the splitting of a degenerate cluster is not a crossing.
+    swapped modes lay in different multiplicity clusters before the step;
+    the splitting of a degenerate cluster is not a crossing.
     """
     prev_rank = np.argsort(np.argsort(prev_lam, kind="stable"), kind="stable")
     cur_rank = np.argsort(np.argsort(cur_lam, kind="stable"), kind="stable")
     sigma = np.empty(len(prev_lam), dtype=int)
     sigma[prev_rank] = cur_rank
-    crossing = False
-    K = len(prev_lam)
-    for a in range(K):
-        for b in range(a + 1, K):
-            swapped = (prev_rank[a] - prev_rank[b]) * (cur_rank[a] - cur_rank[b]) < 0
-            if not swapped:
-                continue
-            scale = max(abs(prev_lam[a]), abs(prev_lam[b]), np.finfo(float).tiny)
-            if abs(prev_lam[a] - prev_lam[b]) > delta * scale:
-                crossing = True
+    cluster_id = np.empty(len(prev_lam), dtype=int)
+    for c, idx in enumerate(_clusters_unsorted(prev_lam, delta)):
+        cluster_id[idx] = c
+    swapped = (prev_rank[:, None] < prev_rank) != (cur_rank[:, None] < cur_rank)
+    crossing = bool((swapped & (cluster_id[:, None] != cluster_id[None, :])).any())
     return tuple(int(s) for s in sigma), crossing, tuple(int(r) for r in cur_rank)
 
 
@@ -373,10 +373,7 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
     before aborting with a partial trace. The final step lands exactly on 1.
     """
     ops = _make_ops(config, problem, basis)
-    trace = TrackingTrace(
-        system=config.system,
-        gauge=basis.gauge if basis is not None else problem.gauge,
-    )
+    trace = TrackingTrace()
 
     if ops.size < config.K:
         raise NumericalError(
@@ -497,15 +494,16 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
     return trace
 
 
-def analytic_rectangle_table(a: float, count: int, max_index: int = 12):
+def analytic_rectangle_table(a: float, count: int):
     """Analytic cavity eigenvalues of the a x 1 rectangle with mode labels.
 
     lambda_(m,n) = pi^2 (m^2 / a^2 + n^2) for integer m, n >= 0, not both
-    zero; returns the ``count`` smallest as (label, lambda) pairs.
+    zero and at most RECTANGLE_MAX_INDEX; returns the ``count`` smallest as
+    (label, lambda) pairs.
     """
     entries = []
-    for m in range(max_index + 1):
-        for n in range(max_index + 1):
+    for m in range(RECTANGLE_MAX_INDEX + 1):
+        for n in range(RECTANGLE_MAX_INDEX + 1):
             if m == 0 and n == 0:
                 continue
             lam = np.pi**2 * (m**2 / a**2 + n**2)
@@ -514,11 +512,11 @@ def analytic_rectangle_table(a: float, count: int, max_index: int = 12):
     return entries[:count]
 
 
-def classify_endpoint(trace: TrackingTrace, analytic_table, mismatch_tol: float = 0.05):
+def classify_endpoint(trace: TrackingTrace, analytic_table):
     """Label each tracked mode with the analytic entry of closest eigenvalue.
 
     The assignment is injective (optimal bipartite matching on relative
-    mismatch); tracked modes whose best mismatch exceeds mismatch_tol get an
+    mismatch); tracked modes whose best mismatch exceeds MISMATCH_TOL get an
     ``unclassified`` label carrying the observed mismatch. Duplicate analytic
     eigenvalues are assigned in deterministic table order.
     """
@@ -534,7 +532,7 @@ def classify_endpoint(trace: TrackingTrace, analytic_table, mismatch_tol: float 
     out = [None] * lam_end.size
     for r, c in zip(rows, cols):
         mismatch = cost[r, c]
-        if mismatch > mismatch_tol:
+        if mismatch > MISMATCH_TOL:
             out[r] = f"unclassified(mismatch={mismatch:.3g})"
         else:
             out[r] = labels[c]

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from cavityrb import affine_stretch, build_reference_mesh, identity_map, sine_bump
 from cavityrb.eigensolve import (
     DEFAULT_NULL_TOL,
+    DROP_TOL,
     EigenSolution,
     b_orthonormalize,
     null_mask,
@@ -152,7 +153,7 @@ def standard_form_eigensolve(A, B, tc):
     return lam, Y, Q @ Y_std
 
 
-def mgs_gradient_clean(Z, G, B0, drop_tol=1e-10):
+def mgs_gradient_clean(Z, G, B0):
     """Gram-Schmidt cleaning against a dense gradient basis (oracle).
 
     The raw incidence columns are B0-orthonormalized first, so that two
@@ -170,9 +171,9 @@ def mgs_gradient_clean(Z, G, B0, drop_tol=1e-10):
             q = Q[:, j]
             Z -= np.outer(q, (B0 @ q) @ Z)
     after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
-    alive = after >= drop_tol * np.maximum(before, np.finfo(float).tiny)
+    alive = after >= DROP_TOL * np.maximum(before, np.finfo(float).tiny)
     dropped = [int(i) for i in np.flatnonzero(~alive)]
-    Z, kept = b_orthonormalize(Z[:, alive], B0, drop_tol=drop_tol)
+    Z, kept = b_orthonormalize(Z[:, alive], B0)
     alive_idx = [int(i) for i in np.flatnonzero(alive)]
     dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
     return Z, sorted(dropped)

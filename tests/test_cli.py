@@ -163,7 +163,7 @@ def test_build_rb_and_track_roundtrip(cfg_path, tmp_path, quiet_warnings):
 def test_initial_size_above_snapshot_rank_degrades(tmp_path):
     path = tmp_path / "rank.cfg"
     path.write_text(
-        BASE.replace("N_init = 6", "N_init = 50")
+        BASE.replace("N_init = 6", "N_init = 20")
         .replace("N_pod = 4", "N_pod = 2")
         .replace("N_train = 8", "N_train = 4")
     )
@@ -361,7 +361,7 @@ def built_basis(cfg_path, tmp_path, capsys, quiet_warnings):
     [
         ("stretch_a1 = 3.0", "parameter 2.5 (problem: 3.0)"),
         ("family = sine-bump", "family affine-stretch (problem: sine-bump)"),
-        ("gauge = gram-schmidt", "gauge tree-cotree (config: gram-schmidt)"),
+        ("gauge = gram-schmidt", "gauge tree-cotree (problem: gram-schmidt)"),
     ],
     ids=["stretch", "family", "gauge"],
 )
@@ -380,16 +380,25 @@ def test_track_basis_fingerprint_mismatch_exits_2(
     assert len(err) == 1 and "fingerprint" in err[0] and needle in err[0], err
 
 
-def test_track_version_1_basis_rebuilds_interpolant(cfg_path, built_basis, tmp_path):
-    # a version-1 file has no fingerprint and no interpolant; tracking
-    # rebuilds the interpolant from the problem, to the same trace
-    lines = built_basis.read_text().splitlines()
+def _version_1(path, out, replace=None):
+    """Write the version-2 basis file ``path`` as a version-1 file ``out``
+    (the first five header keys, no interpolant), with the header line of
+    the key of ``replace`` swapped for it."""
+    lines = path.read_text().splitlines()
     header = dict(ln.split(maxsplit=1) for ln in lines[1:11])
     n, N, m = int(header["n"]), int(header["N"]), int(header["m"])
     v1 = ["cavityrb-basis 1"] + lines[1:6] + lines[11 : 11 + N + n * N]
     assert len(lines) == 11 + N + n * N + (m + 1) * N * (N + 1)
-    old = tmp_path / "basis_v1.txt"
-    old.write_text("\n".join(v1) + "\n")
+    if replace is not None:
+        v1 = [replace if ln.split()[0] == replace.split()[0] else ln for ln in v1]
+    out.write_text("\n".join(v1) + "\n")
+    return out
+
+
+def test_track_version_1_basis_rebuilds_interpolant(cfg_path, built_basis, tmp_path):
+    # a version-1 file has no fingerprint and no interpolant; tracking
+    # rebuilds the interpolant from the problem, to the same trace
+    old = _version_1(built_basis, tmp_path / "basis_v1.txt")
     traces = []
     for path in (built_basis, old):
         out = tmp_path / path.stem
@@ -397,6 +406,73 @@ def test_track_version_1_basis_rebuilds_interpolant(cfg_path, built_basis, tmp_p
         assert main(args) == 0
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize(
+    "replace, needle",
+    [
+        ("gauge magic", "gauge magic (problem: tree-cotree)"),
+        ("t_ref 0.5", "t_ref 0.5 (problem: 0.0)"),
+    ],
+    ids=["gauge", "t_ref"],
+)
+def test_track_version_1_basis_of_another_problem_exits_2(
+    cfg_path, built_basis, tmp_path, capsys, replace, needle
+):
+    # a version-1 file carries no fingerprint, but its gauge, space, t_ref
+    # and row count must still fit the problem
+    old = _version_1(built_basis, tmp_path / "basis_v1.txt", replace)
+    args = ["track", "--config", cfg_path, "--out", str(tmp_path / "tr")]
+    assert main(args + ["--basis", str(old)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "fingerprint" in err[0] and needle in err[0], err
+
+
+def test_track_version_1_gram_schmidt_basis_on_tree_cotree_exits_2(
+    cfg_path, tmp_path, capsys, quiet_warnings
+):
+    # a gram-schmidt basis lives in the edge space: a tree-cotree problem
+    # would read its columns as cotree coordinates
+    rb_dir = tmp_path / "rb"
+    args = ["build-rb", "--config", cfg_path, "--out", str(rb_dir)]
+    assert main(args + ["--gauge", "gram-schmidt"]) == 0
+    old = _version_1(rb_dir / "basis.txt", tmp_path / "basis_v1.txt")
+    capsys.readouterr()
+    args = ["track", "--config", cfg_path, "--out", str(tmp_path / "tr")]
+    assert main(args + ["--basis", str(old)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    for needle in ("gauge gram-schmidt (problem: tree-cotree)", "space edge (problem: cotree)"):
+        assert needle in err[0], err
+
+
+def test_nmax_below_initial_size_exits_2(tmp_path, capsys):
+    path = tmp_path / "small.cfg"
+    path.write_text(
+        BASE.replace("K = 3", "K = 2").replace("N_init = 6", "N_init = 0")
+        .replace("N_max = 20", "N_max = 1")
+    )
+    args = ["build-rb", "--config", str(path), "--out", str(tmp_path / "rb")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: N_max is below the initial basis size 5"]
+    assert not (tmp_path / "rb").exists()
+
+
+def test_bench_command_writes_csv_and_prints_table(
+    cfg_path, tmp_path, capsys, quiet_warnings
+):
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", cfg_path, "--out", str(out)]) == 0
+    labels = ["high-fidelity", "high-fidelity-cotree", "rb-tree-cotree", "rb-gram-schmidt"]
+    with open(out / "bench.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == BENCH_HEADER
+    assert [r[0] for r in rows[1:]] == labels
+    assert json.loads((out / "bench.json").read_text())["protocol"]["repetitions"] == 3
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split()[:2] == ["variant", "dofs"]
+    assert [ln.split()[0] for ln in table[1:]] == labels
 
 
 def test_pipeline_manifest_records_interpolant(cfg_path, tmp_path, quiet_warnings):

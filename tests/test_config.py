@@ -73,6 +73,7 @@ def test_malformed_line():
         ("bump_beta", 1.5),
         ("repetitions", 0),
         ("repetitions", 2),
+        ("N_max", 10),  # below the initial size ceil(1.5 (5 + 2)) = 11
         ("stretch_a1", float("nan")),
         ("stretch_a1", float("inf")),
         ("bump_beta", float("nan")),

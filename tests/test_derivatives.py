@@ -30,7 +30,7 @@ def _cotree_ops(kind):
         problem = make_problem(n=4, family=kind)
         n_cot = problem.n_curl - problem.n_grad
         Z = problem.condensed_pairs(problem.t_ref, n_cot)[1]
-        _OPS[kind] = problem, Z, pencil_interpolant(problem, Z, "cotree")
+        _OPS[kind] = problem, Z, pencil_interpolant(problem, Z)
     return _OPS[kind]
 
 
@@ -41,7 +41,7 @@ def _random_ops(space, kind):
         problem = make_problem(n=4, family=kind, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if space == "cotree" else problem.n_curl
         Z = np.random.default_rng(5).standard_normal((rows, 6))
-        _OPS[space, kind] = problem, Z, pencil_interpolant(problem, Z, space)
+        _OPS[space, kind] = problem, Z, pencil_interpolant(problem, Z)
     return _OPS[space, kind]
 
 

@@ -17,7 +17,7 @@ from cavityrb import (
 from cavityrb.errors import GapUndefinedError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.gauge import mass_factor
-from cavityrb.greedy import RESIDUAL_FORMS, estimate
+from cavityrb.greedy import RESIDUAL_FORMS, _enrichment_vectors, estimate
 
 from conftest import make_problem, pod_clamped, solve_gevp
 
@@ -239,6 +239,36 @@ def test_greedy_warns_on_small_initial_size():
     # the warning names the line that built the config, not the
     # dataclass-generated __init__ (whose filename is "<string>")
     assert [w.filename for w in record] == [__file__]
+
+
+def test_greedy_rejects_nmax_below_initial_size():
+    with pytest.raises(ValueError, match="N_max"):
+        GreedyConfig(
+            K=3, tau=1, N_init=6, xi_train=np.linspace(0, 1, 3), tol=1e-6,
+            N_max=5,
+        )
+
+
+def test_enrichment_widens_the_window_until_the_cluster_ends():
+    # a cluster of seven eigenvalues at the worst mode reaches past the
+    # first window of K + tau + 2 = 5 pairs: the solve repeats with twice
+    # the count, and the whole cluster is returned
+    calls = []
+
+    class Stub:
+        n_curl, n_grad = 40, 0
+
+        def snapshot_solve(self, t, k):
+            calls.append(k)
+            lams = np.concatenate([np.ones(7), 2.0 + np.arange(k)])[:k]
+            return lams, np.tile(np.arange(k, dtype=float), (3, 1))
+
+    cfg = GreedyConfig(
+        K=2, tau=1, N_init=5, xi_train=[0.5], tol=1e-6, N_max=10,
+    )
+    V = _enrichment_vectors(Stub(), 0.5, 1, cfg)
+    assert calls == [5, 10]
+    np.testing.assert_array_equal(V, np.tile(np.arange(7.0), (3, 1)))
 
 
 def test_greedy_nmax_cap(quiet_warnings):

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import cavityrb.online as online
 import cavityrb.problem as problem_mod
+import cavityrb.tracking as tracking_mod
 from cavityrb import TrackingConfig, track
 from cavityrb.bench import build_basis, build_problem
 from cavityrb.config import RunConfig
 from cavityrb.errors import ConfigError, NumericalError
 from cavityrb.online import lobatto_nodes, pencil_interpolant
+from cavityrb.pod import ReducedBasis
 
 from conftest import make_problem, reduced_derivative
 
@@ -35,7 +37,7 @@ def _case(space, kind):
         problem = make_problem(n=4, family=kind, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if space == "cotree" else problem.n_curl
         Z = np.random.default_rng(11).standard_normal((rows, 6))
-        _CASES[space, kind] = problem, Z, pencil_interpolant(problem, Z, space)
+        _CASES[space, kind] = problem, Z, pencil_interpolant(problem, Z)
     return _CASES[space, kind]
 
 
@@ -89,7 +91,7 @@ def test_unresolved_pencil_is_numerical_error(monkeypatch):
     problem = make_problem(n=2, family="bump")
     Z = np.eye(problem.n_curl - problem.n_grad)[:, :2]
     with pytest.raises(NumericalError, match="129 Chebyshev nodes"):
-        pencil_interpolant(problem, Z, "cotree")
+        pencil_interpolant(problem, Z)
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +158,38 @@ def test_track_on_another_problem_is_config_error(built):
         track(config, build_problem(other, mesh=problem.mesh), basis=basis)
 
 
+def test_track_of_another_gauge_is_config_error(built, quiet_warnings):
+    # a gram-schmidt basis holds edge-space columns: on a tree-cotree problem
+    # its stored pencil would be read as that of cotree coordinates
+    cfg, problem, _ = built
+    gram = build_problem(replace(cfg, gauge="gram-schmidt"), mesh=problem.mesh)
+    basis, _, _ = build_basis(gram, cfg)
+    config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
+    with pytest.raises(ConfigError, match="fingerprint.*gauge gram-schmidt"):
+        track(config, problem, basis=basis)
+
+
+def test_bare_basis_of_another_size_fails_before_any_interpolant(monkeypatch, built):
+    cfg, problem, basis = built
+
+    def forbidden(*args):
+        raise AssertionError("interpolant built before the basis was checked")
+
+    monkeypatch.setattr(tracking_mod, "pencil_interpolant", forbidden)
+    bare = ReducedBasis(
+        Z=np.vstack([basis.Z, basis.Z[:1]]), t_ref=0.0, gauge="tree-cotree",
+        space="cotree",
+    )
+    config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
+    with pytest.raises(ConfigError, match=f"rows {basis.n + 1} \\(problem: {basis.n}\\)"):
+        track(config, problem, basis=bare)
+
+
 def test_interpolant_build_keeps_no_node_systems():
     # the Chebyshev nodes are one-off parameters: their assembled systems
     # must not stay cached on the problem
     problem, Z, _ = _case("cotree", "affine")
     problem.system(0.0)
     before = set(problem._systems)
-    pencil_interpolant(problem, Z, "cotree")
+    pencil_interpolant(problem, Z)
     assert set(problem._systems) == before

@@ -18,7 +18,8 @@ from cavityrb import (
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
-from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps
+from cavityrb import tracking
+from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _rank_permutation
 
 from conftest import make_problem, solve_full, solve_gevp
 
@@ -211,6 +212,49 @@ def test_track_widens_window_on_low_correlation(system):
     assert [s.window for s in trace.steps] == [2] * 7 + [4, 3, 3, 3]
 
 
+def test_track_halves_the_step_on_low_correlation():
+    problem = make_problem(n=8, family="affine")
+    trace = track(TrackingConfig(K=3, h=1.0, rho_min=0.99), problem)
+    assert trace.complete
+    assert any("step-halved" in s.flags for s in trace.steps)
+
+
+def test_track_aborts_when_the_halvings_run_out():
+    problem = make_problem(n=8, family="affine")
+    config = TrackingConfig(K=3, h=1.0, rho_min=1.0, max_halvings=1)
+    trace = track(config, problem)
+    assert trace.status == "aborted-low-correlation" and not trace.complete
+    assert len(trace.steps) == 1
+
+
+def test_singular_derivative_falls_back_to_zero_order(monkeypatch):
+    # the bordered system fails for the highest tracked mode, the (1,1)
+    # mode, which stays above 1.1 pi^2 while the others stay below pi^2
+    exact = tracking.eigen_derivatives
+
+    def failing(A, B, A_p, B_p, v, lam, c):
+        if lam > 1.06 * np.pi**2:
+            raise SingularDerivativeError("stub")
+        return exact(A, B, A_p, B_p, v, lam, c)
+
+    monkeypatch.setattr(tracking, "eigen_derivatives", failing)
+    trace = track(TrackingConfig(K=3, h=0.25), make_problem(n=8, family="affine"))
+    assert trace.complete
+    for step in trace.steps[1:]:
+        assert "derivative-fallback" in step.flags and step.dlambdas[2] == 0.0
+    assert np.all(trace.steps[-1].dlambdas[:2] != 0.0)
+
+
+def test_split_of_a_chained_cluster_is_not_a_crossing():
+    # consecutive gaps of 0.9e-6 chain three values into one cluster,
+    # though the outer two lie 1.8e-6 apart
+    prev = np.array([1.0, 1.0 + 0.9e-6, 1.0 + 1.8e-6])
+    perm, crossing, _ = _rank_permutation(prev, prev[::-1].copy(), 1e-6)
+    assert perm == (2, 1, 0) and not crossing
+    _, crossing, _ = _rank_permutation(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 1e-6)
+    assert crossing
+
+
 @given(
     st.sampled_from(["full", "edge", "cotree"]),
     st.sampled_from(["affine", "bump"]),
@@ -226,7 +270,7 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
         problem = make_problem(n=4, family=family, gauge=gauge)
         rows = problem.n_curl - problem.n_grad if ops_kind == "cotree" else problem.n_curl
         Z = np.random.default_rng(3).standard_normal((rows, 7))
-        ops = pencil_interpolant(problem, Z, ops_kind)
+        ops = pencil_interpolant(problem, Z)
     k = data.draw(st.integers(min_value=1, max_value=ops.size))
     pencil, lam, V = ops.solve(t, k)
     if ops_kind == "full":
@@ -246,7 +290,7 @@ def test_dropped_reduced_ops_is_freed_without_the_cycle_collector():
     # interpolant waits for gc.collect()
     problem = make_problem(n=4, family="affine")
     Z = problem.condensed_pairs(0.0, 5)[1]
-    ops = pencil_interpolant(problem, Z, "cotree")
+    ops = pencil_interpolant(problem, Z)
     ops.solve(0.3, 2)
     ops.derivative_pencil(0.3)
     ref = weakref.ref(ops)
