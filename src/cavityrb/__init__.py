@@ -13,7 +13,6 @@ from .eigensolve import (
 from .errors import (
     CavityError,
     ConfigError,
-    GapUndefinedError,
     GeometryError,
     NumericalError,
     RankDeficiencyError,
@@ -34,7 +33,7 @@ from .geometry import (
     identity_map,
     sine_bump,
 )
-from .greedy import GreedyConfig, estimate, gap, greedy_extend
+from .greedy import GreedyConfig, estimate, greedy_extend
 from .online import PencilInterpolant, pencil_interpolant
 from .pod import (
     ReducedBasis,

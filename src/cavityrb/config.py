@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .eigensolve import DEFAULT_MULT_TOL
 from .errors import ConfigError
 from .geometry import FAMILIES
 from .greedy import RESIDUAL_FORMS, recommended_n_init
@@ -39,7 +40,7 @@ class RunConfig:
     rho_min: float = 0.8
     max_halvings: int = 4
     seed: int = 7
-    delta_mult: float = 1e-6
+    delta_mult: float = DEFAULT_MULT_TOL
     null_tol: float = 1e-8
     residual_form: str = "mass"
     repetitions: int = 10

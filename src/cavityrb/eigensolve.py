@@ -129,33 +129,20 @@ def b_orthonormalize(
     return Q, kept_idx
 
 
-def _cluster_bounds(lam: np.ndarray, delta: float) -> np.ndarray:
-    """Start index of every cluster of a non-empty ascending spectrum,
-    followed by its length."""
-    scale = np.maximum(np.abs(lam[1:]), np.abs(lam[:-1]))
-    scale = np.maximum(scale, np.finfo(float).tiny)
-    breaks = np.flatnonzero(~(np.diff(lam) <= delta * scale)) + 1
-    return np.concatenate(([0], breaks, [lam.size]))
-
-
 def eigenvalue_clusters(lambdas: np.ndarray, delta: float = DEFAULT_MULT_TOL):
-    """Group an ascending spectrum into relative-gap clusters.
+    """Group a spectrum, in any order, into multiplicity clusters.
 
-    Consecutive eigenvalues stay in one cluster while their gap is at most
-    delta times the larger magnitude. Returns a list of index arrays.
+    The one rule of the package for which eigenvalues approximate one
+    multiple eigenvalue: in value order, consecutive eigenvalues stay in one
+    cluster while their gap is at most delta times the larger magnitude, so
+    clusters chain. Returns a list of index arrays into ``lambdas``, each
+    ordered by value (a stable sort breaks ties), clusters ascending.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size == 0:
         return []
-    bounds = _cluster_bounds(lam, delta)
-    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def cluster_of(lambdas: np.ndarray, i: int, delta: float = DEFAULT_MULT_TOL) -> np.ndarray:
-    """Indices of the multiplicity cluster containing eigenvalue i."""
-    lam = np.asarray(lambdas, dtype=float)
-    if not 0 <= i < lam.size:
-        raise IndexError(f"eigenvalue index {i} outside spectrum of length {lam.size}")
-    bounds = _cluster_bounds(lam, delta)
-    k = np.searchsorted(bounds, i, side="right")
-    return np.arange(bounds[k - 1], bounds[k])
+    order = np.argsort(lam, kind="stable")
+    s = lam[order]
+    scale = np.maximum(np.abs(s[1:]), np.abs(s[:-1]))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    return np.split(order, np.flatnonzero(~(np.diff(s) <= delta * scale)) + 1)

@@ -24,10 +24,6 @@ class RankDeficiencyError(NumericalError):
         self.achievable = achievable
 
 
-class GapUndefinedError(CavityError):
-    """All eigenvalues fall into one multiplicity cluster, no spectral gap."""
-
-
 class SingularDerivativeError(NumericalError):
     """The bordered derivative system is numerically singular, typically
     because of a multiple eigenvalue."""

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GapUndefinedError
-from .eigensolve import cluster_of, solve_dense_gevp
+from .eigensolve import DEFAULT_MULT_TOL, eigenvalue_clusters, solve_dense_gevp
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
@@ -41,7 +40,7 @@ class GreedyConfig:
     xi_train: np.ndarray
     tol: float
     N_max: int
-    delta_mult: float = 1e-6
+    delta_mult: float = DEFAULT_MULT_TOL
     residual_form: str = "mass"
 
     def __post_init__(self):
@@ -89,22 +88,34 @@ class GreedyLog:
         ]
 
 
-def gap(lambdas_red: np.ndarray, i: int, delta_mult: float = 1e-6) -> float:
-    """Relative distance from eigenvalue i to its nearest distinct neighbor.
+def relative_gaps(
+    lambdas_red: np.ndarray, delta_mult: float = DEFAULT_MULT_TOL
+) -> np.ndarray:
+    """Relative distance |lam_j - lam_i| / |lam_j| from every eigenvalue i
+    to the nearest eigenvalue j outside its multiplicity cluster (the lower
+    one on a tie), from one clustering of the spectrum.
 
-    Neighbors inside the multiplicity cluster of i are excluded, since they
-    approximate the same high-fidelity eigenvalue. Raises GapUndefinedError
-    when the whole spectrum is one cluster.
+    Neighbors inside the cluster of i are excluded, since they approximate
+    the same high-fidelity eigenvalue. The gap is nan where the whole
+    spectrum is one cluster.
     """
     lam = np.asarray(lambdas_red, dtype=float)
-    cluster = set(cluster_of(lam, i, delta_mult).tolist())
-    outside = [j for j in range(lam.size) if j not in cluster]
-    if not outside:
-        raise GapUndefinedError(
-            f"no eigenvalue outside the multiplicity cluster of index {i}"
-        )
-    j = min(outside, key=lambda jj: abs(lam[jj] - lam[i]))
-    return abs((lam[j] - lam[i]) / lam[j])
+    clusters = eigenvalue_clusters(lam, delta_mult)
+    gaps = np.full(lam.size, np.nan)
+    if len(clusters) < 2:
+        return gaps
+    # in value order, the nearest outside a cluster are the top of the
+    # cluster below and the bottom of the one above; a missing side is
+    # infinitely far
+    order = np.concatenate(clusters)
+    x = lam[order]
+    sizes = [c.size for c in clusters]
+    first = np.cumsum(sizes) - sizes
+    lo = np.repeat(np.append(np.inf, x[first[1:] - 1]), sizes)
+    hi = np.repeat(np.append(x[first[1:]], np.inf), sizes)
+    j = np.where(np.abs(lo - x) <= np.abs(hi - x), lo, hi)
+    gaps[order] = np.abs((j - x) / j)
+    return gaps
 
 
 def estimate(
@@ -113,7 +124,7 @@ def estimate(
     lambdas_red: np.ndarray,
     vectors_red: np.ndarray,
     K: int,
-    delta_mult: float = 1e-6,
+    delta_mult: float = DEFAULT_MULT_TOL,
     b_factor=None,
 ) -> np.ndarray:
     """Gap-weighted residual estimates of the first K reduced modes at one
@@ -127,20 +138,15 @@ def estimate(
     """
     lam = np.asarray(lambdas_red, dtype=float)
     etas = np.full(K, np.inf)
-    live, gaps = [], []
-    for i in range(min(K, lam.size)):
-        try:
-            gaps.append(gap(lam, i, delta_mult))
-            live.append(i)
-        except GapUndefinedError:
-            pass
-    if not live:
+    gaps = relative_gaps(lam, delta_mult)[:K]
+    live = np.flatnonzero(~np.isnan(gaps))
+    if not live.size:
         return etas
     W = U @ vectors_red[:, live]
     R = system.A @ W - (system.B @ W) * lam[live]
     weighted = system.B @ R if b_factor is None else b_factor.solve(R)
     quad = np.einsum("ij,ij->j", R, weighted)
-    etas[live] = quad / (np.asarray(gaps) * lam[live])
+    etas[live] = quad / (gaps[live] * lam[live])
     return etas
 
 
@@ -166,7 +172,9 @@ def _enrichment_vectors(problem, t_star: float, i_star: int, config):
     k_solve = min(config.K + config.tau + 2, available)
     while True:
         lams, vectors = problem.snapshot_solve(t_star, k_solve)
-        cluster = cluster_of(lams, i_star, config.delta_mult)
+        cluster = next(
+            c for c in eigenvalue_clusters(lams, config.delta_mult) if i_star in c
+        )
         # Re-solve with a wider window when the cluster touches its edge,
         # so multiplicities are never split by the solve count.
         if cluster[-1] < lams.size - 1 or k_solve >= available:

@@ -10,6 +10,7 @@ are not crossings and stay unflagged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, NumericalError, SingularDerivativeError
-from .eigensolve import (
-    b_orthonormalize,
-    cluster_of,
-    eigenvalue_clusters,
-)
+from .eigensolve import DEFAULT_MULT_TOL, b_orthonormalize, eigenvalue_clusters
 from .online import pencil_interpolant
 from .pod import ReducedBasis
 from .problem import CavityProblem
@@ -56,7 +53,7 @@ class TrackingConfig:
     rho_min: float = 0.8
     max_halvings: int = 4
     overtrack: int = 2
-    delta_mult: float = 1e-6
+    delta_mult: float = DEFAULT_MULT_TOL
 
     def __post_init__(self):
         if not (0.0 < self.h <= 1.0):
@@ -67,6 +64,8 @@ class TrackingConfig:
             raise ValueError(f"rho_min must lie in (0, 1], got {self.rho_min}")
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}")
+        if self.overtrack < 0:
+            raise ValueError(f"overtrack must be >= 0, got {self.overtrack}")
 
 
 @dataclass
@@ -130,10 +129,6 @@ def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c):
         [-(A_prime @ v) + lam * (B_prime @ v), [-(c @ (B_prime @ v))]]
     )
     n = v.shape[0]
-    # One extra solve with a fixed probe estimates the inverse norm; a
-    # backward-stable solve of a singular border still returns a small
-    # residual, so the residual check alone cannot diagnose multiplicity.
-    probe = np.cos(np.arange(n + 1, dtype=float))
     if sp.issparse(A):
         M = sp.bmat(
             [
@@ -142,30 +137,26 @@ def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c):
             ],
             format="csc",
         )
-        try:
-            factor = spla.splu(M)
-            x = factor.solve(rhs)
-            x_probe = factor.solve(probe)
-        except RuntimeError as exc:
-            raise SingularDerivativeError(
-                f"bordered system singular (multiple eigenvalue?): {exc}"
-            ) from exc
-        m_norm = abs(M).max()
     else:
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = A - lam * B
         M[:n, n] = -Bv
         M[n, :n] = cB
-        try:
-            lu = scipy.linalg.lu_factor(M)
-            x = scipy.linalg.lu_solve(lu, rhs)
-            x_probe = scipy.linalg.lu_solve(lu, probe)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularDerivativeError(
-                f"bordered system singular (multiple eigenvalue?): {exc}"
-            ) from exc
-        m_norm = np.abs(M).max()
-    kappa_est = m_norm * np.linalg.norm(x_probe) / np.linalg.norm(probe)
+    # One extra solve with a fixed probe estimates the inverse norm; a
+    # backward-stable solve of a singular border still returns a small
+    # residual, so the residual check alone cannot diagnose multiplicity.
+    probe = np.cos(np.arange(n + 1, dtype=float))
+    try:
+        if sp.issparse(M):
+            solve = spla.splu(M).solve
+        else:
+            solve = functools.partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(M))
+        x, x_probe = solve(rhs), solve(probe)
+    except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+        raise SingularDerivativeError(
+            f"bordered system singular (multiple eigenvalue?): {exc}"
+        ) from exc
+    kappa_est = abs(M).max() * np.linalg.norm(x_probe) / np.linalg.norm(probe)
     if not np.all(np.isfinite(x)) or kappa_est > 1e12:
         raise SingularDerivativeError(
             f"bordered system numerically singular (condition estimate "
@@ -194,11 +185,12 @@ class MatchResult:
 
 
 def _correlation_matrix(P, C, B):
+    """Correlations rho, with B C and the candidate B-norms they used."""
     BP = B @ P
     BC = B @ C
     pn = np.sqrt(np.maximum(np.einsum("ij,ij->j", P, BP), np.finfo(float).tiny))
     cn = np.sqrt(np.maximum(np.einsum("ij,ij->j", C, BC), np.finfo(float).tiny))
-    return np.abs(P.T @ BC) / np.outer(pn, cn)
+    return np.abs(P.T @ BC) / np.outer(pn, cn), BC, cn
 
 
 def _assign(rho, rho_min, score=None):
@@ -225,14 +217,7 @@ def correlation_match(predicted: np.ndarray, candidates: np.ndarray, B, rho_min=
         raise ValueError("predicted and candidate vectors must be matrices")
     if C.shape[1] < P.shape[1]:
         raise ValueError(f"need at least {P.shape[1]} candidates, got {C.shape[1]}")
-    return _assign(_correlation_matrix(P, C, B), rho_min)
-
-
-def _clusters_unsorted(lam, delta):
-    """Multiplicity clusters of an arbitrarily ordered eigenvalue array."""
-    lam = np.asarray(lam, dtype=float)
-    order = np.argsort(lam, kind="stable")
-    return [order[g] for g in eigenvalue_clusters(lam[order], delta)]
+    return _assign(_correlation_matrix(P, C, B)[0], rho_min)
 
 
 def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
@@ -243,16 +228,14 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     mode scores candidates by their projection norm onto the whole cluster
     subspace; the assignment still hands out distinct candidates.
     """
-    rho_ind = _correlation_matrix(P, C, B)
+    rho_ind, BC, cn = _correlation_matrix(P, C, B)
     rho = rho_ind.copy()
-    for idx in _clusters_unsorted(lam_pred, delta):
+    for idx in eigenvalue_clusters(lam_pred, delta):
         if idx.size < 2:
             continue
         Q, _ = b_orthonormalize(P[:, idx], B)
         if Q.shape[1] == 0:
             continue
-        BC = B @ C
-        cn = np.sqrt(np.maximum(np.einsum("ij,ij->j", C, BC), np.finfo(float).tiny))
         proj = (Q.T @ BC) / cn[None, :]
         score = np.minimum(np.sqrt((proj**2).sum(axis=0)), 1.0)
         rho[idx, :] = score[None, :]
@@ -293,7 +276,7 @@ def _seed_degenerate_clusters(ops, config):
     scan = min(ops.size, config.K + config.overtrack + 2)
     pencil0, lam0, V0 = ops.solve(0.0, scan)
     V0 = V0.copy()
-    clusters = _clusters_unsorted(lam0, config.delta_mult)
+    clusters = eigenvalue_clusters(lam0, config.delta_mult)
     if all(c.size < 2 for c in clusters):
         return pencil0, lam0, V0
     delta = min(config.h / 4.0, 0.25)
@@ -302,7 +285,6 @@ def _seed_degenerate_clusters(ops, config):
     for idx in clusters:
         if idx.size < 2:
             continue
-        idx = np.sort(idx)
         Q, kept = b_orthonormalize(V0[:, idx], B0)
         if len(kept) < idx.size:
             continue
@@ -357,7 +339,7 @@ def _rank_permutation(prev_lam, cur_lam, delta):
     sigma = np.empty(len(prev_lam), dtype=int)
     sigma[prev_rank] = cur_rank
     cluster_id = np.empty(len(prev_lam), dtype=int)
-    for c, idx in enumerate(_clusters_unsorted(prev_lam, delta)):
+    for c, idx in enumerate(eigenvalue_clusters(prev_lam, delta)):
         cluster_id[idx] = c
     swapped = (prev_rank[:, None] < prev_rank) != (cur_rank[:, None] < cur_rank)
     crossing = bool((swapped & (cluster_id[:, None] != cluster_id[None, :])).any())
@@ -409,14 +391,12 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
         # back to zero-order prediction.
         dlam = np.zeros(config.K)
         Vdot = np.zeros_like(V_cur)
-        clustered = {
-            k
-            for k in range(config.K)
-            if cluster_of(lam_all, int(positions[k]), config.delta_mult).size > 1
-        }
+        multiple = np.zeros(lam_all.size, dtype=bool)
+        for idx in eigenvalue_clusters(lam_all, config.delta_mult):
+            multiple[idx] = idx.size > 1
         fallback_modes = []
         for k in range(config.K):
-            if k in clustered:
+            if multiple[positions[k]]:
                 fallback_modes.append(k)
                 continue
             c = B_t @ V_cur[:, k]

@@ -179,6 +179,19 @@ def mgs_gradient_clean(Z, G, B0):
     return Z, sorted(dropped)
 
 
+def clusters_loop(lam, delta):
+    """Loop grouping of an ascending spectrum: the oracle of the vectorized
+    eigenvalue_clusters."""
+    groups = [[0]]
+    for i in range(1, lam.size):
+        scale = max(abs(lam[i]), abs(lam[i - 1]), np.finfo(float).tiny)
+        if lam[i] - lam[i - 1] <= delta * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [np.array(g, dtype=int) for g in groups]
+
+
 @pytest.fixture
 def quiet_warnings():
     with warnings.catch_warnings():

@@ -13,10 +13,10 @@ from cavityrb import (
     identity_map,
     affine_stretch,
 )
-from cavityrb.eigensolve import cluster_of, solve_dense_gevp
+from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError
 
-from conftest import mesh, solve_gevp
+from conftest import clusters_loop, mesh, solve_gevp
 
 
 def test_identity_pencil():
@@ -140,45 +140,48 @@ def test_eigenvalue_clusters():
     lam = np.array([1.0, 1.0 + 1e-9, 3.0, 3.0000001, 9.0])
     groups = eigenvalue_clusters(lam, 1e-6)
     assert [list(g) for g in groups] == [[0, 1], [2, 3], [4]]
-    assert list(cluster_of(lam, 3, 1e-6)) == [2, 3]
 
 
-def _clusters_loop(lam, delta):
-    """Loop grouping of an ascending spectrum: the oracle of the vectorized
-    eigenvalue_clusters and cluster_of."""
-    groups = [[0]]
-    for i in range(1, lam.size):
-        scale = max(abs(lam[i]), abs(lam[i - 1]), np.finfo(float).tiny)
-        if lam[i] - lam[i - 1] <= delta * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g, dtype=int) for g in groups]
+_GAPS = st.lists(
+    st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 1e-3, 0.5, 3.0]),
+    min_size=0, max_size=40,
+)
 
 
 @given(
-    gaps=st.lists(
-        st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 1e-3, 0.5, 3.0]),
-        min_size=0, max_size=40,
-    ),
+    gaps=_GAPS,
+    start=st.floats(-1.0, 10.0),
+    delta=st.sampled_from([1e-6, 1e-3]),
+)
+def test_clusters_match_loop_oracle(gaps, start, delta):
+    lam = start + np.cumsum([0.0] + gaps)
+    expected = clusters_loop(lam, delta)
+    got = eigenvalue_clusters(lam, delta)
+    assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+    assert all(g.dtype == e.dtype for g, e in zip(got, expected))
+
+
+@given(
+    gaps=_GAPS,
     start=st.floats(-1.0, 10.0),
     delta=st.sampled_from([1e-6, 1e-3]),
     data=st.data(),
 )
-def test_clusters_match_loop_oracle(gaps, start, delta, data):
+def test_clusters_of_shuffled_spectrum_match_sorted_oracle(gaps, start, delta, data):
+    # shuffled[i] = lam[perm[i]]: the clusters of the shuffled spectrum are
+    # the oracle's clusters of the sorted copy, mapped back through perm
     lam = start + np.cumsum([0.0] + gaps)
-    expected = _clusters_loop(lam, delta)
-    got = eigenvalue_clusters(lam, delta)
-    assert [g.tolist() for g in got] == [g.tolist() for g in expected]
-    assert all(g.dtype == e.dtype for g, e in zip(got, expected))
-    i = data.draw(st.integers(0, lam.size - 1))
-    member = next(g for g in expected if i in g)
-    np.testing.assert_array_equal(cluster_of(lam, i, delta), member)
+    perm = np.array(data.draw(st.permutations(range(lam.size))), dtype=int)
+    shuffled = lam[perm]
+    got = eigenvalue_clusters(shuffled, delta)
+    inverse = np.argsort(perm)
+    expected = [sorted(inverse[g].tolist()) for g in clusters_loop(lam, delta)]
+    assert [sorted(g.tolist()) for g in got] == expected
+    for g in got:
+        # value order, equal values in index order
+        keys = list(zip(shuffled[g].tolist(), g.tolist()))
+        assert keys == sorted(keys)
 
 
-def test_cluster_of_rejects_outside_index():
-    lam = np.array([1.0, 2.0])
-    for i in (-1, 2):
-        with pytest.raises(IndexError):
-            cluster_of(lam, i)
+def test_eigenvalue_clusters_of_empty_spectrum():
     assert eigenvalue_clusters(np.array([])) == []

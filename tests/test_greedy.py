@@ -9,35 +9,72 @@ from hypothesis import strategies as st
 from cavityrb import (
     GreedyConfig,
     collect_snapshots,
-    gap,
     greedy,
     greedy_extend,
     pod_basis,
 )
-from cavityrb.errors import GapUndefinedError, NumericalError
+from cavityrb.errors import NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.gauge import mass_factor
-from cavityrb.greedy import RESIDUAL_FORMS, _enrichment_vectors, estimate
+from cavityrb.greedy import (
+    RESIDUAL_FORMS,
+    _enrichment_vectors,
+    estimate,
+    relative_gaps,
+)
 
-from conftest import make_problem, pod_clamped, solve_gevp
+from conftest import clusters_loop, make_problem, pod_clamped, solve_gevp
+
+
+def gap(lambdas_red, i, delta_mult=1e-6):
+    """Per-mode oracle of relative_gaps: the relative distance from
+    eigenvalue i of an ascending spectrum to its nearest neighbor outside
+    its cluster, searched over every index (the lower index wins a tie);
+    nan when the whole spectrum is one cluster."""
+    lam = np.asarray(lambdas_red, dtype=float)
+    cluster = next(c for c in clusters_loop(lam, delta_mult) if i in c)
+    outside = [j for j in range(lam.size) if j not in cluster]
+    if not outside:
+        return np.nan
+    j = min(outside, key=lambda jj: abs(lam[jj] - lam[i]))
+    return abs((lam[j] - lam[i]) / lam[j])
 
 
 def test_gap_two_simple_eigenvalues():
-    assert gap(np.array([1.0, 2.0]), 0) == 0.5
+    assert relative_gaps(np.array([1.0, 2.0]))[0] == 0.5
 
 
 def test_gap_excludes_cluster_mates():
-    d = gap(np.array([1.0, 1.0 + 1e-9, 3.0]), 0, 1e-6)
-    np.testing.assert_allclose(d, 2.0 / 3.0)
+    d = relative_gaps(np.array([1.0, 1.0 + 1e-9, 3.0]), 1e-6)
+    np.testing.assert_allclose(d, [2.0 / 3.0, 2.0 / 3.0, 2.0])
 
 
 def test_gap_nearest_neighbor():
-    np.testing.assert_allclose(gap(np.array([2.0, 4.0, 5.0]), 1), 0.2)
+    np.testing.assert_allclose(relative_gaps(np.array([2.0, 4.0, 5.0]))[1], 0.2)
+    # 2 lies 1 from both neighbors: the lower one sets the gap, 1/1 not 1/3
+    assert relative_gaps(np.array([1.0, 2.0, 3.0]))[1] == 1.0
 
 
 def test_gap_undefined_in_single_cluster():
-    with pytest.raises(GapUndefinedError):
-        gap(np.array([1.0, 1.0 + 1e-12]), 0, 1e-6)
+    assert np.isnan(relative_gaps(np.array([1.0, 1.0 + 1e-12]), 1e-6)).all()
+
+
+@given(
+    gaps=st.lists(
+        st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 0.25, 0.5, 1.0]),
+        min_size=0, max_size=12,
+    ),
+    start=st.sampled_from([0.5, 1.0, 2.0, 7.25]),
+    delta=st.sampled_from([1e-6, 1e-3]),
+)
+def test_one_pass_gaps_match_per_mode_oracle(gaps, start, delta):
+    # chained clusters (consecutive gaps below delta), exact ties (0.0),
+    # equal distances to both sides (repeated dyadic gaps) and a spectrum
+    # that is one cluster (gaps all tiny)
+    lam = start + np.cumsum([0.0] + gaps)
+    got = relative_gaps(lam, delta)
+    expected = np.array([gap(lam, i, delta) for i in range(lam.size)])
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_estimate_components_recombine(quiet_warnings, rng):
@@ -112,9 +149,8 @@ def test_block_estimate_matches_per_column_recomputation(family, gauge, form, t)
     etas = estimate(s, U, lam, V, K, 1e-6, b_factor)
     assert etas.shape == (K,)
     for i in range(K):
-        try:
-            d_i = gap(lam, i, 1e-6)
-        except GapUndefinedError:
+        d_i = gap(lam, i, 1e-6)
+        if np.isnan(d_i):
             assert etas[i] == np.inf
             continue
         u = U @ V[:, i]
