@@ -353,14 +353,6 @@ def test_track_config_validation():
         TrackingConfig(K=2, h=0.1, rho_min=1.5)
     with pytest.raises(ValueError):
         TrackingConfig(K=2, h=0.1, system="bogus")
-
-
-def test_track_config_rejects_negative_overtrack():
     # a window below K left part of the assignment uninitialized
     with pytest.raises(ValueError, match="overtrack"):
         TrackingConfig(K=3, h=0.25, system="high-fidelity", overtrack=-2)
-    trace = track(
-        TrackingConfig(K=3, h=0.25, system="high-fidelity", overtrack=0),
-        make_problem(n=4, family="affine"),
-    )
-    assert trace.complete
