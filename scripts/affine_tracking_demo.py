@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from cavityrb import affine_stretch, build_reference_mesh
-from cavityrb.bench import build_basis, tracking_config
+from cavityrb.bench import build_basis
 from cavityrb.config import RunConfig
 from cavityrb.problem import CavityProblem
 from cavityrb.tracking import analytic_rectangle_table, classify_endpoint, track
@@ -47,7 +47,7 @@ def main():
         ("reduced", "reduced", basis),
     ):
         t0 = time.perf_counter()
-        trace = track(tracking_config(cfg, system), problem, basis=b)
+        trace = track(cfg.tracking_config(system), problem, basis=b)
         dt = time.perf_counter() - t0
         labels = classify_endpoint(trace, table)
         results[name] = trace

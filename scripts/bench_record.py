@@ -38,20 +38,24 @@ SEEDS = (1, 2, 3)
 LADDER_REPEATS = 5
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# The child builds its TrackingConfig by keyword from the config fields, as
+# perfbench/cases.py does, so that it runs on older checkouts as well.
 LADDER_CHILD = """
-import json, statistics, sys, time, warnings
+import dataclasses, json, statistics, sys, time, warnings
 warnings.simplefilter("ignore")
 from cavityrb import bench
 from cavityrb.config import load_config
-from cavityrb.tracking import track
+from cavityrb.tracking import TrackingConfig, track
 
-cfg = load_config("configs/bench_n24.cfg")
-cfg.mesh_n = int(sys.argv[1])
+cfg = dataclasses.replace(load_config("configs/bench_n24.cfg"), mesh_n=int(sys.argv[1]))
 problem = bench.build_problem(cfg)
 start = time.perf_counter()
 basis, log, _ = bench.build_basis(problem, cfg)
 build_s = time.perf_counter() - start
-tcfg = bench.tracking_config(cfg, "reduced")
+tcfg = TrackingConfig(
+    K=cfg.K, h=cfg.track_h, system="reduced", rho_min=cfg.rho_min,
+    max_halvings=cfg.max_halvings, overtrack=cfg.tau, delta_mult=cfg.delta_mult,
+)
 times = []
 for _ in range(int(sys.argv[2])):
     fresh = bench.build_problem(cfg, mesh=problem.mesh)

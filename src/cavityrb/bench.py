@@ -19,19 +19,14 @@ from statistics import mean, median
 import numpy as np
 
 from .config import RunConfig, config_to_dict
-from .errors import CavityError, ConfigError, RankDeficiencyError
+from .errors import CavityError, RankDeficiencyError
 from .eigensolve import null_mask, solve_dense_gevp
 from .geometry import affine_stretch, build_reference_mesh, sine_bump
-from .greedy import GreedyConfig, greedy_extend
+from .greedy import greedy_extend
 from .online import pencil_interpolant
 from .pod import ReducedBasis, collect_snapshots, pod_basis
 from .problem import CavityProblem
-from .tracking import (
-    TrackingConfig,
-    analytic_rectangle_table,
-    classify_endpoint,
-    track,
-)
+from .tracking import analytic_rectangle_table, classify_endpoint, track
 
 
 def build_problem(cfg: RunConfig, gauge: str | None = None, mesh=None) -> CavityProblem:
@@ -46,33 +41,6 @@ def build_problem(cfg: RunConfig, gauge: str | None = None, mesh=None) -> Cavity
         family=family,
         gauge=gauge or cfg.gauge,
         null_tol=cfg.null_tol,
-    )
-
-
-def greedy_config(cfg: RunConfig, n_init: int) -> GreedyConfig:
-    """Greedy settings of a run, starting from an initial basis of n_init."""
-    return GreedyConfig(
-        K=cfg.K,
-        tau=cfg.tau,
-        N_init=n_init,
-        xi_train=np.linspace(0.0, 1.0, cfg.N_train),
-        tol=cfg.tol,
-        N_max=cfg.N_max,
-        delta_mult=cfg.delta_mult,
-        residual_form=cfg.residual_form,
-    )
-
-
-def tracking_config(cfg: RunConfig, system: str) -> TrackingConfig:
-    """Tracking settings of a run on the given system variant."""
-    return TrackingConfig(
-        K=cfg.K,
-        h=cfg.track_h,
-        system=system,
-        rho_min=cfg.rho_min,
-        max_halvings=cfg.max_halvings,
-        overtrack=cfg.tau,
-        delta_mult=cfg.delta_mult,
     )
 
 
@@ -125,7 +93,7 @@ def extend_basis(problem: CavityProblem, cfg: RunConfig, basis0, study=None):
     if study is not None:
         study.evaluate(basis0.Z)
     basis, log = greedy_extend(
-        basis0, greedy_config(cfg, basis0.size), problem,
+        basis0, cfg.greedy_config(), problem,
         callback=None if study is None else lambda iteration, Z: study.evaluate(Z),
     )
     interpolant = pencil_interpolant(problem, basis.Z)
@@ -258,8 +226,6 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
     budgets. Returns a report dict with per-variant rows and the timing
     protocol.
     """
-    if cfg.repetitions < 3:
-        raise ConfigError("benchmark needs at least 3 repetitions")
     prebuilt = dict(prebuilt or {})
     mesh = build_reference_mesh(cfg.mesh_n)
     # each reduced basis is tracked on a problem of its own gauge
@@ -277,7 +243,7 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
         problem.solve_condensed(t_evp, k)
 
     def make_track(system, basis=None, track_problem=problem):
-        tcfg = tracking_config(cfg, system)
+        tcfg = cfg.tracking_config(system)
 
         def _run():
             trace = track(tcfg, track_problem, basis=basis)
@@ -419,7 +385,7 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
     def _track():
         basis = artifacts.get("basis") if cfg.track_system == "reduced" else None
         trace = track(
-            tracking_config(cfg, cfg.track_system), state["problem"], basis=basis
+            cfg.tracking_config(cfg.track_system), state["problem"], basis=basis
         )
         if not trace.complete:
             raise CavityError(f"tracking aborted: {trace.status}")

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,11 +33,8 @@ def _load(args):
         cfg = config_from_dict(manifest["config"])
     else:
         cfg = load_config(path)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.gauge is not None:
-        cfg.gauge = args.gauge
-    return cfg.validate()
+    overrides = {"seed": args.seed, "gauge": args.gauge}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _out_dir(args):
@@ -191,7 +189,7 @@ def cmd_track(args):
     elif system == "reduced":
         print("no basis artifact given, building one")
         basis, _, _ = bench_mod.build_basis(problem, cfg)
-    trace = track(bench_mod.tracking_config(cfg, system), problem, basis=basis)
+    trace = track(cfg.tracking_config(system), problem, basis=basis)
     artifacts = {"trace": trace}
     if trace.complete:
         labels = bench_mod.classify_run(cfg, trace)

@@ -9,14 +9,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .eigensolve import DEFAULT_MULT_TOL
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .geometry import FAMILIES
-from .greedy import RESIDUAL_FORMS, recommended_n_init
+from .greedy import GreedyConfig, recommended_n_init
 from .problem import GAUGES
-from .tracking import SYSTEMS
+from .tracking import TrackingConfig
 
 SCHEMA_VERSION = 1
+
+# keys that must be positive integers
+_COUNTS = ("mesh_n", "N_pod", "N_train", "N_test", "max_halvings", "seed")
+# sub-config fields that a run config names otherwise
+_RUN_KEYS = {"h": "track_h", "system": "track_system"}
 
 
 @dataclass
@@ -45,51 +52,59 @@ class RunConfig:
     residual_form: str = "mass"
     repetitions: int = 10
 
-    def resolved_n_init(self) -> int:
-        return self.N_init or recommended_n_init(self.K, self.tau)
-
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
+        """Check the keys this class owns; its sub-configs check the rest."""
         if self.schema != SCHEMA_VERSION:
             raise ConfigError(
                 f"config schema {self.schema} not supported (expected {SCHEMA_VERSION})"
             )
-        positive_ints = (
-            "mesh_n", "K", "N_pod", "N_train", "N_test", "N_max",
-            "max_halvings", "seed",
-        )
-        for name in positive_ints:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
         for name, kind in _FIELD_TYPES.items():
-            if kind == "float" and not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if name in _COUNTS:
+                require(value >= 1, name, "must be a positive integer", value)
+            if kind == "float":
+                require(math.isfinite(value), name, "must be finite", value)
         if self.repetitions < 3:
             raise ConfigError("repetitions must be at least 3")
-        if self.tau < 0 or self.N_init < 0:
-            raise ConfigError("tau and N_init must be non-negative")
+        require(self.N_init >= 0, "N_init", "must be non-negative", self.N_init)
+        require(self.null_tol > 0, "null_tol", "must be positive", self.null_tol)
+        require(self.stretch_a1 > 0, "stretch_a1", "must be positive", self.stretch_a1)
+        require(
+            self.family in FAMILIES, "family", f"must be one of {FAMILIES}", self.family
+        )
+        require(
+            abs(self.bump_beta) < 1, "bump_beta", "must satisfy |beta| < 1", self.bump_beta
+        )
+        require(self.gauge in GAUGES, "gauge", f"must be one of {GAUGES}", self.gauge)
+        try:
+            self.greedy_config()
+            self.tracking_config(self.track_system)
+        except ConfigError as exc:
+            if exc.key not in _RUN_KEYS:
+                raise
+            raise ConfigError(_RUN_KEYS[exc.key] + str(exc)[len(exc.key):]) from None
         n_init = self.resolved_n_init()
         if self.N_max < n_init:
             raise ConfigError(f"N_max is below the initial basis size {n_init}")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}")
-        if self.gauge not in GAUGES:
-            raise ConfigError(f"gauge must be one of {GAUGES}")
-        if self.track_system not in SYSTEMS:
-            raise ConfigError(f"track_system must be one of {SYSTEMS}")
-        if self.residual_form not in RESIDUAL_FORMS:
-            raise ConfigError(f"residual_form must be one of {RESIDUAL_FORMS}")
-        for name in ("tol", "delta_mult", "null_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not (0.0 < self.track_h <= 1.0):
-            raise ConfigError("track_h must lie in (0, 1]")
-        if not (0.0 < self.rho_min <= 1.0):
-            raise ConfigError("rho_min must lie in (0, 1]")
-        if self.stretch_a1 <= 0:
-            raise ConfigError("stretch_a1 must be positive")
-        if abs(self.bump_beta) >= 1.0:
-            raise ConfigError("bump_beta must satisfy |beta| < 1")
-        return self
+
+    def resolved_n_init(self) -> int:
+        return self.N_init or recommended_n_init(self.K, self.tau)
+
+    def greedy_config(self) -> GreedyConfig:
+        """Greedy settings of this run."""
+        return GreedyConfig(
+            K=self.K, tau=self.tau, xi_train=np.linspace(0.0, 1.0, self.N_train),
+            tol=self.tol, N_max=self.N_max, delta_mult=self.delta_mult,
+            residual_form=self.residual_form,
+        )
+
+    def tracking_config(self, system: str) -> TrackingConfig:
+        """Tracking settings of this run on the given system variant."""
+        return TrackingConfig(
+            K=self.K, h=self.track_h, system=system, rho_min=self.rho_min,
+            max_halvings=self.max_halvings, overtrack=self.tau,
+            delta_mult=self.delta_mult,
+        )
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -125,7 +140,7 @@ def parse_config(text: str) -> RunConfig:
         values[key] = _coerce(key, raw)
     if "schema" not in values:
         raise ConfigError("config is missing the schema version header")
-    return RunConfig(**values).validate()
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -153,4 +168,4 @@ def config_from_dict(data: dict) -> RunConfig:
         if type(value) not in _JSON_TYPES[kind]:
             raise ConfigError(f"value for {name!r} must be {kind}, got {value!r}")
         values[name] = float(value) if kind == "float" else value
-    return RunConfig(**values).validate()
+    return RunConfig(**values)

@@ -29,5 +29,16 @@ class SingularDerivativeError(NumericalError):
     because of a multiple eigenvalue."""
 
 
-class ConfigError(CavityError):
-    """Invalid run configuration (unknown key, bad value, schema mismatch)."""
+class ConfigError(CavityError, ValueError):
+    """Invalid run configuration (unknown key, bad value, schema mismatch),
+    also a ValueError; ``key`` names the field a ``require`` check rejected."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+
+
+def require(ok, key: str, rule: str, value) -> None:
+    """Raise ConfigError("<key> <rule>, got <value>") unless ok; NaN fails."""
+    if not ok:
+        raise ConfigError(f"{key} {rule}, got {value!r}", key)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import DEFAULT_MULT_TOL, eigenvalue_clusters, solve_dense_gevp
+from .errors import ConfigError, require
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
@@ -28,15 +29,16 @@ def recommended_n_init(K: int, tau: int) -> int:
 
 @dataclass
 class GreedyConfig:
-    """Greedy loop parameters.
+    """Greedy loop parameters; a bad value raises ConfigError.
 
-    The initial basis should carry at least ceil(1.5 (K + tau)) vectors for
-    the estimator gaps to be reliable; smaller values are allowed but warn.
+    The initial size is that of the basis ``greedy_extend`` receives. It
+    should be at least ceil(1.5 (K + tau)) for the estimator gaps to be
+    reliable; smaller sizes are allowed but warn. ``tol = inf`` accepts
+    the initial basis as it is.
     """
 
     K: int
     tau: int
-    N_init: int
     xi_train: np.ndarray
     tol: float
     N_max: int
@@ -45,24 +47,17 @@ class GreedyConfig:
 
     def __post_init__(self):
         self.xi_train = np.asarray(self.xi_train, dtype=float)
-        if self.K < 1 or self.tau < 0:
-            raise ValueError("need K >= 1 and tau >= 0")
-        if self.tol <= 0:
-            raise ValueError(f"estimator tolerance must be positive, got {self.tol}")
-        if self.xi_train.size == 0:
-            raise ValueError("training set is empty")
-        if self.residual_form not in RESIDUAL_FORMS:
-            raise ValueError(f"residual_form must be one of {RESIDUAL_FORMS}")
-        if self.N_max < self.N_init:
-            raise ValueError(f"N_max={self.N_max} is below N_init={self.N_init}")
-        recommended = recommended_n_init(self.K, self.tau)
-        if self.N_init < recommended:
-            warnings.warn(
-                f"N_init={self.N_init} is below the recommended "
-                f"{recommended} = ceil(1.5 (K + tau)); "
-                "estimator reliability may suffer",
-                stacklevel=3,
-            )
+        require(self.K >= 1, "K", "must be >= 1", self.K)
+        require(self.tau >= 0, "tau", "must be >= 0", self.tau)
+        require(self.tol > 0, "tol", "must be positive", self.tol)
+        require(0 < self.delta_mult < np.inf, "delta_mult",
+                "must be positive and finite", self.delta_mult)
+        if not (self.xi_train.size and np.isfinite(self.xi_train).all()):
+            raise ConfigError("xi_train must be non-empty and finite", "xi_train")
+        require(
+            self.residual_form in RESIDUAL_FORMS, "residual_form",
+            f"must be one of {RESIDUAL_FORMS}", self.residual_form,
+        )
 
 
 @dataclass
@@ -195,8 +190,20 @@ def greedy_extend(
     B(t_ref)-orthonormalized against the current basis; vectors that become
     numerically dependent are skipped. Ties in the argmax resolve to the
     smallest training parameter, then the smallest mode index. Returns the
-    extended basis and a per-iteration log.
+    extended basis and a per-iteration log. A basis above N_max is a
+    ConfigError; one below ceil(1.5 (K + tau)) warns.
     """
+    if basis.size > config.N_max:
+        raise ConfigError(
+            f"N_max={config.N_max} is below the initial basis size {basis.size}"
+        )
+    recommended = recommended_n_init(config.K, config.tau)
+    if basis.size < recommended:
+        warnings.warn(
+            f"N_init={basis.size} is below the recommended {recommended} = "
+            "ceil(1.5 (K + tau)); estimator reliability may suffer",
+            stacklevel=2,
+        )
     Z = np.array(basis.Z, dtype=float, copy=True)
     provenance = list(basis.provenance)
     log = GreedyLog()

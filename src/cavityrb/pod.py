@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, RankDeficiencyError
+from .errors import ConfigError, NumericalError, RankDeficiencyError
 from .eigensolve import b_orthonormalize
 
 # Gram eigenvalues below this fraction of the leading one carry no usable
@@ -73,9 +73,9 @@ def collect_snapshots(problem: CavityProblem, parameters, K: int) -> SnapshotSet
     """
     ts = np.asarray(parameters, dtype=float)
     if ts.size == 0:
-        raise ValueError("snapshot parameter set is empty")
+        raise ConfigError("snapshot parameter set is empty")
     if K < 1:
-        raise ValueError(f"snapshot mode count must be >= 1, got {K}")
+        raise ConfigError(f"snapshot mode count must be >= 1, got {K}")
     columns = []
     provenance = []
     with problem.transient_systems():
@@ -108,9 +108,9 @@ def pod_basis(
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] == 0:
-        raise ValueError("snapshot matrix must have at least one column")
+        raise ConfigError("snapshot matrix must have at least one column")
     if N_init < 1:
-        raise ValueError(f"initial basis size must be >= 1, got {N_init}")
+        raise ConfigError(f"initial basis size must be >= 1, got {N_init}")
     K_gram = Y.T @ (B @ Y)
     K_gram = 0.5 * (K_gram + K_gram.T)
     lam, U = scipy.linalg.eigh(K_gram)

@@ -14,7 +14,7 @@ from .eigensolve import (
     b_orthonormalize,
     residual_norms,
 )
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .geometry import MappingFamily, ReferenceMesh
 from .pod import reduce_system
 
@@ -38,7 +38,7 @@ class CavityProblem:
         null_tol: float = DEFAULT_NULL_TOL,
     ):
         if gauge not in GAUGES:
-            raise ValueError(f"unknown gauge {gauge!r}, expected one of {GAUGES}")
+            raise ConfigError(f"unknown gauge {gauge!r}, expected one of {GAUGES}")
         self.mesh = mesh
         self.family = family
         self.gauge = gauge

@@ -167,6 +167,8 @@ def load_basis(path) -> ReducedBasis:
                     int(fields["mesh_n"]), int(fields["n_curl"]), kind, float(parameter)
                 ),
             )
+    except ConfigError:
+        raise
     except (IndexError, KeyError, ValueError) as exc:
         raise ConfigError(f"malformed basis artifact {path}: {exc}") from exc
     return ReducedBasis(

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, NumericalError, SingularDerivativeError
+from .errors import ConfigError, NumericalError, SingularDerivativeError, require
 from .eigensolve import DEFAULT_MULT_TOL, b_orthonormalize, eigenvalue_clusters
 from .online import pencil_interpolant
 from .pod import ReducedBasis
@@ -44,7 +44,7 @@ class TrackingConfig:
     ``overtrack`` extra candidates are always solved beyond the tracked K;
     the candidate window additionally grows on its own whenever tracked
     modes sink deeper into the sorted spectrum, so modes that are overtaken
-    by untracked curves are never lost.
+    by untracked curves are never lost. A bad value raises ConfigError.
     """
 
     K: int
@@ -56,16 +56,16 @@ class TrackingConfig:
     delta_mult: float = DEFAULT_MULT_TOL
 
     def __post_init__(self):
-        if not (0.0 < self.h <= 1.0):
-            raise ValueError(f"step size must lie in (0, 1], got {self.h}")
-        if self.K < 1:
-            raise ValueError(f"tracked mode count must be >= 1, got {self.K}")
-        if not (0.0 < self.rho_min <= 1.0):
-            raise ValueError(f"rho_min must lie in (0, 1], got {self.rho_min}")
-        if self.system not in SYSTEMS:
-            raise ValueError(f"system must be one of {SYSTEMS}")
-        if self.overtrack < 0:
-            raise ValueError(f"overtrack must be >= 0, got {self.overtrack}")
+        require(self.K >= 1, "K", "must be >= 1", self.K)
+        require(0 < self.h <= 1, "h", "must lie in (0, 1]", self.h)
+        require(
+            self.system in SYSTEMS, "system", f"must be one of {SYSTEMS}", self.system
+        )
+        require(0 < self.rho_min <= 1, "rho_min", "must lie in (0, 1]", self.rho_min)
+        require(self.max_halvings >= 0, "max_halvings", "must be >= 0", self.max_halvings)
+        require(self.overtrack >= 0, "overtrack", "must be >= 0", self.overtrack)
+        require(0 < self.delta_mult < np.inf, "delta_mult",
+                "must be positive and finite", self.delta_mult)
 
 
 @dataclass

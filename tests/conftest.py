@@ -29,6 +29,35 @@ settings.register_profile(
 )
 settings.load_profile("numeric")
 
+# (key, value) pairs that RunConfig(**{key: value}) rejects; the CLI test
+# runs each through a config file
+RUN_CONFIG_REJECTS = [
+    ("mesh_n", 0),
+    ("K", 0),
+    ("tol", 0.0),
+    ("track_h", 1.5),
+    ("rho_min", 0.0),
+    ("gauge", "magic"),
+    ("family", "square"),
+    ("bump_beta", 1.5),
+    ("repetitions", 0),
+    ("repetitions", 2),
+    ("N_max", 10),  # below the initial size ceil(1.5 (5 + 2)) = 11
+    ("stretch_a1", float("nan")),
+    ("stretch_a1", float("inf")),
+    ("bump_beta", float("nan")),
+    ("tol", float("nan")),
+    ("delta_mult", float("nan")),
+    ("null_tol", float("inf")),
+    ("delta_mult", -1.0),
+    ("track_h", float("nan")),
+    ("rho_min", float("nan")),
+    ("track_system", "bogus"),
+    ("residual_form", "bogus"),
+    ("tau", -1),
+    ("max_halvings", 0),
+]
+
 
 _MESHES = {}
 

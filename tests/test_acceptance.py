@@ -217,7 +217,7 @@ def test_criterion_06_degenerate_mode_safety():
             space=problem.basis_space,
         )
         gcfg = GreedyConfig(
-            K=5, tau=2, N_init=3, xi_train=np.linspace(0, 1, 5),
+            K=5, tau=2, xi_train=np.linspace(0, 1, 5),
             tol=1e-9, N_max=20,
         )
         basis, log = greedy_extend(basis0, gcfg, problem)

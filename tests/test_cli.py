@@ -9,6 +9,8 @@ from cavityrb import bench, build_reference_mesh
 from cavityrb.cli import main
 from cavityrb.serialize import BENCH_HEADER
 
+from conftest import RUN_CONFIG_REJECTS
+
 BASE = """
 schema = 1
 mesh_n = 4
@@ -127,6 +129,17 @@ def test_too_few_repetitions_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", RUN_CONFIG_REJECTS)
+def test_rejected_config_value_exits_2(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"schema = 1\n{key} = {value}\n")
+    args = ["build-rb", "--config", str(path), "--out", str(tmp_path / "rb")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {key} "), err
+    assert not (tmp_path / "rb").exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("schema = 1\nmesh_nn = 4\n")
@@ -176,7 +189,7 @@ def test_initial_size_above_snapshot_rank_degrades(tmp_path):
     assert (out / "basis.txt").exists()
 
 
-def test_gauge_override(cfg_path, tmp_path, quiet_warnings):
+def test_gauge_override(cfg_path, tmp_path, capsys, quiet_warnings):
     rb_dir = tmp_path / "rb2"
     assert (
         main(
@@ -190,6 +203,12 @@ def test_gauge_override(cfg_path, tmp_path, quiet_warnings):
     text = (rb_dir / "basis.txt").read_text()
     assert "gauge gram-schmidt" in text
     assert "space edge" in text
+    # an override is checked like the config it replaces
+    bad = ["build-rb", "--config", cfg_path, "--out", str(tmp_path / "rb3")]
+    assert main(bad + ["--gauge", "magic"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: gauge "), err
+    assert not (tmp_path / "rb3").exists()
 
 
 def test_pipeline_and_determinism(cfg_path, tmp_path, quiet_warnings):
@@ -335,8 +354,20 @@ def _basis_with_value(value):
         (lambda path: path.write_text("cavityrb-basis x\n"), "malformed basis artifact"),
         (_basis_with_value("nan"), "non-finite"),
         (_basis_with_value("inf"), "non-finite"),
+        # whole lines: the loader's own errors pass through unwrapped
+        (
+            lambda path: path.write_text("some-other-format 2\n"),
+            "configuration error: not a basis artifact: {path}",
+        ),
+        (
+            _basis_with_value("nan"),
+            "configuration error: basis artifact {path} holds non-finite values",
+        ),
     ],
-    ids=["other-mesh", "unknown-space", "empty-file", "bad-header", "nan-value", "inf-value"],
+    ids=[
+        "other-mesh", "unknown-space", "empty-file", "bad-header", "nan-value",
+        "inf-value", "wrong-magic-exact", "nan-value-exact",
+    ],
 )
 def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):
     basis = tmp_path / "basis.txt"
@@ -344,7 +375,11 @@ def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):
     args = ["track", "--config", cfg_path, "--out", str(tmp_path / "tr")]
     assert main(args + ["--basis", str(basis)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and needle in err[0], err
+    needle = needle.format(path=basis)
+    if needle.startswith("configuration error: "):
+        assert err == [needle]
+    else:
+        assert len(err) == 1 and needle in err[0], err
 
 
 @pytest.fixture

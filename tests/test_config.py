@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from cavityrb.config import (
@@ -7,6 +10,8 @@ from cavityrb.config import (
     parse_config,
 )
 from cavityrb.errors import ConfigError
+
+from conftest import RUN_CONFIG_REJECTS
 
 GOOD = """
 # benchmark configuration
@@ -60,33 +65,34 @@ def test_malformed_line():
         parse_config("schema = 1\nmesh_n 8\n")
 
 
-@pytest.mark.parametrize(
-    "key,value",
-    [
-        ("mesh_n", 0),
-        ("K", 0),
-        ("tol", 0.0),
-        ("track_h", 1.5),
-        ("rho_min", 0.0),
-        ("gauge", "magic"),
-        ("family", "square"),
-        ("bump_beta", 1.5),
-        ("repetitions", 0),
-        ("repetitions", 2),
-        ("N_max", 10),  # below the initial size ceil(1.5 (5 + 2)) = 11
-        ("stretch_a1", float("nan")),
-        ("stretch_a1", float("inf")),
-        ("bump_beta", float("nan")),
-        ("tol", float("nan")),
-        ("delta_mult", float("nan")),
-        ("null_tol", float("inf")),
-    ],
-)
+@pytest.mark.parametrize("key,value", RUN_CONFIG_REJECTS)
 def test_validation_rejects(key, value):
-    cfg = RunConfig()
-    setattr(cfg, key, value)
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**{key: value})
+    # the message names the config key, also where a sub-config field
+    # carries another name (track_h is the tracking step h)
+    assert str(err.value).startswith(f"{key} ")
+    assert isinstance(err.value, ValueError)
+
+
+def test_construction_is_silent_below_recommended_initial_size():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        RunConfig(K=5, tau=2, N_init=4)
+
+
+def test_sub_configs_carry_the_run_settings():
+    cfg = RunConfig(K=4, tau=1, N_train=7, tol=1e-5, N_max=30, track_h=0.2,
+                    rho_min=0.7, max_halvings=2, delta_mult=1e-5,
+                    residual_form="mass-inverse")
+    g = cfg.greedy_config()
+    assert (g.K, g.tau, g.tol, g.N_max, g.delta_mult, g.residual_form) == (
+        4, 1, 1e-5, 30, 1e-5, "mass-inverse"
+    )
+    np.testing.assert_array_equal(g.xi_train, np.linspace(0.0, 1.0, 7))
+    t = cfg.tracking_config("cotree")
+    assert (t.K, t.h, t.system, t.rho_min, t.max_halvings, t.overtrack,
+            t.delta_mult) == (4, 0.2, "cotree", 0.7, 2, 1, 1e-5)
 
 
 def test_auto_initial_size():

@@ -13,7 +13,7 @@ from cavityrb import (
     greedy_extend,
     pod_basis,
 )
-from cavityrb.errors import NumericalError
+from cavityrb.errors import ConfigError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.gauge import mass_factor
 from cavityrb.greedy import (
@@ -176,7 +176,7 @@ def _small_setup(gauge="tree-cotree", family="affine", n=4, K=3, n_pod=4):
 def test_sweep_estimates_once_per_training_parameter(quiet_warnings, monkeypatch):
     problem, basis = _small_setup()
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 5),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 5),
         tol=1e-6, N_max=20,
     )
     calls = []
@@ -194,7 +194,7 @@ def test_sweep_estimates_once_per_training_parameter(quiet_warnings, monkeypatch
 def test_greedy_infinite_tolerance_is_noop(quiet_warnings):
     problem, basis = _small_setup()
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 5),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 5),
         tol=np.inf, N_max=20,
     )
     out, log = greedy_extend(basis, cfg, problem)
@@ -203,15 +203,21 @@ def test_greedy_infinite_tolerance_is_noop(quiet_warnings):
     assert len(log.records) == 1
 
 
-def test_greedy_single_parameter_terminates_immediately(quiet_warnings):
+def _five_column_basis():
+    """POD basis of the five lowest modes of the n = 4 affine problem at t = 0.25."""
     problem = make_problem(n=4, family="affine", gauge="tree-cotree")
     snaps = collect_snapshots(problem, [0.25], 5)
     basis = pod_basis(
         snaps.Y, problem.basis_metric, 5, gauge="tree-cotree",
         space=problem.basis_space,
     )
+    return problem, basis
+
+
+def test_greedy_single_parameter_terminates_immediately(quiet_warnings):
+    problem, basis = _five_column_basis()
     cfg = GreedyConfig(
-        K=3, tau=2, N_init=5, xi_train=np.array([0.25]), tol=1e-8, N_max=20,
+        K=3, tau=2, xi_train=np.array([0.25]), tol=1e-8, N_max=20,
     )
     out, log = greedy_extend(basis, cfg, problem)
     assert log.status == "converged"
@@ -222,7 +228,7 @@ def test_greedy_single_parameter_terminates_immediately(quiet_warnings):
 def test_greedy_monotone_growth_and_orthonormality(quiet_warnings):
     problem, basis = _small_setup(family="bump", n=4, K=3, n_pod=3)
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 8),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 8),
         tol=1e-7, N_max=25,
     )
     sizes = []
@@ -239,7 +245,7 @@ def test_greedy_monotone_growth_and_orthonormality(quiet_warnings):
 def test_greedy_estimator_decreases(quiet_warnings):
     problem, basis = _small_setup(family="bump", n=4, K=3, n_pod=3)
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 8),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 8),
         tol=1e-8, N_max=25,
     )
     _, log = greedy_extend(basis, cfg, problem)
@@ -257,7 +263,7 @@ def test_greedy_appends_degenerate_clusters_whole(quiet_warnings):
         space=problem.basis_space,
     )
     cfg = GreedyConfig(
-        K=5, tau=2, N_init=3, xi_train=np.linspace(0, 1, 3), tol=1e-9, N_max=15,
+        K=5, tau=2, xi_train=np.linspace(0, 1, 3), tol=1e-9, N_max=15,
     )
     out, log = greedy_extend(basis, cfg, problem)
     assert log.status == "converged"
@@ -267,22 +273,46 @@ def test_greedy_appends_degenerate_clusters_whole(quiet_warnings):
 
 
 def test_greedy_warns_on_small_initial_size():
+    problem, basis = _five_column_basis()
+    cfg = GreedyConfig(K=5, tau=2, xi_train=np.linspace(0, 1, 3), tol=np.inf, N_max=10)
     with pytest.warns(UserWarning, match="below the recommended") as record:
-        GreedyConfig(
-            K=5, tau=2, N_init=5, xi_train=np.linspace(0, 1, 3), tol=1e-6,
-            N_max=10,
-        )
-    # the warning names the line that built the config, not the
-    # dataclass-generated __init__ (whose filename is "<string>")
+        greedy_extend(basis, cfg, problem)
+    assert [str(w.message) for w in record] == [
+        "N_init=5 is below the recommended 11 = ceil(1.5 (K + tau)); "
+        "estimator reliability may suffer"
+    ]
+    # the warning names the line that called the greedy
     assert [w.filename for w in record] == [__file__]
 
 
 def test_greedy_rejects_nmax_below_initial_size():
-    with pytest.raises(ValueError, match="N_max"):
-        GreedyConfig(
-            K=3, tau=1, N_init=6, xi_train=np.linspace(0, 1, 3), tol=1e-6,
-            N_max=5,
-        )
+    problem, basis = _five_column_basis()
+    cfg = GreedyConfig(K=2, tau=1, xi_train=np.linspace(0, 1, 3), tol=1e-6, N_max=4)
+    with pytest.raises(ValueError, match="N_max=4 is below the initial basis size 5"):
+        greedy_extend(basis, cfg, problem)
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"K": 0}, "K"),
+        ({"tau": -1}, "tau"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": np.nan}, "tol"),
+        ({"delta_mult": np.nan}, "delta_mult"),
+        ({"delta_mult": -1.0}, "delta_mult"),
+        ({"delta_mult": np.inf}, "delta_mult"),
+        ({"xi_train": []}, "xi_train"),
+        ({"xi_train": [0.0, np.nan]}, "xi_train"),
+        ({"residual_form": "bogus"}, "residual_form"),
+    ],
+)
+def test_greedy_config_rejects(change, key):
+    args = dict(K=3, tau=1, xi_train=np.linspace(0, 1, 3), tol=1e-6, N_max=10)
+    with pytest.raises(ConfigError) as err:
+        GreedyConfig(**{**args, **change})
+    assert err.value.key == key
+    assert str(err.value).startswith(f"{key} ")
 
 
 def test_enrichment_widens_the_window_until_the_cluster_ends():
@@ -300,7 +330,7 @@ def test_enrichment_widens_the_window_until_the_cluster_ends():
             return lams, np.tile(np.arange(k, dtype=float), (3, 1))
 
     cfg = GreedyConfig(
-        K=2, tau=1, N_init=5, xi_train=[0.5], tol=1e-6, N_max=10,
+        K=2, tau=1, xi_train=[0.5], tol=1e-6, N_max=10,
     )
     V = _enrichment_vectors(Stub(), 0.5, 1, cfg)
     assert calls == [5, 10]
@@ -310,7 +340,7 @@ def test_enrichment_widens_the_window_until_the_cluster_ends():
 def test_greedy_nmax_cap(quiet_warnings):
     problem, basis = _small_setup(family="bump", n=4, K=3, n_pod=3)
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 8),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 8),
         tol=1e-30, N_max=basis.size + 2,
     )
     out, log = greedy_extend(basis, cfg, problem)
@@ -321,7 +351,7 @@ def test_greedy_nmax_cap(quiet_warnings):
 def test_mass_inverse_residual_form(quiet_warnings):
     problem, basis = _small_setup(family="bump", n=4, K=3, n_pod=3)
     cfg = GreedyConfig(
-        K=3, tau=1, N_init=basis.size, xi_train=np.linspace(0, 1, 5),
+        K=3, tau=1, xi_train=np.linspace(0, 1, 5),
         tol=1e-6, N_max=20, residual_form="mass-inverse",
     )
     out, log = greedy_extend(basis, cfg, problem)

@@ -3,6 +3,7 @@ name fails here rather than in a user's run; the cheap ones also run end to
 end on the smallest mesh."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -31,3 +32,20 @@ def test_script_runs_on_small_mesh(name):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_record_ladder_child_runs_on_small_mesh():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py"
+    )
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", bench_record.LADDER_CHILD, "4", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    rung = json.loads(done.stdout.strip().splitlines()[-1])
+    assert rung["n"] == 4 and rung["track_complete"] and len(rung["track_s"]) == 1

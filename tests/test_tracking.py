@@ -16,7 +16,7 @@ from cavityrb import (
     track,
 )
 from cavityrb.eigensolve import solve_dense_gevp
-from cavityrb.errors import NumericalError, SingularDerivativeError
+from cavityrb.errors import ConfigError, NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
 from cavityrb import tracking
 from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _rank_permutation
@@ -356,3 +356,12 @@ def test_track_config_validation():
     # a window below K left part of the assignment uninitialized
     with pytest.raises(ValueError, match="overtrack"):
         TrackingConfig(K=3, h=0.25, system="high-fidelity", overtrack=-2)
+    # NaN fails every range check; with delta_mult = nan each eigenvalue
+    # was its own cluster
+    for change in (
+        {"delta_mult": np.nan}, {"delta_mult": -1.0}, {"max_halvings": -1},
+        {"h": np.nan}, {"rho_min": np.nan},
+    ):
+        (key,) = change
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            TrackingConfig(**{"K": 2, "h": 0.1, **change})
