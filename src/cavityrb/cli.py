@@ -107,10 +107,9 @@ def cmd_solve(args):
     if k < 1:
         raise ConfigError(f"--k must be at least 1, got {k}")
     problem = bench_mod.build_problem(cfg)
-    n_physical = problem.n_curl - problem.n_grad
-    if k > n_physical:
+    if k > problem.size:
         raise ConfigError(
-            f"--k must be at most {n_physical}, the number of physical modes "
+            f"--k must be at most {problem.size}, the number of physical modes "
             f"of the mesh, got {k}"
         )
     sol = problem.solve_condensed(float(args.t), k)

@@ -21,7 +21,7 @@ from .tracking import TrackingConfig
 SCHEMA_VERSION = 1
 
 # keys that must be positive integers
-_COUNTS = ("mesh_n", "N_pod", "N_train", "N_test", "max_halvings", "seed")
+_COUNTS = ("mesh_n", "N_pod", "N_train", "N_test", "seed")
 # sub-config fields that a run config names otherwise
 _RUN_KEYS = {"h": "track_h", "system": "track_system"}
 

@@ -132,16 +132,13 @@ def expand_cotree(Y, A, tc: TreeCotree, factor):
     return factor.solve(H.T @ np.asarray(Y, dtype=float))
 
 
-def condensed_eigensolve(A, B, G, tc: TreeCotree, k: int, null_tol: float):
-    """First k physical eigenpairs of (A, B) and their cotree coordinates.
+def condensed_eigensolve(A, B, G, k: int, null_tol: float):
+    """First k physical eigenpairs of (A, B).
 
     Solves the full pencil and discards its null modes, which must number
     exactly n_grad = G.shape[1] (the dimension of the gradient kernel), so
-    every returned mode is physical. The tree map gives the cotree
-    coordinates: A v = lam B v and A G = 0 make y = (v / lam - G phi)[cotree]
-    with G[tree, :] phi = v[tree] / lam the unique Y with expand_cotree(Y) = V.
-    Returns ascending eigenvalues, cotree coordinates and the B-orthonormal
-    full-space vectors.
+    every returned mode is physical. Returns ascending eigenvalues and the
+    B-orthonormal full-space vectors.
     """
     lam, V = solve_dense_gevp(A, B)
     null = null_mask(lam, null_tol)
@@ -154,11 +151,19 @@ def condensed_eigensolve(A, B, G, tc: TreeCotree, k: int, null_tol: float):
             f"pencil has only {lam.size - G.shape[1]} physical eigenvalues, requested {k}"
         )
     keep = np.flatnonzero(~null)[:k]
-    lam, V = lam[keep], V[:, keep]
-    W = V / lam
+    return lam[keep], V[:, keep]
+
+
+def cotree_coordinates(V, lambdas, G, tc: TreeCotree):
+    """Cotree coordinates Y of physical eigenvectors, expand_cotree(Y) = V.
+
+    A v = lam B v and A G = 0 make y = (v / lam - G phi)[cotree], with
+    G[tree, :] phi = v[tree] / lam, the unique such Y.
+    """
+    W = V / lambdas
     if len(tc.tree):
         W = W - G @ tc.tree_lu.solve(W[tc.tree])
-    return lam, W[tc.cotree], V
+    return W[tc.cotree]
 
 
 def gram_factor(G, C0):

@@ -163,7 +163,7 @@ def _sweep(problem, Z, config):
 
 def _enrichment_vectors(problem, t_star: float, i_star: int, config):
     """Full multiplicity-cluster eigenspace of mode i_star at t_star."""
-    available = problem.n_curl - problem.n_grad
+    available = problem.size
     k_solve = min(config.K + config.tau + 2, available)
     while True:
         lams, vectors = problem.snapshot_solve(t_star, k_solve)

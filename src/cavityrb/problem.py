@@ -116,32 +116,39 @@ class CavityProblem:
 
     # ----------------------------------------------------------------- solve
 
-    def condensed_pairs(self, t: float, k: int):
-        """First k physical eigenpairs: (lambdas, cotree vectors, edge vectors).
+    @property
+    def size(self) -> int:
+        """Number of physical modes, n_curl - n_grad."""
+        return self.n_curl - self.n_grad
+
+    def solve(self, t: float, k: int):
+        """((A, B), lambdas, V): the pencil at t and its first k physical
+        eigenpairs, V B-orthonormal in the edge space.
 
         The one solve of the full pencil: every high-fidelity consumer
         (snapshots, tracking, error-study truth, the CLI) goes through it.
+        With ``size`` and ``derivative_pencil``, the problem is the
+        tracker's high-fidelity ops.
         """
         sys_t = self.system(t)
         try:
-            return gauge_mod.condensed_eigensolve(
-                sys_t.A, sys_t.B, sys_t.G, self.tree_cotree, k, self.null_tol
+            lambdas, V = gauge_mod.condensed_eigensolve(
+                sys_t.A, sys_t.B, sys_t.G, k, self.null_tol
             )
         except NumericalError as exc:
             raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
+        return (sys_t.A, sys_t.B), lambdas, V
 
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
         """First k physical eigenpairs with edge-space vectors and residuals;
         the null-mode count is checked against the gradient-space dimension.
         The spectrum does not depend on the gauge strategy."""
-        sys_t = self.system(t)
-        lambdas, _, V = self.condensed_pairs(t, k)
-        res = residual_norms(sys_t.A, sys_t.B, lambdas, V)
+        (A, B), lambdas, V = self.solve(t, k)
         return EigenSolution(
             lambdas=lambdas,
             vectors=V,
             n_discarded_null=self.n_grad,
-            residuals=res,
+            residuals=residual_norms(A, B, lambdas, V),
             t=float(t),
         )
 
@@ -180,8 +187,10 @@ class CavityProblem:
 
     def snapshot_solve(self, t: float, k: int):
         """First k eigenpairs with vectors in the basis coordinate space."""
-        lambdas, Y, V = self.condensed_pairs(t, k)
-        return lambdas, Y if self.basis_space == "cotree" else V
+        _, lambdas, V = self.solve(t, k)
+        if self.basis_space == "cotree":
+            V = gauge_mod.cotree_coordinates(V, lambdas, self.G, self.tree_cotree)
+        return lambdas, V
 
     def reduced_pencil(
         self, Z: np.ndarray, t: float, space: str | None = None, factor=None

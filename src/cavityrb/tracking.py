@@ -25,10 +25,11 @@ from .online import pencil_interpolant
 from .pod import ReducedBasis
 from .problem import CavityProblem
 
-# "high-fidelity" and "cotree" both track the physical modes of the full
-# pencil (the cotree solve checks that exactly n_grad null modes were
-# dropped); "reduced" tracks the pencil of a reduced basis.
-SYSTEMS = ("high-fidelity", "cotree", "reduced")
+# "high-fidelity" tracks the physical modes of the full pencil, with the
+# problem itself as the ops; "reduced" tracks the pencil of a reduced basis,
+# with its ``PencilInterpolant`` as the ops. Both ops have ``size``,
+# ``solve(t, k)`` and ``derivative_pencil(t)``.
+SYSTEMS = ("high-fidelity", "reduced")
 
 # Relative residual accepted for the input eigenpair and the bordered solve.
 RESIDUAL_TOL = 1e-8
@@ -245,24 +246,6 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     return _assign(rho, rho_min, score=rho + 1e-6 * rho_ind)
 
 
-class _FullOps:
-    """High-fidelity systems: the full sparse pencil and its physical modes.
-    The reduced ops, with the same ``size``, ``derivative_pencil`` and
-    ``solve``, are the basis's ``PencilInterpolant`` itself."""
-
-    def __init__(self, problem: CavityProblem):
-        self.problem = problem
-        self.size = problem.n_curl - problem.n_grad
-
-    def derivative_pencil(self, t):
-        return self.problem.derivative_pencil(t)
-
-    def solve(self, t, k):
-        s = self.problem.system(t)
-        lam, _, V = self.problem.condensed_pairs(t, k)
-        return (s.A, s.B), lam, V
-
-
 def _seed_degenerate_clusters(ops, config):
     """Pencil and first eigenpairs at t = 0, with degenerate starting
     clusters aligned to the directions they split into.
@@ -297,13 +280,14 @@ def _seed_degenerate_clusters(ops, config):
 
 
 def _make_ops(config, problem, basis):
-    """Operators of the tracked system. A reduced basis fits only the
-    problem it was built for: every mismatch is one ConfigError."""
-    if config.system in ("high-fidelity", "cotree"):
-        return _FullOps(problem)
+    """Operators of the tracked system: the problem itself, or the basis's
+    interpolant. A reduced basis fits only the problem it was built for:
+    every mismatch is one ConfigError."""
+    if config.system == "high-fidelity":
+        return problem
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
-    rows = problem.n_curl - (problem.n_grad if problem.basis_space == "cotree" else 0)
+    rows = problem.size if problem.basis_space == "cotree" else problem.n_curl
     names = ["gauge", "space", "t_ref", "rows"]
     stored = [basis.gauge, basis.space, basis.t_ref, basis.n]
     wanted = [problem.gauge, problem.basis_space, problem.t_ref, rows]

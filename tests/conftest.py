@@ -53,9 +53,10 @@ RUN_CONFIG_REJECTS = [
     ("track_h", float("nan")),
     ("rho_min", float("nan")),
     ("track_system", "bogus"),
+    ("track_system", "cotree"),
     ("residual_form", "bogus"),
     ("tau", -1),
-    ("max_halvings", 0),
+    ("max_halvings", -1),
 ]
 
 

@@ -120,8 +120,8 @@ def test_initial_basis_keeps_no_snapshot_systems(quiet_warnings):
 
 
 def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings):
-    # "cotree" tracking takes the high-fidelity path with the same solve, so
-    # its row reports the high-fidelity timings with the cotree dimension
+    # the high-fidelity-cotree row reports the high-fidelity timings with
+    # the cotree dimension
     systems = []
 
     def counted(config, problem, basis=None):

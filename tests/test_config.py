@@ -90,9 +90,11 @@ def test_sub_configs_carry_the_run_settings():
         4, 1, 1e-5, 30, 1e-5, "mass-inverse"
     )
     np.testing.assert_array_equal(g.xi_train, np.linspace(0.0, 1.0, 7))
-    t = cfg.tracking_config("cotree")
+    t = cfg.tracking_config("high-fidelity")
     assert (t.K, t.h, t.system, t.rho_min, t.max_halvings, t.overtrack,
-            t.delta_mult) == (4, 0.2, "cotree", 0.7, 2, 1, 1e-5)
+            t.delta_mult) == (4, 0.2, "high-fidelity", 0.7, 2, 1, 1e-5)
+    # 0 aborts a low-correlation step without halving, in a run config too
+    assert RunConfig(max_halvings=0).tracking_config("high-fidelity").max_halvings == 0
 
 
 def test_auto_initial_size():

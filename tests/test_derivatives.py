@@ -29,7 +29,7 @@ def _cotree_ops(kind):
     if kind not in _OPS:
         problem = make_problem(n=4, family=kind)
         n_cot = problem.n_curl - problem.n_grad
-        Z = problem.condensed_pairs(problem.t_ref, n_cot)[1]
+        Z = problem.snapshot_solve(problem.t_ref, n_cot)[1]
         _OPS[kind] = problem, Z, pencil_interpolant(problem, Z)
     return _OPS[kind]
 

@@ -16,7 +16,13 @@ from cavityrb import (
 )
 from cavityrb.eigensolve import DEFAULT_NULL_TOL
 from cavityrb.errors import NumericalError
-from cavityrb.gauge import condensed_eigensolve, expand_cotree, gram_factor, mass_factor
+from cavityrb.gauge import (
+    condensed_eigensolve,
+    cotree_coordinates,
+    expand_cotree,
+    gram_factor,
+    mass_factor,
+)
 
 from conftest import (
     make_problem,
@@ -118,9 +124,8 @@ def test_stable_solve_matches_direct_condensed():
     tc = build_tree_cotree(mesh(2))
     A_hat, B_hat, _ = naive_condense(s.A, s.B, tc)
     lam_direct = scipy.linalg.eigh(A_hat, B_hat, eigvals_only=True)
-    lam_stable, Y, _ = condensed_eigensolve(
-        s.A, s.B, s.G, tc, len(tc.cotree), DEFAULT_NULL_TOL
-    )
+    lam_stable, V = condensed_eigensolve(s.A, s.B, s.G, len(tc.cotree), DEFAULT_NULL_TOL)
+    Y = cotree_coordinates(V, lam_stable, s.G, tc)
     np.testing.assert_allclose(lam_direct, lam_stable, rtol=1e-10)
     r = A_hat @ Y[:, 0] - lam_stable[0] * (B_hat @ Y[:, 0])
     assert np.linalg.norm(r) <= 1e-9 * lam_stable[0] * np.linalg.norm(B_hat @ Y[:, 0])
@@ -139,21 +144,20 @@ def test_condensed_eigensolve_matches_standard_form_oracle(n, kind, t):
     lam_o, _, _ = standard_form_eigensolve(s.A, s.B, tc)
     # all n_curl - n_grad physical modes exist and no more: exactly n_grad
     # null modes were discarded
-    lam, Y, V = condensed_eigensolve(s.A, s.B, s.G, tc, lam_o.size, DEFAULT_NULL_TOL)
+    lam, V = condensed_eigensolve(s.A, s.B, s.G, lam_o.size, DEFAULT_NULL_TOL)
     with pytest.raises(NumericalError, match="physical eigenvalues"):
-        condensed_eigensolve(s.A, s.B, s.G, tc, lam_o.size + 1, DEFAULT_NULL_TOL)
+        condensed_eigensolve(s.A, s.B, s.G, lam_o.size + 1, DEFAULT_NULL_TOL)
     assert lam.size == m.n_curl - m.n_grad
     assert (np.abs(lam - lam_o) / lam_o).max() <= 1e-10
-    XY = expand_cotree(Y, s.A, tc, mass_factor(s.B))
+    XY = expand_cotree(cotree_coordinates(V, lam, s.G, tc), s.A, tc, mass_factor(s.B))
     assert abs(XY - V).max() <= 1e-10 * abs(V).max()
 
 
 def test_condensed_eigensolve_checks_null_count():
     m = mesh(4)
     s = assemble(m, sine_bump(0.3), 0.5)
-    tc = build_tree_cotree(m)
     with pytest.raises(NumericalError, match="null modes"):
-        condensed_eigensolve(s.A, s.B, s.G[:, 1:], tc, 3, DEFAULT_NULL_TOL)
+        condensed_eigensolve(s.A, s.B, s.G[:, 1:], 3, DEFAULT_NULL_TOL)
 
 
 def test_expand_zero():
@@ -174,7 +178,8 @@ def test_expanded_eigenvectors_solve_original_pencil():
     m = mesh(8)
     s = assemble(m, sine_bump(0.3), 0.8)
     tc = build_tree_cotree(m)
-    lam, Y, _ = condensed_eigensolve(s.A, s.B, s.G, tc, 4, DEFAULT_NULL_TOL)
+    lam, V_full = condensed_eigensolve(s.A, s.B, s.G, 4, DEFAULT_NULL_TOL)
+    Y = cotree_coordinates(V_full, lam, s.G, tc)
     V = expand_cotree(Y, s.A, tc, mass_factor(s.B))
     for j in range(4):
         r = s.A @ V[:, j] - lam[j] * (s.B @ V[:, j])
@@ -233,8 +238,8 @@ def test_tree_block_factored_once_per_partition(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     problem = make_problem(n=4, family="bump")
-    problem.condensed_pairs(0.2, 3)
-    problem.condensed_pairs(0.7, 3)
+    problem.snapshot_solve(0.2, 3)
+    problem.snapshot_solve(0.7, 3)
     assert calls == [(problem.n_grad, problem.n_grad)]
 
 

@@ -322,7 +322,7 @@ def test_enrichment_widens_the_window_until_the_cluster_ends():
     calls = []
 
     class Stub:
-        n_curl, n_grad = 40, 0
+        size = 40
 
         def snapshot_solve(self, t, k):
             calls.append(k)

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from cavityrb.config import parse_config
+from cavityrb.config import load_config, parse_config
 from cavityrb.problem import CavityProblem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,6 +40,15 @@ def test_module_and_kernel_targets_resolve(spans):
 def test_method_targets_are_problem_methods(spans):
     for name, attr in spans.METHOD_TARGETS:
         assert attr in vars(CavityProblem), name
+
+
+@pytest.mark.parametrize("system", ["high-fidelity", "reduced"])
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(ROOT, "configs"))))
+def test_benchmark_tracking_config_matches_the_run_config(name, system):
+    # perfbench builds its tracking settings itself, so that it can measure
+    # older commits too; it must keep deriving what ``cavityrb track`` does
+    cfg = load_config(os.path.join(ROOT, "configs", name))
+    assert _load("cases").tracking_config(cfg, system) == cfg.tracking_config(system)
 
 
 @pytest.mark.parametrize("name", ["offline-bump", "online-affine", "hf-track"])

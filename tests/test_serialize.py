@@ -58,7 +58,7 @@ def test_basis_roundtrip_with_interpolant(tmp_path):
     from conftest import make_problem
 
     problem = make_problem(n=4, family="bump")
-    Z = problem.condensed_pairs(0.0, 4)[1]
+    Z = problem.snapshot_solve(0.0, 4)[1]
     interp = pencil_interpolant(problem, Z)
     basis = ReducedBasis(
         Z=Z, t_ref=0.0, gauge="tree-cotree", space="cotree", interpolant=interp,

@@ -19,7 +19,7 @@ from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import ConfigError, NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
 from cavityrb import tracking
-from cavityrb.tracking import TrackingTrace, TrackStep, _FullOps, _rank_permutation
+from cavityrb.tracking import TrackingTrace, TrackStep, _rank_permutation
 
 from conftest import make_problem, solve_full, solve_gevp
 
@@ -192,17 +192,18 @@ def test_track_multiset_matches_sorted_solver_values():
             assert np.min(np.abs(sol.lambdas - lam)) <= 1e-9 * lam
 
 
-def test_track_cotree_agrees_with_full():
-    problem = make_problem(n=8, family="affine")
-    a = track(TrackingConfig(K=4, h=0.2, system="high-fidelity"), problem)
-    b = track(TrackingConfig(K=4, h=0.2, system="cotree"), problem)
-    assert len(a.steps) == len(b.steps)
-    for sa, sb in zip(a.steps, b.steps):
-        assert (sb.t, sb.perm, sb.flags, sb.window) == (sa.t, sa.perm, sa.flags, sa.window)
-        np.testing.assert_allclose(sb.lambdas, sa.lambdas, rtol=1e-9)
+def test_high_fidelity_tracking_builds_no_tree_cotree(monkeypatch):
+    # only cotree snapshot coordinates need the tree map; the full-pencil
+    # solve of a gram-schmidt problem must not build the partition
+    def no_partition(mesh):
+        raise AssertionError("tree-cotree partition built")
+
+    monkeypatch.setattr("cavityrb.gauge.build_tree_cotree", no_partition)
+    problem = make_problem(n=4, gauge="gram-schmidt")
+    assert track(TrackingConfig(K=2, h=0.5), problem).complete
 
 
-@pytest.mark.parametrize("system", ["high-fidelity", "cotree"])
+@pytest.mark.parametrize("system", ["high-fidelity"])
 def test_track_widens_window_on_low_correlation(system):
     # without overtracked candidates, a tracked mode is overtaken between
     # t = 0.6 and 0.7: the window doubles and the solve takes more pairs
@@ -264,7 +265,7 @@ def test_split_of_a_chained_cluster_is_not_a_crossing():
 def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
     if ops_kind == "full":
         problem = make_problem(n=4, family=family)
-        ops = _FullOps(problem)
+        ops = problem
     else:
         gauge = "tree-cotree" if ops_kind == "cotree" else "gram-schmidt"
         problem = make_problem(n=4, family=family, gauge=gauge)
@@ -289,7 +290,7 @@ def test_dropped_reduced_ops_is_freed_without_the_cycle_collector():
     # weights, triangle indices) may refer back to it, or every dropped
     # interpolant waits for gc.collect()
     problem = make_problem(n=4, family="affine")
-    Z = problem.condensed_pairs(0.0, 5)[1]
+    Z = problem.snapshot_solve(0.0, 5)[1]
     ops = pencil_interpolant(problem, Z)
     ops.solve(0.3, 2)
     ops.derivative_pencil(0.3)
