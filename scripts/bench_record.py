@@ -11,7 +11,12 @@ times reduced tracking for n in {12, 16, 24}: one basis per n with the
 ``configs/bench_n24.cfg`` settings and ``mesh_n`` replaced, then
 ``LADDER_REPEATS`` reduced tracking runs on fresh problems sharing the mesh (as the
 ``online-affine`` ops run), of which the median is kept. The ladder records
-whether the online cost grows with the mesh.
+whether the online cost grows with the mesh. A second ladder times one
+high-fidelity solve, ``problem.solve(HF_T, K + tau)`` with the same
+settings, for n in {12, 16, 24, 48, 96}, in a child process whose address
+space is capped at ``HF_MEMORY_LIMIT_GB``: a solve that does not fit (the
+dense eigensolve of older checkouts at n = 96) is recorded with its error
+instead of a time.
 
 The file goes to the root of the repository that holds this script,
 whichever checkout is measured, so one tree can hold the records of a
@@ -26,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,6 +39,9 @@ import time
 
 WORKLOADS = ("offline-bump", "online-affine", "hf-track")
 LADDER_MESHES = (12, 16, 24)
+HF_MESHES = (12, 16, 24, 48, 96)
+HF_T = 0.5
+HF_MEMORY_LIMIT_GB = 2
 SECONDS = 18
 SEEDS = (1, 2, 3)
 LADDER_REPEATS = 5
@@ -70,10 +79,33 @@ print(json.dumps({
 }))
 """
 
+# Assembly at HF_T happens before the timed region; ru_maxrss covers the
+# whole child (mesh, assembly and solve).
+HF_CHILD = f"""
+import dataclasses, json, resource, sys, time, warnings
+warnings.simplefilter("ignore")
+from cavityrb import bench
+from cavityrb.config import load_config
 
-def run_lines(cmd, cwd, env=None):
+cfg = dataclasses.replace(load_config("configs/bench_n24.cfg"), mesh_n=int(sys.argv[1]))
+problem = bench.build_problem(cfg)
+problem.system({HF_T})
+start = time.perf_counter()
+_, lambdas, _ = problem.solve({HF_T}, cfg.K + cfg.tau)
+solve_s = time.perf_counter() - start
+print(json.dumps({{
+    "n": cfg.mesh_n, "n_curl": problem.n_curl, "k": cfg.K + cfg.tau, "t": {HF_T},
+    "solve_s": solve_s, "lambdas": [float(x) for x in lambdas],
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}}))
+"""
+
+
+def run_lines(cmd, cwd, env=None, preexec_fn=None):
     """Run a command; return its stdout lines, raising on failure."""
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        cmd, cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn
+    )
     if proc.returncode != 0:
         raise SystemExit(
             f"{' '.join(cmd[:4])} ... failed with code {proc.returncode}:\n{proc.stderr}"
@@ -105,11 +137,16 @@ def medians(runs):
     }
 
 
-def ladder(checkout):
+def child_env(checkout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(checkout, "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def ladder(checkout):
+    env = child_env(checkout)
     rungs = []
     for n in LADDER_MESHES:
         lines = run_lines(
@@ -118,6 +155,28 @@ def ladder(checkout):
         rungs.append(json.loads(lines[-1]))
         print(f"ladder n={n}: reduced track {rungs[-1]['track_s_median']:.4f} s",
               flush=True)
+    return rungs
+
+
+def cap_address_space():
+    limit = HF_MEMORY_LIMIT_GB * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def hf_ladder(checkout):
+    env = child_env(checkout)
+    rungs = []
+    for n in HF_MESHES:
+        try:
+            lines = run_lines([sys.executable, "-c", HF_CHILD, str(n)], checkout, env,
+                              preexec_fn=cap_address_space)
+        except SystemExit as exc:
+            rungs.append({"n": n, "error": str(exc).strip().splitlines()[-1]})
+            print(f"hf ladder n={n}: {rungs[-1]['error']}", flush=True)
+            continue
+        rungs.append(json.loads(lines[-1]))
+        print(f"hf ladder n={n}: solve {rungs[-1]['solve_s']:.3f} s, "
+              f"peak {rungs[-1]['peak_rss_mb']:.0f} MB", flush=True)
     return rungs
 
 
@@ -167,9 +226,13 @@ def main(argv=None):
             "aggregation": "median over seeds",
             "ladder": f"bench_n24 settings, mesh_n in {list(LADDER_MESHES)}, "
                       f"median of {LADDER_REPEATS} reduced tracking runs",
+            "hf_ladder": f"bench_n24 settings, mesh_n in {list(HF_MESHES)}, one "
+                         f"problem.solve({HF_T}, K + tau) after assembly, address "
+                         f"space capped at {HF_MEMORY_LIMIT_GB} GiB",
         },
         "workloads": workloads,
         "ladder": ladder(checkout),
+        "hf_ladder": hf_ladder(checkout),
         "wall_s": time.time() - started,
     }
     path = os.path.join(REPO, f"BENCH_{args.label}.json")

@@ -1,8 +1,10 @@
-"""Generalized symmetric eigensolver with gradient null-space filtering.
+"""Dense generalized symmetric eigensolver, null-mode threshold and helpers.
 
-At desk scale the pencil is reduced to a dense symmetric-definite problem;
-the exact-zero gradient modes of an ungauged system land many orders below
-the physical spectrum and are discarded by a relative threshold.
+``solve_dense_gevp`` solves a whole pencil: the reduced pencils, and the
+full pencil only for requests past a quarter of its spectrum (the sparse
+mixed-form solve of ``gauge.condensed_eigensolve`` takes all others).
+There the exact-zero gradient modes land many orders below the physical
+spectrum and ``null_mask`` discards them by a relative threshold.
 """
 
 from __future__ import annotations

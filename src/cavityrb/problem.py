@@ -48,6 +48,7 @@ class CavityProblem:
         self._tc = None
         self._bhat_ref = None
         self._gram = None
+        self._mixed = None
 
     # ------------------------------------------------------------------ data
 
@@ -133,16 +134,28 @@ class CavityProblem:
         sys_t = self.system(t)
         try:
             lambdas, V = gauge_mod.condensed_eigensolve(
-                sys_t.A, sys_t.B, sys_t.G, k, self.null_tol
+                sys_t.A, sys_t.B, sys_t.G, k, self.null_tol,
+                factor=lambda: self._mixed_factor(t),
             )
         except NumericalError as exc:
             raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
         return (sys_t.A, sys_t.B), lambdas, V
 
+    def _mixed_factor(self, t: float):
+        """The mixed-form factor of the pencil at t, kept for the last
+        parameter only: a tracker that widens its window at the same t runs
+        one more Lanczos iteration, not one more factorization."""
+        key = float(t)
+        if self._mixed is None or self._mixed[0] != key:
+            self._mixed = None  # free the old factor before making the next
+            sys_t = self.system(key)
+            self._mixed = (key, gauge_mod.mixed_factor(sys_t.A, sys_t.B, sys_t.G))
+        return self._mixed[1]
+
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
         """First k physical eigenpairs with edge-space vectors and residuals;
-        the null-mode count is checked against the gradient-space dimension.
-        The spectrum does not depend on the gauge strategy."""
+        the n_grad gradient modes are never among them. The spectrum does
+        not depend on the gauge strategy."""
         (A, B), lambdas, V = self.solve(t, k)
         return EigenSolution(
             lambdas=lambdas,

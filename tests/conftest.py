@@ -12,6 +12,7 @@ from cavityrb.eigensolve import (
     DROP_TOL,
     EigenSolution,
     b_orthonormalize,
+    eigenvalue_clusters,
     null_mask,
     residual_norms,
     solve_dense_gevp,
@@ -114,6 +115,38 @@ def solve_full(problem, t, k):
     null-filtering oracle."""
     s = problem.system(t)
     return solve_gevp(s.A, s.B, k, null_tol=problem.null_tol)
+
+
+def eigenspace_distance(lam_ref, V_ref, V, B, gap_weighted=False):
+    """Largest entry of (I - P) V over the multiplicity clusters of an
+    ascending reference spectrum, P the B-orthogonal projector onto a
+    cluster's reference eigenspace and V the first columns of another solve.
+
+    Eigenvectors are fixed only up to sign and, inside a multiple
+    eigenspace, up to rotation: two solves agree when each of their
+    clusters spans the same space. A cluster that V cuts at its last column
+    must lie inside the reference one, so the reference spectrum has to
+    reach past it. For B-orthonormal columns of a whole cluster this is the
+    distance of the two projectors. By the Davis-Kahan bound, a cluster
+    whose relative gap g to the rest of the spectrum is small has its
+    eigenspace fixed only to the eigen-residual over g; ``gap_weighted``
+    multiplies each cluster's distance by g (at most 1), which stays at
+    round-off for any spectrum.
+    """
+    k = V.shape[1]
+    worst = 0.0
+    for idx in eigenvalue_clusters(lam_ref):
+        inside = idx[idx < k]
+        if inside.size:
+            Q, W = V_ref[:, idx], V[:, inside]
+            distance = float(abs(W - Q @ (Q.T @ (B @ W))).max())
+            if gap_weighted:
+                lo, hi = idx[0], idx[-1]
+                below = lam_ref[lo] - lam_ref[lo - 1] if lo > 0 else np.inf
+                above = lam_ref[hi + 1] - lam_ref[hi] if hi + 1 < lam_ref.size else np.inf
+                distance *= min(below, above, lam_ref[hi]) / lam_ref[hi]
+            worst = max(worst, distance)
+    return worst
 
 
 def central_difference(f, t, h):

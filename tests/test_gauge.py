@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -14,7 +16,8 @@ from cavityrb import (
     identity_map,
     sine_bump,
 )
-from cavityrb.eigensolve import DEFAULT_NULL_TOL
+from cavityrb import gauge
+from cavityrb.eigensolve import DEFAULT_NULL_TOL, null_mask, solve_dense_gevp
 from cavityrb.errors import NumericalError
 from cavityrb.gauge import (
     condensed_eigensolve,
@@ -22,9 +25,11 @@ from cavityrb.gauge import (
     expand_cotree,
     gram_factor,
     mass_factor,
+    whole_spectrum,
 )
 
 from conftest import (
+    eigenspace_distance,
     make_problem,
     mesh,
     mgs_gradient_clean,
@@ -154,10 +159,64 @@ def test_condensed_eigensolve_matches_standard_form_oracle(n, kind, t):
 
 
 def test_condensed_eigensolve_checks_null_count():
+    # the dense branch owns the null count: one gradient column short, the
+    # smallest whole-spectrum request finds one null mode too many
     m = mesh(4)
     s = assemble(m, sine_bump(0.3), 0.5)
+    G = s.G[:, 1:]
+    k = (G.shape[0] - G.shape[1]) // 4
+    assert whole_spectrum(k, G.shape[0] - G.shape[1])
     with pytest.raises(NumericalError, match="null modes"):
-        condensed_eigensolve(s.A, s.B, s.G[:, 1:], 3, DEFAULT_NULL_TOL)
+        condensed_eigensolve(s.A, s.B, G, k, DEFAULT_NULL_TOL)
+
+
+@given(
+    st.sampled_from([4, 8, 16]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.data(),
+)
+def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
+    # the shift-invert Lanczos solve of the mixed form against the dense
+    # solve of the full pencil with its null modes dropped
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    s = assemble(mesh(n), fam, t)
+    n_physical = s.n_curl - s.n_grad
+    lam_all, V_all = solve_dense_gevp(s.A, s.B)
+    physical = ~null_mask(lam_all, DEFAULT_NULL_TOL)
+    lam_ref, V_ref = lam_all[physical], V_all[:, physical]
+    assert lam_ref.size == n_physical
+    k_sparse = (n_physical - 4) // 4  # the largest request that goes sparse
+    assert not whole_spectrum(k_sparse, n_physical)
+    assert whole_spectrum(k_sparse + 1, n_physical)
+    k = data.draw(st.integers(min_value=1, max_value=k_sparse))
+    lam, V = condensed_eigensolve(s.A, s.B, s.G, k, DEFAULT_NULL_TOL)
+    assert (abs(lam - lam_ref[:k]) / lam_ref[:k]).max() <= 1e-11
+    distance = eigenspace_distance(lam_ref, V_ref, V, s.B, gap_weighted=True)
+    assert distance <= 1e-11 * abs(V_ref).max()
+    assert abs(V.T @ (s.B @ V) - np.eye(k)).max() <= 1e-13
+    # discretely divergence-free to the round-off of the dense vectors
+    assert abs(s.G.T @ (s.B @ V)).max() <= 10 * abs(s.G.T @ (s.B @ V_ref)).max()
+    # both sides of the branch boundary give one spectrum
+    lam_sparse, _ = condensed_eigensolve(s.A, s.B, s.G, k_sparse, DEFAULT_NULL_TOL)
+    lam_dense, _ = condensed_eigensolve(s.A, s.B, s.G, k_sparse + 1, DEFAULT_NULL_TOL)
+    assert (abs(lam_sparse - lam_dense[:k_sparse]) / lam_sparse).max() <= 1e-11
+
+
+@pytest.mark.parametrize("fault", ["singular", "residual"])
+def test_failed_mixed_form_solve_names_the_parameter(monkeypatch, fault):
+    problem = make_problem(n=4, family="bump")
+    if fault == "singular":
+        # a zero gradient column leaves K(sigma) with a zero column
+        s = problem.system(0.3)
+        G = s.G.tolil()
+        G[:, 0] = 0.0
+        broken = dataclasses.replace(s, G=G.tocsr())
+        monkeypatch.setattr(problem, "system", lambda t: broken)
+    else:
+        monkeypatch.setattr(gauge, "MIXED_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalError, match=r"condensed solve failed at t=0\.3"):
+        problem.solve(0.3, 3)
 
 
 def test_expand_zero():
@@ -240,7 +299,8 @@ def test_tree_block_factored_once_per_partition(monkeypatch):
     problem = make_problem(n=4, family="bump")
     problem.snapshot_solve(0.2, 3)
     problem.snapshot_solve(0.7, 3)
-    assert calls == [(problem.n_grad, problem.n_grad)]
+    tree_shape = (problem.n_grad, problem.n_grad)
+    assert [shape for shape in calls if shape == tree_shape] == [tree_shape]
 
 
 @pytest.mark.parametrize("gauge", ["gram-schmidt", "projection"])
