@@ -94,13 +94,17 @@ class CavityProblem:
     def transient_systems(self):
         """Systems first assembled inside the block leave the cache when it
         ends: for one-off parameters, such as interpolation nodes, that would
-        otherwise stay in memory for the problem's lifetime."""
+        otherwise stay in memory for the problem's lifetime. So does the
+        mixed-form factor, if it belongs to one of them."""
         before = set(self._systems)
         try:
             yield
         finally:
-            for key in set(self._systems) - before:
+            dropped = set(self._systems) - before
+            for key in dropped:
                 del self._systems[key]
+            if self._mixed is not None and self._mixed[0] in dropped:
+                self._mixed = None
 
     @property
     def b_ref(self):

@@ -29,6 +29,7 @@ from cavityrb.gauge import (
 )
 
 from conftest import (
+    SPLIT_GAP,
     eigenspace_distance,
     make_problem,
     mesh,
@@ -170,6 +171,18 @@ def test_condensed_eigensolve_checks_null_count():
         condensed_eigensolve(s.A, s.B, G, k, DEFAULT_NULL_TOL)
 
 
+def test_mixed_form_solve_rejects_an_unconstrained_gradient_mode():
+    # one gradient column short, the sparse branch leaves a gradient mode
+    # unconstrained: it comes out near 0, and the eigen-residual gate must
+    # reject it rather than return it as a physical eigenvalue
+    m = mesh(4)
+    s = assemble(m, sine_bump(0.3), 0.5)
+    G = s.G[:, 1:]
+    assert not whole_spectrum(3, G.shape[0] - G.shape[1])
+    with pytest.raises(NumericalError, match="eigen-residual"):
+        condensed_eigensolve(s.A, s.B, G, 3, DEFAULT_NULL_TOL)
+
+
 @given(
     st.sampled_from([4, 8, 16]),
     st.sampled_from(["affine", "bump"]),
@@ -192,7 +205,7 @@ def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
     k = data.draw(st.integers(min_value=1, max_value=k_sparse))
     lam, V = condensed_eigensolve(s.A, s.B, s.G, k, DEFAULT_NULL_TOL)
     assert (abs(lam - lam_ref[:k]) / lam_ref[:k]).max() <= 1e-11
-    distance = eigenspace_distance(lam_ref, V_ref, V, s.B, gap_weighted=True)
+    distance = eigenspace_distance(lam_ref, V_ref, V, s.B, delta=SPLIT_GAP)
     assert distance <= 1e-11 * abs(V_ref).max()
     assert abs(V.T @ (s.B @ V) - np.eye(k)).max() <= 1e-13
     # discretely divergence-free to the round-off of the dense vectors
