@@ -16,7 +16,8 @@ high-fidelity solve, ``problem.solve(HF_T, K + tau)`` with the same
 settings, for n in {12, 16, 24, 48, 96}, in a child process whose address
 space is capped at ``HF_MEMORY_LIMIT_GB``: a solve that does not fit (the
 dense eigensolve of older checkouts at n = 96) is recorded with its error
-instead of a time.
+instead of a time. For n in ``HF_TRACK_MESHES`` the same child then times
+one high-fidelity ``track`` with those settings on a fresh problem.
 
 The file goes to the root of the repository that holds this script,
 whichever checkout is measured, so one tree can hold the records of a
@@ -40,6 +41,7 @@ import time
 WORKLOADS = ("offline-bump", "online-affine", "hf-track")
 LADDER_MESHES = (12, 16, 24)
 HF_MESHES = (12, 16, 24, 48, 96)
+HF_TRACK_MESHES = (16, 24, 48)
 HF_T = 0.5
 HF_MEMORY_LIMIT_GB = 2
 SECONDS = 18
@@ -80,12 +82,13 @@ print(json.dumps({
 """
 
 # Assembly at HF_T happens before the timed region; ru_maxrss covers the
-# whole child (mesh, assembly and solve).
+# whole child (mesh, assembly, solve and the tracking run, if any).
 HF_CHILD = f"""
 import dataclasses, json, resource, sys, time, warnings
 warnings.simplefilter("ignore")
 from cavityrb import bench
 from cavityrb.config import load_config
+from cavityrb.tracking import TrackingConfig, track
 
 cfg = dataclasses.replace(load_config("configs/bench_n24.cfg"), mesh_n=int(sys.argv[1]))
 problem = bench.build_problem(cfg)
@@ -93,11 +96,22 @@ problem.system({HF_T})
 start = time.perf_counter()
 _, lambdas, _ = problem.solve({HF_T}, cfg.K + cfg.tau)
 solve_s = time.perf_counter() - start
-print(json.dumps({{
+out = {{
     "n": cfg.mesh_n, "n_curl": problem.n_curl, "k": cfg.K + cfg.tau, "t": {HF_T},
     "solve_s": solve_s, "lambdas": [float(x) for x in lambdas],
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-}}))
+}}
+if int(sys.argv[2]):
+    tcfg = TrackingConfig(
+        K=cfg.K, h=cfg.track_h, system="high-fidelity", rho_min=cfg.rho_min,
+        max_halvings=cfg.max_halvings, overtrack=cfg.tau, delta_mult=cfg.delta_mult,
+    )
+    fresh = bench.build_problem(cfg, mesh=problem.mesh)
+    start = time.perf_counter()
+    trace = track(tcfg, fresh)
+    out.update(track_s=time.perf_counter() - start, track_steps=len(trace.steps),
+               track_complete=trace.complete)
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
 """
 
 
@@ -168,14 +182,18 @@ def hf_ladder(checkout):
     rungs = []
     for n in HF_MESHES:
         try:
-            lines = run_lines([sys.executable, "-c", HF_CHILD, str(n)], checkout, env,
-                              preexec_fn=cap_address_space)
+            lines = run_lines(
+                [sys.executable, "-c", HF_CHILD, str(n), str(int(n in HF_TRACK_MESHES))],
+                checkout, env, preexec_fn=cap_address_space,
+            )
         except SystemExit as exc:
             rungs.append({"n": n, "error": str(exc).strip().splitlines()[-1]})
             print(f"hf ladder n={n}: {rungs[-1]['error']}", flush=True)
             continue
         rungs.append(json.loads(lines[-1]))
-        print(f"hf ladder n={n}: solve {rungs[-1]['solve_s']:.3f} s, "
+        tracked = (f", track {rungs[-1]['track_s']:.2f} s"
+                   if "track_s" in rungs[-1] else "")
+        print(f"hf ladder n={n}: solve {rungs[-1]['solve_s']:.3f} s{tracked}, "
               f"peak {rungs[-1]['peak_rss_mb']:.0f} MB", flush=True)
     return rungs
 
@@ -227,8 +245,9 @@ def main(argv=None):
             "ladder": f"bench_n24 settings, mesh_n in {list(LADDER_MESHES)}, "
                       f"median of {LADDER_REPEATS} reduced tracking runs",
             "hf_ladder": f"bench_n24 settings, mesh_n in {list(HF_MESHES)}, one "
-                         f"problem.solve({HF_T}, K + tau) after assembly, address "
-                         f"space capped at {HF_MEMORY_LIMIT_GB} GiB",
+                         f"problem.solve({HF_T}, K + tau) after assembly, and one "
+                         f"high-fidelity track for mesh_n in {list(HF_TRACK_MESHES)}, "
+                         f"address space capped at {HF_MEMORY_LIMIT_GB} GiB",
         },
         "workloads": workloads,
         "ladder": ladder(checkout),

@@ -267,15 +267,18 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
     rows = []
     for label, dof, evp_fn, track_fn in plan:
         variant = BenchVariant(label=label, dof_count=dof)
-        try:
-            variant.evp_median, variant.evp_mean = _time_callable(
-                evp_fn, cfg.repetitions
-            )
-            variant.track_median, variant.track_mean = _time_callable(
-                track_fn, cfg.repetitions
-            )
-        except CavityError as exc:
-            variant.status = f"failed: {exc}"
+        # one enclosing block keeps what the warm-up assembles (a march
+        # alone drops it) until the timed runs are over
+        with problem.transient_systems():
+            try:
+                variant.evp_median, variant.evp_mean = _time_callable(
+                    evp_fn, cfg.repetitions
+                )
+                variant.track_median, variant.track_mean = _time_callable(
+                    track_fn, cfg.repetitions
+                )
+            except CavityError as exc:
+                variant.status = f"failed: {exc}"
         rows.append(variant)
     # the high-fidelity timings, reported with the cotree dimension
     rows.insert(1, replace(
@@ -389,6 +392,12 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         if not trace.complete:
             raise CavityError(f"tracking aborted: {trace.status}")
         artifacts["trace"] = trace
+        iterations = [s.derivative_iterations for s in trace.steps]
+        manifest["stages"][-1]["derivatives"] = {
+            "iterations_max": max(iterations),
+            "iterations_total": sum(iterations),
+            "fallback_steps": sum("derivative-fallback" in s.flags for s in trace.steps),
+        }
 
     def _classify():
         labels = classify_run(cfg, artifacts["trace"])

@@ -136,11 +136,17 @@ class PencilInterpolant:
         return self._combine(self.weights(t)[1])
 
     def solve(self, t: float, k: int):
-        """The pencil at t and its first k eigenpairs, as
-        ((A_N, B_N), lambdas, vectors)."""
+        """The pencil at t and its eigenpairs, as ((A_N, B_N), lambdas,
+        vectors): the whole spectrum, of which the first k are asked for,
+        because the dense solve computes every pair anyway."""
         pencil = self.pencil(t)
         lam, V = solve_dense_gevp(*pencil)
-        return pencil, lam[:k], V[:, :k]
+        return pencil, lam, V
+
+    def mixed_form(self, t: float):
+        """None: the reduced pencil has no gradient kernel to constrain, and
+        ``solve`` hands the derivative rule the whole spectrum."""
+        return None
 
 
 def pencil_interpolant(problem, Z: np.ndarray) -> PencilInterpolant:

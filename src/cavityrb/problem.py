@@ -49,6 +49,7 @@ class CavityProblem:
         self._bhat_ref = None
         self._gram = None
         self._mixed = None
+        self._transient = False
 
     # ------------------------------------------------------------------ data
 
@@ -95,11 +96,17 @@ class CavityProblem:
         """Systems first assembled inside the block leave the cache when it
         ends: for one-off parameters, such as interpolation nodes, that would
         otherwise stay in memory for the problem's lifetime. So does the
-        mixed-form factor, if it belongs to one of them."""
+        mixed-form factor, if it belongs to one of them. Inside another such
+        block nothing leaves before the outermost one ends."""
+        if self._transient:
+            yield
+            return
+        self._transient = True
         before = set(self._systems)
         try:
             yield
         finally:
+            self._transient = False
             dropped = set(self._systems) - before
             for key in dropped:
                 del self._systems[key]
@@ -155,6 +162,12 @@ class CavityProblem:
             sys_t = self.system(key)
             self._mixed = (key, gauge_mod.mixed_factor(sys_t.A, sys_t.B, sys_t.G))
         return self._mixed[1]
+
+    def mixed_form(self, t: float):
+        """(G, the mixed-form factor at t): what the tracker's derivative rule
+        needs past the solved window. After a solve at t it is that solve's
+        factor, so a tracking step factors its pencil once."""
+        return self.G, self._mixed_factor(t)
 
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
         """First k physical eigenpairs with edge-space vectors and residuals;

@@ -1,6 +1,6 @@
 """Derivative-based eigenvalue tracking along the deformation parameter.
 
-Each step solves a bordered linear system for the eigenpair derivatives,
+Each step takes the eigenpair derivatives from the window it solved,
 predicts the pair at t + h by first-order Taylor expansion, solves the
 eigenproblem there and re-identifies the tracked modes by a B-weighted
 correlation assignment. Crossings show up as rank changes inside the
@@ -10,13 +10,9 @@ are not crossings and stay unflagged.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, NumericalError, SingularDerivativeError, require
@@ -28,11 +24,20 @@ from .problem import CavityProblem
 # "high-fidelity" tracks the physical modes of the full pencil, with the
 # problem itself as the ops; "reduced" tracks the pencil of a reduced basis,
 # with its ``PencilInterpolant`` as the ops. Both ops have ``size``,
-# ``solve(t, k)`` and ``derivative_pencil(t)``.
+# ``solve(t, k)``, ``derivative_pencil(t)`` and ``mixed_form(t)``, which
+# hands the derivative rule the factor of the last solve (or nothing).
 SYSTEMS = ("high-fidelity", "reduced")
 
-# Relative residual accepted for the input eigenpair and the bordered solve.
+# Relative eigen-residual a pair handed to the derivative rule may have.
+PAIR_RESIDUAL_TOL = 1e-8
+# Relative residual of the bordered system that each derivative must meet.
 RESIDUAL_TOL = 1e-8
+# Stop rule of the complement solve: every column below this fraction of
+# its gate, no halving of the largest residual in this many iterations, or
+# the cap.
+CG_STOP_FRACTION = 1e-2
+CG_STALL_ITERATIONS = 5
+CG_MAX_ITERATIONS = 50
 
 RECTANGLE_MAX_INDEX = 12  # largest m, n of the analytic rectangle table
 MISMATCH_TOL = 0.05  # relative mismatch above which an endpoint is unclassified
@@ -79,6 +84,7 @@ class TrackStep:
     dlambdas: np.ndarray         # derivative used to predict this step
     flags: tuple = ()
     window: int = 0
+    derivative_iterations: int = 0  # complement-solve iterations of dlambdas
 
 
 @dataclass
@@ -107,70 +113,146 @@ class TrackingTrace:
         return self.steps[-1].lambdas
 
 
-def eigen_derivatives(A, B, A_prime, B_prime, v, lam, c):
-    """Eigenpair derivatives from the bordered system.
+@dataclass
+class Derivatives:
+    """Eigenpair derivatives of some modes of a solved window.
 
-    Solves
-        [A - lam B   -B v] [v']     [-A' v + lam B' v]
-        [  c^T B       0 ] [lam']  = [   -c^T B' v    ]
-    and verifies the linear-system residual; a numerically singular border
-    (multiple eigenvalue) raises SingularDerivativeError.
+    ``vectors`` (n x m) and ``values`` (m) are zero in the columns that
+    failed the residual gate (``failed``); ``iterations`` counts the
+    complement solve's iterations (0 without a complement).
     """
-    v = np.asarray(v, dtype=float)
-    Bv = B @ v
-    Av = A @ v
-    scale = max(abs(lam) * np.linalg.norm(Bv), np.finfo(float).tiny)
-    if np.linalg.norm(Av - lam * Bv) / scale > RESIDUAL_TOL:
+
+    vectors: np.ndarray
+    values: np.ndarray
+    failed: np.ndarray
+    iterations: int
+
+
+def _colsum(X, Y):
+    return np.einsum("ij,ij->j", X, Y)
+
+
+def _multiple(lam, delta):
+    """Whether each eigenvalue lies in a multiplicity cluster."""
+    mask = np.zeros(lam.size, dtype=bool)
+    for idx in eigenvalue_clusters(lam, delta):
+        mask[idx] = idx.size > 1
+    return mask
+
+
+def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=None,
+                      delta=DEFAULT_MULT_TOL):
+    """Derivatives of the eigenpairs ``modes`` of a solved window, as
+    ``Derivatives``.
+
+    (lam_w, V_w) are eigenpairs of ``pencil`` = (A, B), V_w B-orthonormal,
+    holding every eigenvalue up to one above the modes'; ``derivative`` is
+    (A', B'). For v = V_w[:, k] and lam = lam_w[k], lam' = v^T (A' - lam B') v
+    and (A - lam B) v' = r = lam' B v - (A' - lam B') v, with
+    v' = x + sum_j c_j v_j + w + alpha v:
+
+    * x = (K(sigma)^{-1} [0; -G^T B' v])[:n], the gradient part that keeps
+      G^T B(t) v(t) = 0 (A' G = 0);
+    * c_j = v_j^T r / (lam_j - lam) over the other window pairs;
+    * w, B-orthogonal to the window and divergence-free, solves
+      (A - lam B) w = r + lam B x off the window by preconditioned CG. That
+      operator is positive definite there, and x -> (K(sigma)^{-1} [x; 0])[:n]
+      maps its spectrum to (mu - lam) / (mu - sigma) for the mu past the
+      window, whatever the mesh. All modes share one multi-column solve per
+      iteration, and the stop is on the largest column (CG_* constants);
+    * alpha fulfils the normalization row (B c)^T v' = -c^T B' v, c = B v.
+
+    ``mixed`` is (G, the ``gauge.mixed_factor`` of the pencil). Without it
+    (a reduced pencil, solved whole) V_w must be the whole spectrum and the
+    rule is the modal sum alone. Each column must then meet RESIDUAL_TOL on
+    the bordered system
+        [A - lam B   -B v] [v']     [-A' v + lam B' v]
+        [  c^T B       0 ] [lam']  = [   -c^T B' v    ],
+    or fails. A mode in a multiplicity cluster of the window
+    (``eigenvalue_clusters`` with ``delta``) raises SingularDerivativeError.
+    """
+    A, B = pencil
+    A_p, B_p = derivative
+    lam_w = np.asarray(lam_w, dtype=float)
+    V_w = np.asarray(V_w, dtype=float)
+    modes = np.atleast_1d(np.asarray(modes, dtype=int))
+    n, m = V_w.shape[0], modes.size
+    V, lam = V_w[:, modes], lam_w[modes]
+    BV = B @ V
+    norm_BV = np.linalg.norm(BV, axis=0)
+    scale = np.maximum(np.abs(lam) * norm_BV, np.finfo(float).tiny)
+    if np.any(np.linalg.norm(A @ V - lam * BV, axis=0) / scale > PAIR_RESIDUAL_TOL):
         raise ValueError("input pair is not an eigenpair to the required residual")
-    c = np.asarray(c, dtype=float)
-    cB = B @ c
-    if abs(cB @ v) < 1e-12 * max(np.linalg.norm(cB) * np.linalg.norm(v), 1e-300):
+    BC = B @ BV
+    vBC = _colsum(BC, V)
+    if np.any(np.abs(vBC) < 1e-12 * np.maximum(
+            np.linalg.norm(BC, axis=0) * np.linalg.norm(V, axis=0), 1e-300)):
         raise ValueError("normalization vector is B-orthogonal to the eigenvector")
-    rhs = np.concatenate(
-        [-(A_prime @ v) + lam * (B_prime @ v), [-(c @ (B_prime @ v))]]
-    )
-    n = v.shape[0]
-    if sp.issparse(A):
-        M = sp.bmat(
-            [
-                [A - lam * B, -sp.csc_matrix(Bv.reshape(n, 1))],
-                [sp.csc_matrix(cB.reshape(1, n)), None],
-            ],
-            format="csc",
-        )
-    else:
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = A - lam * B
-        M[:n, n] = -Bv
-        M[n, :n] = cB
-    # One extra solve with a fixed probe estimates the inverse norm; a
-    # backward-stable solve of a singular border still returns a small
-    # residual, so the residual check alone cannot diagnose multiplicity.
-    probe = np.cos(np.arange(n + 1, dtype=float))
-    try:
-        if sp.issparse(M):
-            solve = spla.splu(M).solve
-        else:
-            solve = functools.partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(M))
-        x, x_probe = solve(rhs), solve(probe)
-    except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+    if _multiple(lam_w, delta)[modes].any():
         raise SingularDerivativeError(
-            f"bordered system singular (multiple eigenvalue?): {exc}"
-        ) from exc
-    kappa_est = abs(M).max() * np.linalg.norm(x_probe) / np.linalg.norm(probe)
-    if not np.all(np.isfinite(x)) or kappa_est > 1e12:
-        raise SingularDerivativeError(
-            f"bordered system numerically singular (condition estimate "
-            f"{kappa_est:.2e}): multiple eigenvalue suspected"
+            "a mode lies in a multiplicity cluster of the window (multiple eigenvalue)"
         )
-    res = np.linalg.norm(M @ x - rhs)
-    ref = max(np.linalg.norm(rhs), abs(lam) * np.linalg.norm(Bv))
-    if res > RESIDUAL_TOL * max(ref, 1.0):
-        raise SingularDerivativeError(
-            f"bordered solve residual {res!r} exceeds tolerance "
-            "(multiple eigenvalue suspected)"
-        )
-    return x[:n], float(x[n])
+    if mixed is None and V_w.shape[1] < n:
+        raise ValueError("without a mixed-form factor the window must be the whole spectrum")
+
+    ApV, BpV = A_p @ V, B_p @ V
+    lam_p = _colsum(V, ApV - lam * BpV) / _colsum(V, BV)
+    rhs = lam * BpV - ApV
+    R = rhs + lam_p * BV
+    rhs_row = -_colsum(BV, BpV)
+    ref = np.maximum(np.sqrt(_colsum(rhs, rhs) + rhs_row**2), np.abs(lam) * norm_BV)
+    gate = RESIDUAL_TOL * np.maximum(ref, 1.0)
+
+    gap = lam_w[:, None] - lam
+    gap[modes, np.arange(m)] = np.inf
+    D = V_w @ ((V_w.T @ R) / gap)
+    iterations = 0
+    if mixed is not None:
+        G, lu = mixed
+        pad = np.zeros((G.shape[1], m))
+        X = lu.solve(np.vstack([np.zeros((n, m)), -(G.T @ BpV)]))[:n]
+        BV_w = B @ V_w
+
+        def precondition(Z):
+            Y = lu.solve(np.vstack([Z, pad]))[:n]
+            return Y - V_w @ (BV_w.T @ Y)
+
+        # preconditioned CG, one recurrence per column, from W = 0
+        Z = R + lam * (B @ X)
+        Z -= BV_w @ (V_w.T @ Z)
+        W = np.zeros((n, m))
+        P = precondition(Z)
+        rz = _colsum(Z, P)
+        norms = np.linalg.norm(Z, axis=0)
+        largest = [norms.max()]
+        while iterations < CG_MAX_ITERATIONS:
+            if np.all(norms <= CG_STOP_FRACTION * gate):
+                break
+            if (iterations >= CG_STALL_ITERATIONS
+                    and largest[-1] > 0.5 * largest[-1 - CG_STALL_ITERATIONS]):
+                break
+            Q = A @ P - lam * (B @ P)
+            Q -= BV_w @ (V_w.T @ Q)
+            pq = _colsum(P, Q)
+            step = np.divide(rz, pq, out=np.zeros(m), where=pq > 0)
+            W += step * P
+            Z -= step * Q
+            iterations += 1
+            norms = np.linalg.norm(Z, axis=0)
+            largest.append(norms.max())
+            Y = precondition(Z)
+            rz_next = _colsum(Z, Y)
+            P = Y + np.divide(rz_next, rz, out=np.zeros(m), where=rz > 0) * P
+            rz = rz_next
+        D += X + W
+    D += ((rhs_row - _colsum(BC, D)) / vBC) * V
+
+    top = A @ D - lam * (B @ D) - lam_p * BV - rhs
+    row = _colsum(BC, D) - rhs_row
+    failed = ~(np.sqrt(_colsum(top, top) + row**2) <= gate)
+    D[:, failed] = 0.0
+    lam_p[failed] = 0.0
+    return Derivatives(D, lam_p, failed, iterations)
 
 
 def taylor_predict(v, lam, v_prime, lam_prime, h):
@@ -333,66 +415,66 @@ def _rank_permutation(prev_lam, cur_lam, delta):
 def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | None = None) -> TrackingTrace:
     """March the tracked eigenpairs from t = 0 to t = 1.
 
-    The normalization vector of the bordered system is reset to B(t) v(t)
-    at every step. Steps that fail the correlation threshold first widen the
-    candidate window, then halve the step size (at most max_halvings times)
-    before aborting with a partial trace. The final step lands exactly on 1.
+    Each step takes the derivatives of its simple tracked modes from the
+    window solved at t (``eigen_derivatives``; the high-fidelity ops hand
+    it the step's mixed-form factor), so a step factors the pencil once.
+    Steps that fail the correlation threshold first widen the candidate
+    window, then halve the step size (at most max_halvings times) before
+    aborting with a partial trace. The final step lands exactly on 1. The
+    problem's systems of the visited parameters leave its cache at the end.
     """
     ops = _make_ops(config, problem, basis)
-    trace = TrackingTrace()
-
     if ops.size < config.K:
         raise NumericalError(
             f"system provides only {ops.size} eigenvalues, tracking needs {config.K}"
         )
-    (A_t, B_t), lam0, V0 = _seed_degenerate_clusters(ops, config)
-    window = min(ops.size, config.K + config.overtrack)
-    lam_cur = lam0[: config.K].copy()
-    V_cur = V0[:, : config.K].copy()
+    with problem.transient_systems():
+        return _march(config, ops)
+
+
+def _march(config, ops):
+    """The march of ``track`` on its ops."""
+    trace = TrackingTrace()
+    K = config.K
+    # the pencil and solved window at t: the tracked modes are the window
+    # columns ``positions``, and every window pair enters their derivatives
+    (A_t, B_t), lam_w, V_w = _seed_degenerate_clusters(ops, config)
+    positions = np.arange(K)
+    window = min(ops.size, K + config.overtrack)
     trace.steps.append(
         TrackStep(
             t=0.0,
-            lambdas=lam_cur.copy(),
-            ranks=np.arange(config.K),
-            perm=tuple(range(config.K)),
-            rhos=np.full(config.K, np.nan),
-            dlambdas=np.zeros(config.K),
+            lambdas=lam_w[:K].copy(),
+            ranks=np.arange(K),
+            perm=tuple(range(K)),
+            rhos=np.full(K, np.nan),
+            dlambdas=np.zeros(K),
             flags=(),
             window=window,
         )
     )
 
-    lam_all = lam0
-    positions = np.arange(config.K)
     t = 0.0
     while t < 1.0 - 1e-12:
-        Ap_t, Bp_t = ops.derivative_pencil(t)
-
-        # Eigenvector/eigenvalue derivatives per tracked mode. Degeneracy is
-        # judged against the solved spectrum at t, which reaches one past the
-        # candidate window (an untracked partner of a multiple eigenvalue
-        # still makes the bordered system singular), and affected modes fall
-        # back to zero-order prediction.
-        dlam = np.zeros(config.K)
+        lam_cur, V_cur = lam_w[positions], V_w[:, positions]
+        # Modes in a multiplicity cluster of the window, which reaches one
+        # past the candidate window (an untracked partner of a multiple
+        # eigenvalue counts), fall back to zero-order prediction, and so do
+        # modes whose derivative fails the residual gate.
+        fallback = _multiple(lam_w, config.delta_mult)[positions]
+        simple = np.flatnonzero(~fallback)
+        dlam = np.zeros(K)
         Vdot = np.zeros_like(V_cur)
-        multiple = np.zeros(lam_all.size, dtype=bool)
-        for idx in eigenvalue_clusters(lam_all, config.delta_mult):
-            multiple[idx] = idx.size > 1
-        fallback_modes = []
-        for k in range(config.K):
-            if multiple[positions[k]]:
-                fallback_modes.append(k)
-                continue
-            c = B_t @ V_cur[:, k]
-            try:
-                v_p, l_p = eigen_derivatives(
-                    A_t, B_t, Ap_t, Bp_t, V_cur[:, k], lam_cur[k], c
-                )
-            except SingularDerivativeError:
-                fallback_modes.append(k)
-                continue
-            dlam[k] = l_p
-            Vdot[:, k] = v_p
+        iterations = 0
+        if simple.size:
+            deriv = eigen_derivatives(
+                (A_t, B_t), ops.derivative_pencil(t), lam_w, V_w, positions[simple],
+                mixed=ops.mixed_form(t), delta=config.delta_mult,
+            )
+            dlam[simple] = deriv.values
+            Vdot[:, simple] = deriv.vectors
+            fallback[simple[deriv.failed]] = True
+            iterations = deriv.iterations
 
         h_cur = min(config.h, 1.0 - t)
         halvings = 0
@@ -424,12 +506,11 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
             return trace
 
         lam_new = lam_next[match.perm].copy()
-        V_new = V_next[:, match.perm].copy()
         perm, crossing, ranks = _rank_permutation(lam_cur, lam_new, config.delta_mult)
         flags = []
         if crossing:
             flags.append("crossing-detected")
-        if fallback_modes:
+        if fallback.any():
             flags.append("derivative-fallback")
         if halvings:
             flags.append("step-halved")
@@ -440,17 +521,16 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
                 ranks=np.array(ranks),
                 perm=perm,
                 rhos=match.rhos.copy(),
-                dlambdas=dlam.copy(),
+                dlambdas=dlam,
                 flags=tuple(flags),
                 window=win,
+                derivative_iterations=iterations,
             )
         )
-        window = max(config.K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
-        lam_cur, V_cur = lam_new, V_new
-        # the pencil solved at t_next serves the next bordered systems, so
-        # every parameter is evaluated once
-        A_t, B_t = pencil
-        lam_all = lam_next
+        window = max(K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
+        # the pencil and window solved at t_next serve the next derivatives,
+        # so every parameter is evaluated and factored once
+        (A_t, B_t), lam_w, V_w = pencil, lam_next, V_next
         positions = match.perm
         t = t_next
 

@@ -1,9 +1,11 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, settings
 
 from cavityrb import affine_stretch, build_reference_mesh, identity_map, sine_bump
@@ -18,10 +20,11 @@ from cavityrb.eigensolve import (
     residual_norms,
     solve_dense_gevp,
 )
-from cavityrb.errors import NumericalError
+from cavityrb.errors import NumericalError, SingularDerivativeError
 from cavityrb.gauge import expand_cotree, mass_factor
 from cavityrb.pod import reduce_system
 from cavityrb.problem import CavityProblem
+from cavityrb.tracking import RESIDUAL_TOL
 
 settings.register_profile(
     "numeric",
@@ -147,6 +150,62 @@ def eigenspace_distance(lam_ref, V_ref, V, B, delta=DEFAULT_MULT_TOL):
             Q, W = V_ref[:, idx], V[:, inside]
             worst = max(worst, float(abs(W - Q @ (Q.T @ (B @ W))).max()))
     return worst
+
+
+def bordered_derivatives(A, B, A_prime, B_prime, v, lam, c):
+    """Eigenpair derivatives from the bordered system (oracle of
+    ``tracking.eigen_derivatives``).
+
+    Solves
+        [A - lam B   -B v] [v']     [-A' v + lam B' v]
+        [  c^T B       0 ] [lam']  = [   -c^T B' v    ]
+    with one LU per mode and verifies the linear-system residual; a
+    numerically singular border (multiple eigenvalue) raises
+    SingularDerivativeError.
+    """
+    v = np.asarray(v, dtype=float)
+    Bv = B @ v
+    c = np.asarray(c, dtype=float)
+    cB = B @ c
+    rhs = np.concatenate(
+        [-(A_prime @ v) + lam * (B_prime @ v), [-(c @ (B_prime @ v))]]
+    )
+    n = v.shape[0]
+    if sp.issparse(A):
+        M = sp.bmat(
+            [
+                [A - lam * B, -sp.csc_matrix(Bv.reshape(n, 1))],
+                [sp.csc_matrix(cB.reshape(1, n)), None],
+            ],
+            format="csc",
+        )
+    else:
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = A - lam * B
+        M[:n, n] = -Bv
+        M[n, :n] = cB
+    # One extra solve with a fixed probe estimates the inverse norm; a
+    # backward-stable solve of a singular border still returns a small
+    # residual, so the residual check alone cannot diagnose multiplicity.
+    probe = np.cos(np.arange(n + 1, dtype=float))
+    try:
+        if sp.issparse(M):
+            solve = spla.splu(M).solve
+        else:
+            solve = functools.partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(M))
+        x, x_probe = solve(rhs), solve(probe)
+    except (RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+        raise SingularDerivativeError(f"bordered system singular: {exc}") from exc
+    kappa_est = abs(M).max() * np.linalg.norm(x_probe) / np.linalg.norm(probe)
+    if not np.all(np.isfinite(x)) or kappa_est > 1e12:
+        raise SingularDerivativeError(
+            f"bordered system numerically singular (condition estimate {kappa_est:.2e})"
+        )
+    res = np.linalg.norm(M @ x - rhs)
+    ref = max(np.linalg.norm(rhs), abs(lam) * np.linalg.norm(Bv))
+    if res > RESIDUAL_TOL * max(ref, 1.0):
+        raise SingularDerivativeError(f"bordered solve residual {res!r} exceeds tolerance")
+    return x[:n], float(x[n])
 
 
 def central_difference(f, t, h):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cavityrb.bench as bench_mod
+import cavityrb.problem as problem_mod
 from cavityrb import build_reference_mesh, sine_bump
 from cavityrb.bench import (
     ErrorStudy,
@@ -123,13 +124,25 @@ def test_initial_basis_keeps_no_snapshot_systems(quiet_warnings):
 
 def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings):
     # the high-fidelity-cotree row reports the high-fidelity timings with
-    # the cotree dimension
-    systems = []
+    # the cotree dimension; a march drops the systems it assembles, so the
+    # bench assembles the warm-up's parameters itself and the timed
+    # high-fidelity runs assemble nothing
+    systems, assembled, hf_assembled = [], [], []
+    assemble = problem_mod.assemble
+
+    def counting_assemble(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
 
     def counted(config, problem, basis=None):
         systems.append(config.system)
-        return track(config, problem, basis=basis)
+        before = len(assembled)
+        trace = track(config, problem, basis=basis)
+        if config.system == "high-fidelity":
+            hf_assembled.append(len(assembled) - before)
+        return trace
 
+    monkeypatch.setattr(problem_mod, "assemble", counting_assemble)
     monkeypatch.setattr(bench_mod, "track", counted)
     cfg = RunConfig(
         mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, tol=1e-6,
@@ -137,6 +150,7 @@ def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings)
     )
     report = run_bench(cfg)
     assert [s for s in systems if s != "reduced"] == ["high-fidelity"] * 4
+    assert hf_assembled[0] > 0 and hf_assembled[1:] == [0, 0, 0]
     rows = {r["label"]: r for r in report["rows"]}
     assert list(rows) == [
         "high-fidelity", "high-fidelity-cotree", "rb-tree-cotree", "rb-gram-schmidt",

@@ -517,3 +517,21 @@ def test_pipeline_manifest_records_interpolant(cfg_path, tmp_path, quiet_warning
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["interpolant"]["m"] in (8, 16, 32, 64, 128)
     assert 0.0 < manifest["interpolant"]["coefficient_tail"] <= 1e-13
+
+
+def test_pipeline_manifest_records_derivative_counts(tmp_path, quiet_warnings):
+    # high-fidelity tracking runs the complement solve at every step, and
+    # the degenerate pairs at t = 0 fall back to zero order; the counts
+    # repeat exactly
+    path = tmp_path / "hf.cfg"
+    path.write_text(BASE.replace("track_system = reduced", "track_system = high-fidelity"))
+    manifests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["pipeline", "--config", str(path), "--out", str(out), "--no-bench"]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    stage = next(s for s in json.loads(manifests[0])["stages"] if s["name"] == "track")
+    counts = stage["derivatives"]
+    assert 0 < counts["iterations_max"] <= counts["iterations_total"]
+    assert counts["fallback_steps"] >= 1

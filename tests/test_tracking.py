@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from cavityrb import (
     taylor_predict,
     track,
 )
-from cavityrb.eigensolve import solve_dense_gevp
+from cavityrb.eigensolve import eigenvalue_clusters, solve_dense_gevp
 from cavityrb.errors import ConfigError, NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
 from cavityrb import gauge, tracking
@@ -23,11 +24,24 @@ from cavityrb.tracking import TrackingTrace, TrackStep, _rank_permutation
 
 from conftest import (
     SPLIT_GAP,
+    bordered_derivatives,
     eigenspace_distance,
     make_problem,
     solve_full,
     solve_gevp,
 )
+
+
+def _slope(problem, t, sol, k):
+    """(v', lambda') of pair k of an oracle solve at t, by the tracker's
+    rule with the oracle's pairs as the window."""
+    s = problem.system(t)
+    d = eigen_derivatives(
+        (s.A, s.B), problem.derivative_pencil(t), sol.lambdas, sol.vectors, [k],
+        mixed=problem.mixed_form(t),
+    )
+    assert not d.failed.any()
+    return d.vectors[:, 0], d.values[0]
 
 
 def test_derivative_stationary_family():
@@ -37,9 +51,14 @@ def test_derivative_stationary_family():
     k = 2  # simple eigenvalue of the square
     v, lam = sol.vectors[:, k], sol.lambdas[k]
     zero = s.A * 0.0
-    vp, lp = eigen_derivatives(s.A, s.B, zero, zero, v, lam, s.B @ v)
+    d = eigen_derivatives(
+        (s.A, s.B), (zero, zero), sol.lambdas, sol.vectors, [k],
+        mixed=problem.mixed_form(0.3),
+    )
+    vp, lp = d.vectors[:, 0], d.values[0]
     assert abs(lp) <= 1e-10 * lam
     assert np.linalg.norm(vp) <= 1e-8 * np.linalg.norm(v)
+    assert d.iterations == 0 and not d.failed.any()
 
 
 def test_derivative_unit_cell_closed_form():
@@ -48,10 +67,8 @@ def test_derivative_unit_cell_closed_form():
     fam = problem.family
     t = 0.3
     s = problem.system(t)
-    Ap, Bp = problem.derivative_pencil(t)
     sol = solve_gevp(s.A, s.B, 1)
-    v, lam = sol.vectors[:, 0], sol.lambdas[0]
-    _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
+    _, lp = _slope(problem, t, sol, 0)
     a, ap = fam.stretch(t), fam.stretch_rate()
     exact = -48.0 * a * ap / (1 + a * a) ** 2
     np.testing.assert_allclose(lp, exact, rtol=1e-6)
@@ -61,12 +78,10 @@ def test_derivative_matches_analytic_stretch_mode():
     problem = make_problem(n=16, family="affine")
     t = 0.2
     s = problem.system(t)
-    Ap, Bp = problem.derivative_pencil(t)
     sol = solve_gevp(s.A, s.B, 2)
     a, ap = problem.family.stretch(t), problem.family.stretch_rate()
     # mode (1,0) is the smallest for t > 0
-    v, lam = sol.vectors[:, 0], sol.lambdas[0]
-    _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
+    _, lp = _slope(problem, t, sol, 0)
     exact = -2.0 * np.pi**2 * ap / a**3
     assert abs(lp - exact) / abs(exact) < 0.01
 
@@ -75,10 +90,8 @@ def test_derivative_finite_difference_oracle():
     problem = make_problem(n=8, family="affine")
     t = 0.35
     s = problem.system(t)
-    Ap, Bp = problem.derivative_pencil(t)
-    sol = solve_gevp(s.A, s.B, 1)
-    v, lam = sol.vectors[:, 0], sol.lambdas[0]
-    _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
+    sol = solve_gevp(s.A, s.B, 2)
+    _, lp = _slope(problem, t, sol, 0)
     errs = []
     for delta in (2e-3, 1e-3):
         lam_p = solve_full(problem, t + delta, 1).lambdas[0]
@@ -93,9 +106,87 @@ def test_derivative_singular_at_degenerate_pair():
     s = problem.system(0.0)
     Ap, Bp = problem.derivative_pencil(0.0)
     sol = solve_gevp(s.A, s.B, 2)  # exactly degenerate pair
-    v, lam = sol.vectors[:, 0], sol.lambdas[0]
-    with pytest.raises((SingularDerivativeError, ValueError)):
-        eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
+    with pytest.raises(SingularDerivativeError, match="multiple"):
+        eigen_derivatives(
+            (s.A, s.B), (Ap, Bp), sol.lambdas, sol.vectors, [0],
+            mixed=problem.mixed_form(0.0),
+        )
+
+
+_REDUCED_OPS = {}
+
+
+def _reduced_ops(space, family):
+    """Interpolant of a snapshot basis at t = 0 and 1 on an n = 4 problem,
+    in the edge space (gram-schmidt) or cotree coordinates; built once."""
+    if (space, family) not in _REDUCED_OPS:
+        gauge = "tree-cotree" if space == "cotree" else "gram-schmidt"
+        problem = make_problem(n=4, family=family, gauge=gauge)
+        Y = np.hstack([problem.snapshot_solve(t, 6)[1] for t in (0.0, 1.0)])
+        Z, _ = problem.orthonormalize(problem.clean_basis(Y)[0])
+        _REDUCED_OPS[space, family] = pencil_interpolant(problem, Z)
+    return _REDUCED_OPS[space, family]
+
+
+@given(
+    st.sampled_from(["full", "edge", "cotree"]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.data(),
+)
+def test_derivatives_match_the_bordered_oracle(ops_kind, family, t, data):
+    # the window rule (modal sum, gradient solve, preconditioned CG on the
+    # complement) against one bordered LU per mode, on the pairs each ops
+    # solves: the problem's sparse window, the interpolant's whole spectrum
+    if ops_kind == "full":
+        ops = make_problem(n=data.draw(st.integers(8, 12)), family=family)
+    else:
+        ops = _reduced_ops(ops_kind, family)
+    pencil, lam_w, V_w = ops.solve(t, 8)
+    derivative = ops.derivative_pencil(t)
+    modes = [
+        int(idx[0]) for idx in eigenvalue_clusters(lam_w[:6], tracking.DEFAULT_MULT_TOL)
+        if idx.size == 1
+    ]
+    d = eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=ops.mixed_form(t))
+    assert not d.failed.any()
+    A, B = pencil
+    for j, k in enumerate(modes):
+        v = V_w[:, k]
+        vp, lp = bordered_derivatives(A, B, *derivative, v, lam_w[k], B @ v)
+        assert np.linalg.norm(d.vectors[:, j] - vp) <= 1e-9 * np.linalg.norm(vp)
+        assert abs(d.values[j] - lp) <= 1e-8 * (abs(lp) + lam_w[k])
+
+
+def test_round_off_column_stops_before_the_cap():
+    # the stretch scales the (1,0) mode's vector without turning it: both
+    # r = lambda' B v - (A' - lambda B') v and G^T B' v vanish, so the whole
+    # right-hand side of that column is round-off, and a stop relative to
+    # each column's own right-hand side would end only on stagnation
+    problem = make_problem(n=12, family="affine")
+    t = 0.37
+    pencil, lam_w, V_w = problem.solve(t, 6)
+    derivative = problem.derivative_pencil(t)
+    d = eigen_derivatives(
+        pencil, derivative, lam_w, V_w, [0, 2], mixed=problem.mixed_form(t)
+    )
+    (A, B), (A_p, B_p) = pencil, derivative
+    V = V_w[:, [0, 2]]
+    r = d.values * (B @ V) - A_p @ V + lam_w[[0, 2]] * (B_p @ V)
+    rhs = np.vstack([r, problem.G.T @ (B_p @ V)])
+    norms = np.linalg.norm(rhs, axis=0)
+    assert norms[0] <= 1e-12 * norms[1]
+    assert not d.failed.any()
+    # the round-off column adds no iteration to those of the other
+    alone = eigen_derivatives(pencil, derivative, lam_w, V_w, [2], mixed=problem.mixed_form(t))
+    assert 0 < d.iterations == alone.iterations < tracking.CG_MAX_ITERATIONS
+
+
+def test_derivative_window_must_be_whole_without_a_factor():
+    problem = make_problem(n=4, family="affine")
+    pencil, lam_w, V_w = problem.solve(0.3, 4)
+    with pytest.raises(ValueError, match="whole spectrum"):
+        eigen_derivatives(pencil, problem.derivative_pencil(0.3), lam_w, V_w, [0])
 
 
 def test_taylor_predict_trivial_cases(rng):
@@ -113,10 +204,9 @@ def test_taylor_predict_second_order():
     problem = make_problem(n=4, family="affine")
     t = 0.3
     s = problem.system(t)
-    Ap, Bp = problem.derivative_pencil(t)
-    sol = solve_gevp(s.A, s.B, 1)
+    sol = solve_gevp(s.A, s.B, 2)
     v, lam = sol.vectors[:, 0], sol.lambdas[0]
-    _, lp = eigen_derivatives(s.A, s.B, Ap, Bp, v, lam, s.B @ v)
+    _, lp = _slope(problem, t, sol, 0)
     errs = []
     for h in (0.1, 0.05, 0.025):
         _, lam_pred = taylor_predict(v, lam, 0 * v, lp, h)
@@ -242,6 +332,65 @@ def test_widened_window_reuses_the_mixed_factor(monkeypatch):
     assert len(factored) == len(set(solved))
 
 
+def test_high_fidelity_track_factors_only_the_mixed_form(monkeypatch):
+    # the derivatives reuse the factor of the step's solve; the seeding
+    # probe at t = h / 4 evicts the t = 0 factor, which the simple (1,1)
+    # mode then needs once more
+    problem = make_problem(n=8, family="affine")
+    solved, calls, inside = [], [], []
+    solve, mixed_factor, splu = problem.solve, gauge.mixed_factor, scipy.sparse.linalg.splu
+
+    def counting_solve(t, k):
+        solved.append(t)
+        return solve(t, k)
+
+    def marked_factor(*args, **kwargs):
+        inside.append(True)
+        try:
+            return mixed_factor(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_splu(*args, **kwargs):
+        calls.append(bool(inside))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "solve", counting_solve)
+    monkeypatch.setattr(gauge, "mixed_factor", marked_factor)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    trace = track(TrackingConfig(K=5, h=0.1), problem)
+    assert trace.complete
+    assert all(calls) and len(calls) == len(set(solved)) + 1
+
+
+def test_high_fidelity_track_leaves_the_cached_systems_as_it_found_them():
+    problem = make_problem(n=4, family="affine")
+    problem.system(0.0)
+    before = set(problem._systems)
+    assert track(TrackingConfig(K=2, h=0.25), problem).complete
+    assert set(problem._systems) == before
+    assert problem._mixed is None
+
+
+def test_failed_residual_gate_falls_back_to_zero_order(monkeypatch):
+    # no derivative meets a zero gate: every step predicts at zero order,
+    # and the march still completes
+    monkeypatch.setattr(tracking, "RESIDUAL_TOL", 0.0)
+    trace = track(TrackingConfig(K=3, h=0.25), make_problem(n=8, family="affine"))
+    assert trace.complete
+    for step in trace.steps[1:]:
+        assert "derivative-fallback" in step.flags and not step.dlambdas.any()
+        assert step.derivative_iterations > 0
+
+
+def test_track_records_the_derivative_iterations():
+    trace = track(TrackingConfig(K=3, h=0.25), make_problem(n=8, family="bump"))
+    assert trace.complete and trace.steps[0].derivative_iterations == 0
+    assert all(
+        0 < s.derivative_iterations < tracking.CG_MAX_ITERATIONS for s in trace.steps[1:]
+    )
+
+
 def test_track_halves_the_step_on_low_correlation():
     problem = make_problem(n=8, family="affine")
     trace = track(TrackingConfig(K=3, h=1.0, rho_min=0.99), problem)
@@ -258,14 +407,16 @@ def test_track_aborts_when_the_halvings_run_out():
 
 
 def test_singular_derivative_falls_back_to_zero_order(monkeypatch):
-    # the bordered system fails for the highest tracked mode, the (1,1)
-    # mode, which stays above 1.1 pi^2 while the others stay below pi^2
+    # the derivative fails for the highest tracked mode, the (1,1) mode,
+    # which stays above 1.1 pi^2 while the others stay below pi^2
     exact = tracking.eigen_derivatives
 
-    def failing(A, B, A_p, B_p, v, lam, c):
-        if lam > 1.06 * np.pi**2:
-            raise SingularDerivativeError("stub")
-        return exact(A, B, A_p, B_p, v, lam, c)
+    def failing(pencil, derivative, lam_w, V_w, modes, **kw):
+        d = exact(pencil, derivative, lam_w, V_w, modes, **kw)
+        high = lam_w[modes] > 1.06 * np.pi**2
+        d.vectors[:, high], d.values[high] = 0.0, 0.0
+        d.failed |= high
+        return d
 
     monkeypatch.setattr(tracking, "eigen_derivatives", failing)
     trace = track(TrackingConfig(K=3, h=0.25), make_problem(n=8, family="affine"))
@@ -310,6 +461,10 @@ def test_windowed_solve_matches_complete_dense_solve(ops_kind, family, t, data):
     else:
         lam_all, V_all = solve_dense_gevp(*pencil)
     assert lam_all.size == ops.size
+    # the problem solves the k pairs asked for, the interpolant its whole
+    # spectrum
+    assert lam.size == (k if ops_kind == "full" else ops.size) == V.shape[1]
+    lam, V = lam[:k], V[:, :k]
     np.testing.assert_allclose(lam, lam_all[:k], rtol=1e-12)
     if ops_kind == "full":
         # the sparse solve against the dense one: a multiple eigenspace, or
