@@ -25,8 +25,8 @@ class RankDeficiencyError(NumericalError):
 
 
 class SingularDerivativeError(NumericalError):
-    """The bordered derivative system is numerically singular, typically
-    because of a multiple eigenvalue."""
+    """The eigenpair derivative is undefined: the mode lies in a
+    multiplicity cluster of its window (a multiple eigenvalue)."""
 
 
 class ConfigError(CavityError, ValueError):

@@ -35,7 +35,7 @@ from .geometry import ReferenceMesh
 # at a positive eigenvalue, so K(sigma) is nonsingular.
 MIXED_SHIFT = -1.0
 # Largest relative eigen-residual ||A v - lam B v|| / (lam ||B v||) a
-# returned pair may have; the tracker's bordered systems need 1e-8.
+# returned pair may have; the tracker's derivative rule needs 1e-8.
 MIXED_RESIDUAL_TOL = 1e-9
 
 

@@ -125,8 +125,8 @@ def test_initial_basis_keeps_no_snapshot_systems(quiet_warnings):
 def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings):
     # the high-fidelity-cotree row reports the high-fidelity timings with
     # the cotree dimension; a march drops the systems it assembles, so the
-    # bench assembles the warm-up's parameters itself and the timed
-    # high-fidelity runs assemble nothing
+    # bench keeps the warm-up's in one enclosing transient block and the
+    # timed high-fidelity runs assemble nothing
     systems, assembled, hf_assembled = [], [], []
     assemble = problem_mod.assemble
 

@@ -34,7 +34,8 @@ def test_script_runs_on_small_mesh(name):
     assert done.returncode == 0, done.stderr
 
 
-def test_bench_record_ladder_child_runs_on_small_mesh():
+def _bench_record_child(name, *args):
+    """Last JSON line of a child of ``scripts/bench_record.py`` run with args."""
     spec = importlib.util.spec_from_file_location(
         "bench_record", ROOT / "scripts" / "bench_record.py"
     )
@@ -43,26 +44,18 @@ def test_bench_record_ladder_child_runs_on_small_mesh():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     done = subprocess.run(
-        [sys.executable, "-c", bench_record.LADDER_CHILD, "4", "1"],
+        [sys.executable, "-c", getattr(bench_record, name), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    rung = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_bench_record_ladder_child_runs_on_small_mesh():
+    rung = _bench_record_child("LADDER_CHILD", "4", "1")
     assert rung["n"] == 4 and rung["track_complete"] and len(rung["track_s"]) == 1
 
 
 def test_bench_record_hf_child_tracks_on_small_mesh():
-    spec = importlib.util.spec_from_file_location(
-        "bench_record", ROOT / "scripts" / "bench_record.py"
-    )
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", bench_record.HF_CHILD, "4", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    rung = json.loads(done.stdout.strip().splitlines()[-1])
+    rung = _bench_record_child("HF_CHILD", "4", "1")
     assert rung["n"] == 4 and rung["track_complete"] and rung["track_s"] > 0
