@@ -133,7 +133,7 @@ class ErrorStudy:
         ts_test = rng.uniform(0.0, 1.0, cfg.N_test)
         truth = np.empty((cfg.N_test, cfg.K))
         for j, t in enumerate(ts_test):
-            truth[j] = problem.solve_condensed(float(t), cfg.K).lambdas
+            truth[j] = problem.solve(float(t), cfg.K)[1]
         return cls(problem=problem, cfg=cfg, ts_test=ts_test, truth=truth)
 
     def evaluate(self, Z: np.ndarray):

@@ -112,17 +112,15 @@ def cmd_solve(args):
             f"--k must be at most {problem.size}, the number of physical modes "
             f"of the mesh, got {k}"
         )
-    sol = problem.solve_condensed(float(args.t), k)
-    print(f"t = {args.t}: {sol.k} eigenvalues ({problem.gauge} gauge)")
+    _, lambdas, _ = problem.solve(float(args.t), k)
+    freqs = np.sqrt(lambdas) / (2.0 * np.pi)
+    print(f"t = {args.t}: {k} eigenvalues ({problem.gauge} gauge)")
     print(f"{'mode':>4} {'lambda':>24} {'freq':>24}")
-    for i, (lam, f) in enumerate(zip(sol.lambdas, sol.frequencies)):
+    for i, (lam, f) in enumerate(zip(lambdas, freqs)):
         print(f"{i:>4} {lam:>24.17g} {f:>24.17g}")
     if args.out:
         out = _out_dir(args)
-        rows = [
-            (i, float(args.t), lam, f)
-            for i, (lam, f) in enumerate(zip(sol.lambdas, sol.frequencies))
-        ]
+        rows = [(i, float(args.t), lam, f) for i, (lam, f) in enumerate(zip(lambdas, freqs))]
         ser.write_csv(
             os.path.join(out, "spectrum.csv"), ("mode", "t", "lambda", "freq"), rows
         )

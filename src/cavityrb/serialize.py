@@ -149,9 +149,12 @@ def load_basis(path) -> ReducedBasis:
             provenance.append(parts[2] if len(parts) > 2 else "unknown")
         row += N
         count = n * N + (m + 1) * N * (N + 1) if m else n * N
-        data = np.array([float(x) for x in lines[row : row + count]])
-        if data.size != count:
-            raise ConfigError(f"basis artifact truncated: {path}")
+        if len(lines) - row != count:
+            raise ConfigError(
+                f"basis artifact {path} holds {len(lines) - row} values, "
+                f"its header declares {count}"
+            )
+        data = np.array([float(x) for x in lines[row:]])
         if not (np.isfinite(data).all() and np.isfinite(t_ref)):
             raise ConfigError(f"basis artifact {path} holds non-finite values")
         Z = data[: n * N].reshape(N, n).T.copy()

@@ -328,37 +328,27 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     return _assign(rho, rho_min, score=rho + 1e-6 * rho_ind)
 
 
-def _seed_degenerate_clusters(ops, config):
-    """Pencil and first eigenpairs at t = 0, with degenerate starting
-    clusters aligned to the directions they split into.
+def _seed_degenerate_clusters(lam0, V0, derivative, delta):
+    """The t = 0 eigenvectors, with each degenerate cluster rotated onto the
+    directions it splits into.
 
     The eigensolver returns an arbitrary rotation inside each multiple
-    eigenspace at t = 0; projecting the eigenvectors from a small probe
-    parameter back onto the eigenspace fixes physically meaningful tracked
-    labels (the member that stays lower gets the lower index), consistently
-    across system variants.
+    eigenspace. For a cluster with B-orthonormal columns V and mean
+    eigenvalue lam, the eigenvectors of M = V^T (A' - lam B') V are the
+    directions that stay eigenvectors to first order, and its eigenvalues
+    their derivatives (Dailey 1989, AIAA J. 27(4)). Rotating V by them in
+    ascending order gives the member that falls fastest the lower index;
+    the rotation is orthogonal, so the columns stay B-orthonormal.
     """
-    scan = min(ops.size, config.K + config.overtrack + 2)
-    pencil0, lam0, V0 = ops.solve(0.0, scan)
+    A_p, B_p = derivative
     V0 = V0.copy()
-    clusters = eigenvalue_clusters(lam0, config.delta_mult)
-    if all(c.size < 2 for c in clusters):
-        return pencil0, lam0, V0
-    delta = min(config.h / 4.0, 0.25)
-    _, _, V_d = ops.solve(delta, scan)
-    B0 = pencil0[1]
-    for idx in clusters:
+    for idx in eigenvalue_clusters(lam0, delta):
         if idx.size < 2:
             continue
-        Q, kept = b_orthonormalize(V0[:, idx], B0)
-        if len(kept) < idx.size:
-            continue
-        probe = V_d[:, idx]
-        coeff = Q.T @ (B0 @ probe)
-        seeded, kept = b_orthonormalize(Q @ coeff, B0)
-        if len(kept) == idx.size:
-            V0[:, idx] = seeded
-    return pencil0, lam0, V0
+        V = V0[:, idx]
+        M = V.T @ (A_p @ V - lam0[idx].mean() * (B_p @ V))
+        V0[:, idx] = V @ np.linalg.eigh(0.5 * (M + M.T))[1]
+    return V0
 
 
 def _make_ops(config, problem, basis):
@@ -417,11 +407,13 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
 
     Each step takes the derivatives of its simple tracked modes from the
     window solved at t (``eigen_derivatives``; the high-fidelity ops hand
-    it the step's mixed-form factor), so a step factors the pencil once.
-    Steps that fail the correlation threshold first widen the candidate
-    window, then halve the step size (at most max_halvings times) before
-    aborting with a partial trace. The final step lands exactly on 1. The
-    problem's systems of the visited parameters leave its cache at the end.
+    it the step's mixed-form factor), so each parameter is factored once;
+    at t = 0 the same derivative pencil seeds the degenerate clusters
+    (``_seed_degenerate_clusters``). Steps that fail the correlation
+    threshold first widen the candidate window, then halve the step size
+    (at most max_halvings times) before aborting with a partial trace. The
+    final step lands exactly on 1. The problem's systems of the visited
+    parameters leave its cache at the end.
     """
     ops = _make_ops(config, problem, basis)
     if ops.size < config.K:
@@ -436,11 +428,14 @@ def _march(config, ops):
     """The march of ``track`` on its ops."""
     trace = TrackingTrace()
     K = config.K
-    # the pencil and solved window at t: the tracked modes are the window
-    # columns ``positions``, and every window pair enters their derivatives
-    (A_t, B_t), lam_w, V_w = _seed_degenerate_clusters(ops, config)
-    positions = np.arange(K)
+    # the pencil, derivative pencil and solved window at t: the tracked modes
+    # are the window columns ``positions``, and every window pair enters
+    # their derivatives
     window = min(ops.size, K + config.overtrack)
+    pencil_t, lam_w, V_w = ops.solve(0.0, min(window + 1, ops.size))
+    derivative_t = ops.derivative_pencil(0.0)
+    V_w = _seed_degenerate_clusters(lam_w, V_w, derivative_t, config.delta_mult)
+    positions = np.arange(K)
     trace.steps.append(
         TrackStep(
             t=0.0,
@@ -467,8 +462,10 @@ def _march(config, ops):
         Vdot = np.zeros_like(V_cur)
         iterations = 0
         if simple.size:
+            if derivative_t is None:
+                derivative_t = ops.derivative_pencil(t)
             deriv = eigen_derivatives(
-                (A_t, B_t), ops.derivative_pencil(t), lam_w, V_w, positions[simple],
+                pencil_t, derivative_t, lam_w, V_w, positions[simple],
                 mixed=ops.mixed_form(t), delta=config.delta_mult,
             )
             dlam[simple] = deriv.values
@@ -530,7 +527,8 @@ def _march(config, ops):
         window = max(K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
         # the pencil and window solved at t_next serve the next derivatives,
         # so every parameter is evaluated and factored once
-        (A_t, B_t), lam_w, V_w = pencil, lam_next, V_next
+        pencil_t, lam_w, V_w = pencil, lam_next, V_next
+        derivative_t = None
         positions = match.perm
         t = t_next
 

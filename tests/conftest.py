@@ -314,6 +314,27 @@ def clusters_loop(lam, delta):
     return [np.array(g, dtype=int) for g in groups]
 
 
+def probe_seeded_clusters(ops, lam0, V0, B0, t_probe, delta=DEFAULT_MULT_TOL):
+    """The t = 0 eigenpairs (lam0, V0) of the ops, mass matrix B0, with each
+    degenerate cluster aligned by a probe solve (oracle of
+    ``tracking._seed_degenerate_clusters``).
+
+    The eigenvectors of the same indices at t_probe, projected B-orthogonally
+    onto the cluster's eigenspace at t = 0 and B-orthonormalized, replace the
+    cluster: the member that is lower at the probe comes first. The
+    projection differs from the directions the cluster splits into by
+    O(t_probe).
+    """
+    V_probe = ops.solve(t_probe, V0.shape[1])[2]
+    V = V0.copy()
+    for idx in eigenvalue_clusters(lam0, delta):
+        if idx.size < 2:
+            continue
+        Q, _ = b_orthonormalize(V0[:, idx], B0)
+        V[:, idx], _ = b_orthonormalize(Q @ (Q.T @ (B0 @ V_probe[:, idx])), B0)
+    return V
+
+
 @pytest.fixture
 def quiet_warnings():
     with warnings.catch_warnings():

@@ -354,6 +354,8 @@ def _basis_with_value(value):
         (lambda path: path.write_text("cavityrb-basis x\n"), "malformed basis artifact"),
         (_basis_with_value("nan"), "non-finite"),
         (_basis_with_value("inf"), "non-finite"),
+        # one value line past the declared count
+        (_basis_with_value("0\n1"), "its header declares"),
         # whole lines: the loader's own errors pass through unwrapped
         (
             lambda path: path.write_text("some-other-format 2\n"),
@@ -366,7 +368,7 @@ def _basis_with_value(value):
     ],
     ids=[
         "other-mesh", "unknown-space", "empty-file", "bad-header", "nan-value",
-        "inf-value", "wrong-magic-exact", "nan-value-exact",
+        "inf-value", "extra-value", "wrong-magic-exact", "nan-value-exact",
     ],
 )
 def test_track_bad_basis_exits_2(cfg_path, tmp_path, capsys, write, needle):

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from cavityrb import bench, tracking
 from cavityrb.config import load_config, parse_config
 from cavityrb.problem import CavityProblem
 
@@ -51,18 +52,45 @@ def test_benchmark_tracking_config_matches_the_run_config(name, system):
     assert _load("cases").tracking_config(cfg, system) == cfg.tracking_config(system)
 
 
+def _workload(name, tmp_path, **overrides):
+    """The workload on its benchmark config, seed 1, with ``overrides``."""
+    run = _load("run")
+    base, defaults, _ = run.WORKLOADS[name]
+    text = run.generated_config(
+        os.path.join(ROOT, base), {**defaults, "seed": "1", **overrides}
+    )
+    return _load("cases").WORKLOADS[name](parse_config(text), str(tmp_path), 1)
+
+
 @pytest.mark.parametrize("name", ["offline-bump", "online-affine", "hf-track"])
 def test_workload_runs_on_a_coarse_mesh(name, tmp_path):
     # the benchmark's own config with mesh_n = 4: set-up, one op and the
     # check must run; on so coarse a mesh the checks themselves may fail
-    run, cases = _load("run"), _load("cases")
-    base, overrides, _ = run.WORKLOADS[name]
-    text = run.generated_config(
-        os.path.join(ROOT, base), {**overrides, "mesh_n": "4", "seed": "1"}
-    )
-    workload = cases.WORKLOADS[name](parse_config(text), str(tmp_path), 1)
+    workload = _workload(name, tmp_path, mesh_n="4")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         workload.setup()
         failed, err = workload.check(workload.op())
     assert isinstance(failed, list) and isinstance(err, float)
+
+
+# The tracking checks compare the endpoint labels and crossings with
+# ``cases.rectangle_modes``, whose order inside each degenerate t = 0
+# cluster is the order the seeding gives: a change to it fails here, not
+# only as a benchmark run whose outputs are incorrect.
+
+
+def test_hf_track_passes_its_check(tmp_path):
+    workload = _workload("hf-track", tmp_path)
+    workload.setup()
+    failed, _ = workload.check(workload.op())
+    assert failed == []
+
+
+def test_online_affine_trace_check_passes(tmp_path):
+    # the reduced op needs a basis built by the greedy (seconds at n = 24);
+    # the high-fidelity march of the same config has the same seeded order
+    workload = _workload("online-affine", tmp_path)
+    config = _load("cases").tracking_config(workload.cfg, "high-fidelity")
+    trace = tracking.track(config, bench.build_problem(workload.cfg))
+    assert workload.check_trace(trace) == []

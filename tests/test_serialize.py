@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from cavityrb import build_reference_mesh
+from cavityrb.errors import ConfigError
 from cavityrb.pod import ReducedBasis
 from cavityrb.serialize import (
     fmt,
@@ -78,6 +80,41 @@ def test_basis_roundtrip_with_interpolant(tmp_path):
     assert back.interpolant.fingerprint == problem.fingerprint
     for t in (0.0, 0.37, 1.0):
         np.testing.assert_array_equal(back.interpolant.pencil(t), interp.pencil(t))
+
+
+@pytest.mark.parametrize("edit", ["halve-m", "extra-line", "missing-line"])
+def test_basis_value_count_must_match_the_header(tmp_path, edit):
+    # a header whose m was halved leaves value lines past its count: read
+    # as they stand, they were node values of the wrong nodes
+    from cavityrb.online import pencil_interpolant
+
+    from conftest import make_problem
+
+    problem = make_problem(n=4, family="affine")
+    Z = problem.snapshot_solve(0.0, 3)[1]
+    interp = pencil_interpolant(problem, Z)
+    path = tmp_path / "basis.txt"
+    save_basis(path, ReducedBasis(
+        Z=Z, t_ref=0.0, gauge="tree-cotree", space="cotree", interpolant=interp,
+    ))
+    lines = path.read_text().splitlines()
+    values = len(lines) - lines.index("column 2 unknown") - 1
+    declared = values
+    if edit == "halve-m":
+        lines[lines.index(f"m {interp.m}")] = f"m {interp.m // 2}"
+        declared -= (interp.m // 2) * 3 * 4
+    elif edit == "extra-line":
+        lines.append("1")
+        values += 1
+    else:
+        lines.pop()
+        values -= 1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_basis(path)
+    assert str(exc.value) == (
+        f"basis artifact {path} holds {values} values, its header declares {declared}"
+    )
 
 
 def test_csv_writer_stable(tmp_path):

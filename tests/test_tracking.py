@@ -27,6 +27,7 @@ from conftest import (
     bordered_derivatives,
     eigenspace_distance,
     make_problem,
+    probe_seeded_clusters,
     solve_full,
     solve_gevp,
 )
@@ -233,6 +234,60 @@ def test_correlation_recovers_swap(rng):
     np.testing.assert_allclose(m.rhos, 1.0, atol=1e-12)
 
 
+def _seeding_ops(ops_kind, family):
+    if ops_kind == "full":
+        return make_problem(n=8, family=family)
+    return _reduced_ops("cotree", family)
+
+
+@pytest.mark.parametrize("ops_kind", ["full", "reduced"])
+@pytest.mark.parametrize("family", ["affine", "bump"])
+def test_seeded_clusters_are_the_limit_of_the_probe(ops_kind, family):
+    # the probe's directions at t = delta approach the seeded ones at
+    # O(delta), in the same member order, and the member that falls fastest
+    # comes first
+    ops = _seeding_ops(ops_kind, family)
+    (_, B), lam0, V0 = ops.solve(0.0, 8)
+    lam0, V0 = lam0[:8], V0[:, :8]
+    A_p, B_p = derivative = ops.derivative_pencil(0.0)
+    seeded = tracking._seed_degenerate_clusters(
+        lam0, V0, derivative, tracking.DEFAULT_MULT_TOL
+    )
+    clusters = [idx for idx in eigenvalue_clusters(lam0) if idx.size > 1]
+    assert len(clusters) >= 2
+    for idx in clusters:
+        S = seeded[:, idx]
+        np.testing.assert_allclose(S.T @ (B @ S), np.eye(idx.size), atol=1e-12)
+        slopes = np.einsum("ij,ij->j", S, A_p @ S - lam0[idx].mean() * (B_p @ S))
+        assert np.all(np.diff(slopes) > 0)
+    for delta in (1e-2, 1e-3):
+        probe = probe_seeded_clusters(ops, lam0, V0, B, delta)
+        for idx in clusters:
+            overlap = seeded[:, idx].T @ (B @ probe[:, idx])
+            assert np.array_equal(abs(overlap).argmax(axis=1), np.arange(idx.size))
+            D = seeded[:, idx] - probe[:, idx] * np.sign(np.diag(overlap))
+            assert np.sqrt(np.einsum("ij,ij->j", D, B @ D)).max() <= 0.5 * delta
+
+
+@pytest.mark.parametrize("ops_kind", ["full", "reduced"])
+def test_stationary_family_leaves_the_seed_unrotated(ops_kind):
+    # A' = B' = 0 splits no cluster: the solver's vectors stay as they are.
+    # The interpolant's derivative of a constant pencil is round-off, not
+    # zero, so the reduced case takes the exact zero.
+    ops = _seeding_ops(ops_kind, "identity")
+    pencil, lam0, V0 = ops.solve(0.0, 8)
+    derivative = ops.derivative_pencil(0.0)
+    if ops_kind == "full":
+        assert all(abs(M).max() == 0 for M in derivative)
+    else:
+        derivative = tuple(np.zeros_like(M) for M in pencil)
+    assert any(idx.size > 1 for idx in eigenvalue_clusters(lam0))
+    seeded = tracking._seed_degenerate_clusters(
+        lam0, V0, derivative, tracking.DEFAULT_MULT_TOL
+    )
+    assert np.array_equal(seeded, V0)
+
+
 def test_correlation_rotation_in_degenerate_plane(rng):
     # predictions rotated ten degrees inside a 2D eigenspace still match
     B = np.eye(8)
@@ -328,14 +383,14 @@ def test_widened_window_reuses_the_mixed_factor(monkeypatch):
     monkeypatch.setattr(gauge, "mixed_factor", counting_factor)
     trace = track(TrackingConfig(K=2, h=0.1, overtrack=0), problem)
     assert trace.complete
-    assert len(solved) == 13 and len(set(solved)) == 12
+    assert len(solved) == 12 and len(set(solved)) == 11
     assert len(factored) == len(set(solved))
 
 
 def test_high_fidelity_track_factors_only_the_mixed_form(monkeypatch):
-    # the derivatives reuse the factor of the step's solve; the seeding
-    # probe at t = h / 4 evicts the t = 0 factor, which the simple (1,1)
-    # mode then needs once more
+    # the derivatives reuse the factor of the step's solve, and the t = 0
+    # clusters are seeded without a solve, so each parameter is factored
+    # once
     problem = make_problem(n=8, family="affine")
     solved, calls, inside = [], [], []
     solve, mixed_factor, splu = problem.solve, gauge.mixed_factor, scipy.sparse.linalg.splu
@@ -360,7 +415,7 @@ def test_high_fidelity_track_factors_only_the_mixed_form(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     trace = track(TrackingConfig(K=5, h=0.1), problem)
     assert trace.complete
-    assert all(calls) and len(calls) == len(set(solved)) + 1
+    assert all(calls) and len(calls) == len(set(solved))
 
 
 def test_high_fidelity_track_leaves_the_cached_systems_as_it_found_them():
