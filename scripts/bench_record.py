@@ -17,7 +17,10 @@ settings, for n in {12, 16, 24, 48, 96}, in a child process whose address
 space is capped at ``HF_MEMORY_LIMIT_GB``: a solve that does not fit (the
 dense eigensolve of older checkouts at n = 96) is recorded with its error
 instead of a time. For n in ``HF_TRACK_MESHES`` the same child then times
-one high-fidelity ``track`` with those settings on a fresh problem.
+one high-fidelity ``track`` with those settings on a fresh problem. A
+third ladder times one offline ``bench.build_basis`` with those settings
+for n in ``BUILD_MESHES``, each in its own child under the same cap, and
+records its time and peak RSS, or its error.
 
 The file goes to the root of the repository that holds this script,
 whichever checkout is measured, so one tree can hold the records of a
@@ -42,6 +45,7 @@ WORKLOADS = ("offline-bump", "online-affine", "hf-track")
 LADDER_MESHES = (12, 16, 24)
 HF_MESHES = (12, 16, 24, 48, 96)
 HF_TRACK_MESHES = (16, 24, 48)
+BUILD_MESHES = (24, 48)
 HF_T = 0.5
 HF_MEMORY_LIMIT_GB = 2
 SECONDS = 18
@@ -112,6 +116,24 @@ if int(sys.argv[2]):
                track_complete=trace.complete)
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
+"""
+
+# ru_maxrss covers the whole child: mesh, assembly and the build.
+BUILD_CHILD = """
+import dataclasses, json, resource, sys, time, warnings
+warnings.simplefilter("ignore")
+from cavityrb import bench
+from cavityrb.config import load_config
+
+cfg = dataclasses.replace(load_config("configs/bench_n24.cfg"), mesh_n=int(sys.argv[1]))
+problem = bench.build_problem(cfg)
+start = time.perf_counter()
+basis, log, _ = bench.build_basis(problem, cfg)
+print(json.dumps({
+    "n": cfg.mesh_n, "n_curl": problem.n_curl, "build_s": time.perf_counter() - start,
+    "basis_size": basis.size, "greedy_status": log.status,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
 """
 
 
@@ -198,6 +220,23 @@ def hf_ladder(checkout):
     return rungs
 
 
+def build_ladder(checkout):
+    env = child_env(checkout)
+    rungs = []
+    for n in BUILD_MESHES:
+        try:
+            lines = run_lines([sys.executable, "-c", BUILD_CHILD, str(n)], checkout, env,
+                              preexec_fn=cap_address_space)
+        except SystemExit as exc:
+            rungs.append({"n": n, "error": str(exc).strip().splitlines()[-1]})
+            print(f"build ladder n={n}: {rungs[-1]['error']}", flush=True)
+            continue
+        rungs.append(json.loads(lines[-1]))
+        print(f"build ladder n={n}: build {rungs[-1]['build_s']:.2f} s, "
+              f"peak {rungs[-1]['peak_rss_mb']:.0f} MB", flush=True)
+    return rungs
+
+
 def git_revision(checkout):
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
@@ -248,10 +287,14 @@ def main(argv=None):
                          f"problem.solve({HF_T}, K + tau) after assembly, and one "
                          f"high-fidelity track for mesh_n in {list(HF_TRACK_MESHES)}, "
                          f"address space capped at {HF_MEMORY_LIMIT_GB} GiB",
+            "build_ladder": f"bench_n24 settings, mesh_n in {list(BUILD_MESHES)}, one "
+                            "bench.build_basis per child, address space capped at "
+                            f"{HF_MEMORY_LIMIT_GB} GiB",
         },
         "workloads": workloads,
         "ladder": ladder(checkout),
         "hf_ladder": hf_ladder(checkout),
+        "build_ladder": build_ladder(checkout),
         "wall_s": time.time() - started,
     }
     path = os.path.join(REPO, f"BENCH_{args.label}.json")

@@ -7,7 +7,6 @@ from .eigensolve import (
     EigenSolution,
     b_normalize,
     b_orthonormalize,
-    count_null,
     eigenvalue_clusters,
 )
 from .errors import (

@@ -36,12 +36,7 @@ def build_problem(cfg: RunConfig, gauge: str | None = None, mesh=None) -> Cavity
         family = affine_stretch(cfg.stretch_a1)
     else:
         family = sine_bump(cfg.bump_beta)
-    return CavityProblem(
-        mesh=mesh,
-        family=family,
-        gauge=gauge or cfg.gauge,
-        null_tol=cfg.null_tol,
-    )
+    return CavityProblem(mesh=mesh, family=family, gauge=gauge or cfg.gauge)
 
 
 def initial_basis(problem: CavityProblem, cfg: RunConfig):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .eigensolve import DEFAULT_MULT_TOL
+from .eigensolve import DEFAULT_MULT_TOL, DEFAULT_NULL_TOL
 from .errors import ConfigError, require
 from .geometry import FAMILIES
 from .greedy import GreedyConfig, recommended_n_init
@@ -48,7 +48,7 @@ class RunConfig:
     max_halvings: int = 4
     seed: int = 7
     delta_mult: float = DEFAULT_MULT_TOL
-    null_tol: float = 1e-8
+    null_tol: float = DEFAULT_NULL_TOL
     residual_form: str = "mass"
     repetitions: int = 10
 
@@ -66,6 +66,7 @@ class RunConfig:
                 require(math.isfinite(value), name, "must be finite", value)
         if self.repetitions < 3:
             raise ConfigError("repetitions must be at least 3")
+        require(self.mesh_n >= 2, "mesh_n", "must be at least 2", self.mesh_n)
         require(self.N_init >= 0, "N_init", "must be non-negative", self.N_init)
         require(self.null_tol > 0, "null_tol", "must be positive", self.null_tol)
         require(self.stretch_a1 > 0, "stretch_a1", "must be positive", self.stretch_a1)

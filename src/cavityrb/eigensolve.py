@@ -1,10 +1,9 @@
 """Dense generalized symmetric eigensolver, null-mode threshold and helpers.
 
-``solve_dense_gevp`` solves a whole pencil: the reduced pencils, and the
-full pencil only for requests past a quarter of its spectrum (the sparse
-mixed-form solve of ``gauge.condensed_eigensolve`` takes all others).
-There the exact-zero gradient modes land many orders below the physical
-spectrum and ``null_mask`` discards them by a relative threshold.
+``solve_dense_gevp`` solves whole reduced pencils; the full pencil goes to
+the sparse mixed-form solve of ``gauge.condensed_eigensolve`` only.
+``null_mask`` applies the relative null threshold of the error study's
+null leak and the null count of ``cavityrb check``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ class EigenSolution:
 def solve_dense_gevp(A, B):
     """All eigenpairs of a symmetric-definite pencil, no null filtering.
 
-    The one dense eigensolver of the package. Sparse matrices are densified
+    The one dense eigensolver of the package, which hands it only reduced
+    pencils. Sparse matrices (the tests' full-pencil oracles) are densified
     into fresh Fortran-ordered arrays that LAPACK factors in place; dense
     arrays (the cached reduced pencils) are never overwritten.
     """
@@ -78,11 +78,6 @@ def residual_norms(A, B, lambdas, vectors) -> np.ndarray:
     return out
 
 
-def count_null(A, B, null_tol: float = DEFAULT_NULL_TOL) -> int:
-    """Number of eigenvalues of (A, B) at or below the null threshold."""
-    return int(null_mask(solve_dense_gevp(A, B)[0], null_tol).sum())
-
-
 def b_normalize(v: np.ndarray, B) -> np.ndarray:
     """Scale v so that v^T B v = 1; direction is preserved."""
     v = np.asarray(v, dtype=float)
@@ -102,7 +97,8 @@ def b_orthonormalize(
     Columns are first orthogonalized against ``against`` (assumed already
     B-orthonormal), then against each other; each projection pass runs twice.
     Columns whose B norm shrinks below DROP_TOL times the input norm are
-    dropped. Returns (Q, kept_indices).
+    dropped. B is a matrix or an operator such as ``gauge.cotree_metric``:
+    only ``B @ v`` is used. Returns (Q, kept_indices).
     """
     V = np.array(V, dtype=float, copy=True)
     if V.ndim == 1:

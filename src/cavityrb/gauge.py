@@ -22,13 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, NumericalError
-from .eigensolve import (
-    DROP_TOL,
-    b_orthonormalize,
-    null_mask,
-    residual_norms,
-    solve_dense_gevp,
-)
+from .eigensolve import DROP_TOL, b_orthonormalize, residual_norms
 from .geometry import ReferenceMesh
 
 # Shift of the mixed-form solve: below the physical spectrum, which starts
@@ -145,14 +139,19 @@ def expand_cotree(Y, A, tc: TreeCotree, factor):
     return factor.solve(H.T @ np.asarray(Y, dtype=float))
 
 
-def whole_spectrum(k: int, n_physical: int) -> bool:
-    """Whether a request for k of n_physical pairs goes to the dense solve.
+def cotree_metric(A, tc: TreeCotree, factor):
+    """The cotree inner product B_hat = H X = H B^{-1} H^T as an operator.
 
-    Shift-invert Lanczos works on about 2k + 1 vectors and pays off only
-    well inside the spectrum: past a quarter of it (whole-spectrum test
-    requests, tracker windows widened that far) the dense solve is used.
+    ``metric @ Y`` is H (B^{-1} (H^T Y)) for a vector or a block of columns:
+    one sparse product each way and one solve by ``factor``, a factorization
+    of B. The n_cot x n_cot matrix itself is never formed.
     """
-    return 4 * (k + 1) > n_physical
+    H = sp.csr_matrix(A)[tc.cotree, :]
+
+    def apply(Y):
+        return H @ factor.solve(H.T @ Y)
+
+    return spla.LinearOperator((H.shape[0],) * 2, matvec=apply, matmat=apply, dtype=float)
 
 
 def mixed_factor(A, B, G):
@@ -170,7 +169,7 @@ def mixed_factor(A, B, G):
         raise NumericalError(f"mixed-form factorization failed: {exc}") from exc
 
 
-def condensed_eigensolve(A, B, G, k: int, null_tol: float, factor=None):
+def condensed_eigensolve(A, B, G, k: int, factor=None):
     """First k physical eigenpairs of (A, B): ascending eigenvalues and
     B-orthonormal full-space vectors.
 
@@ -182,35 +181,33 @@ def condensed_eigensolve(A, B, G, k: int, null_tol: float, factor=None):
     vector fixed by the size and a sign convention (the entry of largest
     magnitude of each vector is positive) make reruns byte-identical. A
     relative eigen-residual above MIXED_RESIDUAL_TOL raises NumericalError.
-
-    Requests past a quarter of the spectrum (``whole_spectrum``) solve the
-    dense pencil instead and discard its null modes, which must number
-    exactly n_grad = G.shape[1].
+    Any k up to all n - n_grad physical pairs is solved so, but not all n
+    pairs of a pencil without a gradient space (no interior vertex).
     """
     n, n_grad = G.shape
     if n - n_grad < k:
         raise NumericalError(
             f"pencil has only {n - n_grad} physical eigenvalues, requested {k}"
         )
-    if whole_spectrum(k, n - n_grad):
-        lam, V = solve_dense_gevp(A, B)
-        null = null_mask(lam, null_tol)
-        if null.sum() != n_grad:
-            raise NumericalError(
-                f"found {int(null.sum())} null modes, the gradient space has {n_grad}"
-            )
-        keep = np.flatnonzero(~null)[:k]
-        return lam[keep], V[:, keep]
+    if k >= n:
+        raise NumericalError(
+            f"shift-invert Lanczos cannot return all {n} eigenpairs of the pencil"
+        )
     lu = factor() if factor is not None else mixed_factor(A, B, G)
     pad = np.zeros(n_grad)
     op = spla.LinearOperator(
         (n, n), matvec=lambda x: lu.solve(np.concatenate([np.ravel(x), pad]))[:n],
         dtype=float,
     )
+    # Lanczos finds the second copy of a multiple eigenvalue only by rounding
+    # over its restarts. Past a quarter of the spectrum it restarts too seldom
+    # (the square at mesh_n = 8 lost a copy at k = 45 of 127), so there its
+    # basis spans the whole space, within 4x of the k vectors it returns.
     try:
         lam, V = spla.eigsh(
             A, k, M=B, sigma=MIXED_SHIFT, which="LM", OPinv=op,
             v0=np.cos(np.arange(n, dtype=float)),
+            ncv=n if 4 * (k + 1) > n - n_grad else None,
         )
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc

@@ -189,7 +189,8 @@ def greedy_extend(
     Appended eigenspaces are gauge-cleaned per the problem's strategy and
     B(t_ref)-orthonormalized against the current basis; vectors that become
     numerically dependent are skipped. Ties in the argmax resolve to the
-    smallest training parameter, then the smallest mode index. Returns the
+    smallest training parameter, then the smallest mode index. The systems
+    it assembles leave the problem's cache when it ends. Returns the
     extended basis and a per-iteration log. A basis above N_max is a
     ConfigError; one below ceil(1.5 (K + tau)) warns.
     """
@@ -208,50 +209,51 @@ def greedy_extend(
     provenance = list(basis.provenance)
     log = GreedyLog()
     iteration = 0
-    while True:
-        iteration += 1
-        etas = _sweep(problem, Z, config)
-        flat = int(np.argmax(etas))
-        it_t, i_star = divmod(flat, config.K)
-        t_star = float(config.xi_train[it_t])
-        max_eta = float(etas[it_t, i_star])
-        record = GreedyRecord(
-            iteration=iteration, t_star=t_star, mode_star=i_star,
-            max_eta=max_eta, basis_size=Z.shape[1],
-        )
-        log.records.append(record)
-        if max_eta < config.tol:
-            log.status = "converged"
-            break
-        V = _enrichment_vectors(problem, t_star, i_star, config)
-        V_clean, _ = problem.clean_basis(V)
-        Q, kept = problem.orthonormalize(V_clean, against=Z)
-        record.appended = Q.shape[1]
-        record.skipped = V.shape[1] - Q.shape[1]
-        if Q.shape[1] == 0:
-            warnings.warn(
-                f"greedy stagnated at iteration {iteration}: every candidate at "
-                f"t={t_star!r} was numerically dependent on the basis",
-                stacklevel=2,
+    with problem.transient_systems():
+        while True:
+            iteration += 1
+            etas = _sweep(problem, Z, config)
+            flat = int(np.argmax(etas))
+            it_t, i_star = divmod(flat, config.K)
+            t_star = float(config.xi_train[it_t])
+            max_eta = float(etas[it_t, i_star])
+            record = GreedyRecord(
+                iteration=iteration, t_star=t_star, mode_star=i_star,
+                max_eta=max_eta, basis_size=Z.shape[1],
             )
-            log.status = "stagnated"
-            break
-        Z = np.hstack([Z, Q])
-        provenance += [
-            f"greedy:{iteration}:t={t_star!r}:mode={i_star}"
-            for _ in range(Q.shape[1])
-        ]
-        record.basis_size = Z.shape[1]
-        if callback is not None:
-            callback(iteration, Z)
-        if Z.shape[1] >= config.N_max:
-            log.status = "nmax-reached"
-            warnings.warn(
-                f"basis cap N_max={config.N_max} reached with max eta "
-                f"{max_eta!r} above tol {config.tol!r}",
-                stacklevel=2,
-            )
-            break
+            log.records.append(record)
+            if max_eta < config.tol:
+                log.status = "converged"
+                break
+            V = _enrichment_vectors(problem, t_star, i_star, config)
+            V_clean, _ = problem.clean_basis(V)
+            Q, kept = problem.orthonormalize(V_clean, against=Z)
+            record.appended = Q.shape[1]
+            record.skipped = V.shape[1] - Q.shape[1]
+            if Q.shape[1] == 0:
+                warnings.warn(
+                    f"greedy stagnated at iteration {iteration}: every candidate at "
+                    f"t={t_star!r} was numerically dependent on the basis",
+                    stacklevel=2,
+                )
+                log.status = "stagnated"
+                break
+            Z = np.hstack([Z, Q])
+            provenance += [
+                f"greedy:{iteration}:t={t_star!r}:mode={i_star}"
+                for _ in range(Q.shape[1])
+            ]
+            record.basis_size = Z.shape[1]
+            if callback is not None:
+                callback(iteration, Z)
+            if Z.shape[1] >= config.N_max:
+                log.status = "nmax-reached"
+                warnings.warn(
+                    f"basis cap N_max={config.N_max} reached with max eta "
+                    f"{max_eta!r} above tol {config.tol!r}",
+                    stacklevel=2,
+                )
+                break
     extended = ReducedBasis(
         Z=Z, t_ref=basis.t_ref, gauge=basis.gauge, provenance=provenance,
         space=basis.space,

@@ -8,12 +8,7 @@ import numpy as np
 
 from . import gauge as gauge_mod
 from .assembly import AssembledSystem, assemble, matrix_derivatives
-from .eigensolve import (
-    DEFAULT_NULL_TOL,
-    EigenSolution,
-    b_orthonormalize,
-    residual_norms,
-)
+from .eigensolve import EigenSolution, b_orthonormalize, residual_norms
 from .errors import ConfigError, NumericalError
 from .geometry import MappingFamily, ReferenceMesh
 from .pod import reduce_system
@@ -24,10 +19,11 @@ GAUGES = ("none", "gram-schmidt", "projection", "tree-cotree")
 class CavityProblem:
     """One parameterized eigenproblem with an active spurious-mode strategy.
 
-    Mesh and mapping are immutable; assembled systems are cached per
-    parameter value and shared by every consumer (snapshots, greedy sweeps,
-    tracking). The gauge strategy decides the coordinate space of snapshot
-    vectors and how basis matrices are cleaned.
+    Mesh and mapping are immutable. Assembled systems are cached per
+    parameter value; snapshots, the greedy, interpolation nodes and tracking
+    keep theirs only while they run (``transient_systems``), so t_ref and the
+    error study's test parameters stay. The gauge strategy decides the
+    coordinate space of snapshot vectors and how basis matrices are cleaned.
     """
 
     def __init__(
@@ -35,18 +31,16 @@ class CavityProblem:
         mesh: ReferenceMesh,
         family: MappingFamily,
         gauge: str = "tree-cotree",
-        null_tol: float = DEFAULT_NULL_TOL,
     ):
         if gauge not in GAUGES:
             raise ConfigError(f"unknown gauge {gauge!r}, expected one of {GAUGES}")
         self.mesh = mesh
         self.family = family
         self.gauge = gauge
-        self.null_tol = null_tol
         self.t_ref = 0.0
         self._systems: dict[float, AssembledSystem] = {}
         self._tc = None
-        self._bhat_ref = None
+        self._metric = None
         self._gram = None
         self._mixed = None
         self._transient = False
@@ -145,8 +139,7 @@ class CavityProblem:
         sys_t = self.system(t)
         try:
             lambdas, V = gauge_mod.condensed_eigensolve(
-                sys_t.A, sys_t.B, sys_t.G, k, self.null_tol,
-                factor=lambda: self._mixed_factor(t),
+                sys_t.A, sys_t.B, sys_t.G, k, factor=lambda: self._mixed_factor(t),
             )
         except NumericalError as exc:
             raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
@@ -200,20 +193,17 @@ class CavityProblem:
 
     @property
     def basis_metric(self):
-        """Inner-product matrix at t_ref in the basis coordinate space."""
+        """Inner product at t_ref in the basis coordinate space: the mass
+        matrix B(t_ref) for edge-space bases, the ``cotree_metric`` operator
+        (with its one kept LU of B(t_ref)) for cotree bases."""
         if self.basis_space == "edge":
             return self.b_ref
-        if self._bhat_ref is None:
-            # B_hat = H X with H the cotree rows of A(t_ref), X its expansion
+        if self._metric is None:
             sys_ref = self.system(self.t_ref)
-            cotree = self.tree_cotree.cotree
-            X = gauge_mod.expand_cotree(
-                np.eye(len(cotree)), sys_ref.A, self.tree_cotree,
-                gauge_mod.mass_factor(sys_ref.B),
+            self._metric = gauge_mod.cotree_metric(
+                sys_ref.A, self.tree_cotree, gauge_mod.mass_factor(sys_ref.B)
             )
-            B_hat = sys_ref.A.tocsr()[cotree, :] @ X
-            self._bhat_ref = 0.5 * (B_hat + B_hat.T)
-        return self._bhat_ref
+        return self._metric
 
     def snapshot_solve(self, t: float, k: int):
         """First k eigenpairs with vectors in the basis coordinate space."""

@@ -38,6 +38,7 @@ settings.load_profile("numeric")
 # runs each through a config file
 RUN_CONFIG_REJECTS = [
     ("mesh_n", 0),
+    ("mesh_n", 1),  # no interior vertex: the mixed-form solve needs one
     ("K", 0),
     ("tol", 0.0),
     ("track_h", 1.5),
@@ -118,7 +119,15 @@ def solve_full(problem, t, k):
     """First k physical eigenpairs of the problem's full pencil at t, by the
     null-filtering oracle."""
     s = problem.system(t)
-    return solve_gevp(s.A, s.B, k, null_tol=problem.null_tol)
+    return solve_gevp(s.A, s.B, k)
+
+
+def count_null(A, B, null_tol: float = DEFAULT_NULL_TOL) -> int:
+    """Number of eigenvalues of (A, B) at or below the null threshold, by a
+    dense solve of the whole pencil (oracle of the sparse null count of
+    ``cavityrb check``)."""
+    return int(null_mask(solve_dense_gevp(A, B)[0], null_tol).sum())
+
 
 
 # Relative eigenvalue gap below which two different solvers are compared

@@ -17,7 +17,6 @@ from cavityrb import (
     assemble,
     build_reference_mesh,
     build_tree_cotree,
-    count_null,
     graddiv_project,
     gram_schmidt_clean,
     identity_map,
@@ -38,7 +37,7 @@ from cavityrb.tracking import (
     track,
 )
 
-from conftest import solve_full, solve_gevp, standard_form_eigensolve
+from conftest import count_null, solve_full, solve_gevp, standard_form_eigensolve
 
 EXACT_SQUARE = np.pi**2 * np.array([1.0, 1.0, 2.0, 4.0, 4.0])
 CROSSING_MAIN = 2.0 / 3.0

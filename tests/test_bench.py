@@ -35,6 +35,20 @@ def test_build_problem_families():
     assert build_problem(cfg2).family.stretch(1.0) == cfg2.stretch_a1
 
 
+def test_build_basis_keeps_no_training_system(quiet_warnings):
+    # the greedy assembles its training grid only while it runs: afterwards
+    # the cache holds what it held before (here one training parameter) and
+    # t_ref, where the basis metric lives
+    cfg = _bump_cfg(mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, N_max=20)
+    problem = build_problem(cfg)
+    xi_train = cfg.greedy_config().xi_train
+    problem.system(float(xi_train[3]))
+    before = set(problem._systems)
+    _, log, _ = build_basis(problem, cfg)
+    assert log.records
+    assert set(problem._systems) == before | {problem.t_ref}
+
+
 def test_error_study_rows_and_decay(quiet_warnings):
     cfg = _bump_cfg()
     study, basis, log = run_error_study(cfg)

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavityrb import bench, build_reference_mesh
-from cavityrb.cli import main
+from cavityrb.cli import _null_count, main
+from cavityrb.eigensolve import DEFAULT_NULL_TOL
 from cavityrb.serialize import BENCH_HEADER
 
-from conftest import RUN_CONFIG_REJECTS
+from conftest import RUN_CONFIG_REJECTS, count_null, make_problem
 
 BASE = """
 schema = 1
@@ -42,6 +44,46 @@ def test_check_command(cfg_path, capsys):
     assert main(["check", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("family", ["affine", "bump"])
+@pytest.mark.parametrize("null_tol", [DEFAULT_NULL_TOL, 0.025])
+def test_check_null_count_matches_dense_count(n, family, null_tol):
+    # the sparse count (n_grad plus the small physical eigenvalues) against a
+    # dense solve of the whole pencil; at 0.025 one to six physical eigenvalues
+    # fall below the threshold and the solve window doubles past them
+    problem = make_problem(n=n, family=family)
+    s = problem.system(0.37)
+    dense = count_null(s.A, s.B, null_tol)
+    assert _null_count(problem, 0.37, null_tol) == dense
+    assert (dense > problem.n_grad) == (null_tol > DEFAULT_NULL_TOL)
+
+
+def test_full_pencil_never_reaches_a_dense_eigensolve(cfg_path, tmp_path, monkeypatch):
+    # check, a solve of every physical mode, build-rb and a high-fidelity
+    # track: no dense eigh sees a matrix of the mesh's size
+    problem = make_problem(n=4)
+    sizes = []
+
+    def spy(real):
+        def eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return real(a, *args, **kwargs)
+        return eigh
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy(scipy.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    hf_path = tmp_path / "hf.cfg"
+    hf_path.write_text(BASE.replace("track_system = reduced", "track_system = high-fidelity"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["check", "--config", cfg_path]) == 0
+        assert main(["solve", "--config", cfg_path, "--k", str(problem.size)]) == 0
+        assert main(["build-rb", "--config", cfg_path, "--out", str(tmp_path / "rb")]) == 0
+        assert main(["track", "--config", str(hf_path), "--out", str(tmp_path / "tr")]) == 0
+    assert sizes, "the reduced pencils go through the spied eigh"
+    assert max(sizes) < problem.size
 
 
 def test_check_export(cfg_path, tmp_path, capsys):

@@ -8,7 +8,6 @@ from cavityrb import (
     assemble,
     b_normalize,
     b_orthonormalize,
-    count_null,
     eigenvalue_clusters,
     identity_map,
     affine_stretch,
@@ -16,7 +15,7 @@ from cavityrb import (
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import NumericalError
 
-from conftest import clusters_loop, mesh, solve_gevp
+from conftest import clusters_loop, count_null, mesh, solve_gevp
 
 
 def test_identity_pencil():

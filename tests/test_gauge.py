@@ -25,7 +25,6 @@ from cavityrb.gauge import (
     expand_cotree,
     gram_factor,
     mass_factor,
-    whole_spectrum,
 )
 
 from conftest import (
@@ -130,7 +129,7 @@ def test_stable_solve_matches_direct_condensed():
     tc = build_tree_cotree(mesh(2))
     A_hat, B_hat, _ = naive_condense(s.A, s.B, tc)
     lam_direct = scipy.linalg.eigh(A_hat, B_hat, eigvals_only=True)
-    lam_stable, V = condensed_eigensolve(s.A, s.B, s.G, len(tc.cotree), DEFAULT_NULL_TOL)
+    lam_stable, V = condensed_eigensolve(s.A, s.B, s.G, len(tc.cotree))
     Y = cotree_coordinates(V, lam_stable, s.G, tc)
     np.testing.assert_allclose(lam_direct, lam_stable, rtol=1e-10)
     r = A_hat @ Y[:, 0] - lam_stable[0] * (B_hat @ Y[:, 0])
@@ -148,39 +147,37 @@ def test_condensed_eigensolve_matches_standard_form_oracle(n, kind, t):
     s = assemble(m, fam, t)
     tc = build_tree_cotree(m)
     lam_o, _, _ = standard_form_eigensolve(s.A, s.B, tc)
-    # all n_curl - n_grad physical modes exist and no more: exactly n_grad
-    # null modes were discarded
-    lam, V = condensed_eigensolve(s.A, s.B, s.G, lam_o.size, DEFAULT_NULL_TOL)
+    # all n_curl - n_grad physical modes come out of the sparse solve, and
+    # no more exist
+    lam, V = condensed_eigensolve(s.A, s.B, s.G, lam_o.size)
     with pytest.raises(NumericalError, match="physical eigenvalues"):
-        condensed_eigensolve(s.A, s.B, s.G, lam_o.size + 1, DEFAULT_NULL_TOL)
+        condensed_eigensolve(s.A, s.B, s.G, lam_o.size + 1)
     assert lam.size == m.n_curl - m.n_grad
     assert (np.abs(lam - lam_o) / lam_o).max() <= 1e-10
     XY = expand_cotree(cotree_coordinates(V, lam, s.G, tc), s.A, tc, mass_factor(s.B))
     assert abs(XY - V).max() <= 1e-10 * abs(V).max()
 
 
-def test_condensed_eigensolve_checks_null_count():
-    # the dense branch owns the null count: one gradient column short, the
-    # smallest whole-spectrum request finds one null mode too many
-    m = mesh(4)
-    s = assemble(m, sine_bump(0.3), 0.5)
-    G = s.G[:, 1:]
-    k = (G.shape[0] - G.shape[1]) // 4
-    assert whole_spectrum(k, G.shape[0] - G.shape[1])
-    with pytest.raises(NumericalError, match="null modes"):
-        condensed_eigensolve(s.A, s.B, G, k, DEFAULT_NULL_TOL)
-
-
 def test_mixed_form_solve_rejects_an_unconstrained_gradient_mode():
-    # one gradient column short, the sparse branch leaves a gradient mode
+    # one gradient column short, the solve leaves a gradient mode
     # unconstrained: it comes out near 0, and the eigen-residual gate must
-    # reject it rather than return it as a physical eigenvalue
+    # reject it rather than return it as a physical eigenvalue, for a few
+    # pairs and for a quarter of the spectrum alike
     m = mesh(4)
     s = assemble(m, sine_bump(0.3), 0.5)
     G = s.G[:, 1:]
-    assert not whole_spectrum(3, G.shape[0] - G.shape[1])
-    with pytest.raises(NumericalError, match="eigen-residual"):
-        condensed_eigensolve(s.A, s.B, G, 3, DEFAULT_NULL_TOL)
+    for k in (3, (G.shape[0] - G.shape[1]) // 4):
+        with pytest.raises(NumericalError, match="eigen-residual"):
+            condensed_eigensolve(s.A, s.B, G, k)
+
+
+def test_condensed_eigensolve_without_gradient_space_is_a_numerical_error():
+    # a one-cell mesh has no interior vertex: the only pair is the whole
+    # spectrum, which Lanczos cannot return
+    s = assemble(mesh(1), identity_map(), 0.0)
+    assert s.G.shape[1] == 0
+    with pytest.raises(NumericalError, match="cannot return all 1"):
+        condensed_eigensolve(s.A, s.B, s.G, 1)
 
 
 @given(
@@ -199,21 +196,26 @@ def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
     physical = ~null_mask(lam_all, DEFAULT_NULL_TOL)
     lam_ref, V_ref = lam_all[physical], V_all[:, physical]
     assert lam_ref.size == n_physical
-    k_sparse = (n_physical - 4) // 4  # the largest request that goes sparse
-    assert not whole_spectrum(k_sparse, n_physical)
-    assert whole_spectrum(k_sparse + 1, n_physical)
-    k = data.draw(st.integers(min_value=1, max_value=k_sparse))
-    lam, V = condensed_eigensolve(s.A, s.B, s.G, k, DEFAULT_NULL_TOL)
+    k = data.draw(st.integers(min_value=1, max_value=n_physical))
+    lam, V = condensed_eigensolve(s.A, s.B, s.G, k)
     assert (abs(lam - lam_ref[:k]) / lam_ref[:k]).max() <= 1e-11
     distance = eigenspace_distance(lam_ref, V_ref, V, s.B, delta=SPLIT_GAP)
     assert distance <= 1e-11 * abs(V_ref).max()
     assert abs(V.T @ (s.B @ V) - np.eye(k)).max() <= 1e-13
     # discretely divergence-free to the round-off of the dense vectors
     assert abs(s.G.T @ (s.B @ V)).max() <= 10 * abs(s.G.T @ (s.B @ V_ref)).max()
-    # both sides of the branch boundary give one spectrum
-    lam_sparse, _ = condensed_eigensolve(s.A, s.B, s.G, k_sparse, DEFAULT_NULL_TOL)
-    lam_dense, _ = condensed_eigensolve(s.A, s.B, s.G, k_sparse + 1, DEFAULT_NULL_TOL)
-    assert (abs(lam_sparse - lam_dense[:k_sparse]) / lam_sparse).max() <= 1e-11
+
+
+@pytest.mark.parametrize("k", [45, 54])
+def test_mixed_form_solve_keeps_every_copy_of_a_double_eigenvalue(k):
+    # the square has exactly double eigenvalues; with the default Lanczos
+    # basis these requests past a quarter of the spectrum lost one copy of a
+    # pair inside the window and returned a later eigenvalue in its place
+    s = assemble(mesh(8), identity_map(), 0.0)
+    lam_all = solve_dense_gevp(s.A, s.B)[0]
+    lam_ref = lam_all[~null_mask(lam_all, DEFAULT_NULL_TOL)][:k]
+    lam, _ = condensed_eigensolve(s.A, s.B, s.G, k)
+    assert (abs(lam - lam_ref) / lam_ref).max() <= 1e-11
 
 
 @pytest.mark.parametrize("fault", ["singular", "residual"])
@@ -250,13 +252,41 @@ def test_expanded_eigenvectors_solve_original_pencil():
     m = mesh(8)
     s = assemble(m, sine_bump(0.3), 0.8)
     tc = build_tree_cotree(m)
-    lam, V_full = condensed_eigensolve(s.A, s.B, s.G, 4, DEFAULT_NULL_TOL)
+    lam, V_full = condensed_eigensolve(s.A, s.B, s.G, 4)
     Y = cotree_coordinates(V_full, lam, s.G, tc)
     V = expand_cotree(Y, s.A, tc, mass_factor(s.B))
     for j in range(4):
         r = s.A @ V[:, j] - lam[j] * (s.B @ V[:, j])
         assert np.linalg.norm(r) <= 1e-8 * lam[j] * np.linalg.norm(s.B @ V[:, j])
         assert divergence_defect(V[:, j], s.C, s.B) <= 1e-10
+
+
+@given(
+    st.sampled_from([2, 4, 8, 16]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cotree_metric_operator_matches_dense_oracle(n, kind, t, seed):
+    # H (B^{-1} (H^T Y)) applied to a vector and to a block against the
+    # formed B_hat = H X, at a random parameter and at the problem's t_ref
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    s = assemble(mesh(n), fam, t)
+    tc = build_tree_cotree(mesh(n))
+    problem = make_problem(n=n, family=kind)
+    s_ref = problem.system(problem.t_ref)
+    rng = np.random.default_rng(seed)
+    for metric, B_hat in (
+        (gauge.cotree_metric(s.A, tc, mass_factor(s.B)), naive_condense(s.A, s.B, tc)[1]),
+        (problem.basis_metric, naive_condense(s_ref.A, s_ref.B, tc)[1]),
+    ):
+        assert metric.shape == B_hat.shape == (len(tc.cotree),) * 2
+        for Y in (rng.standard_normal(len(tc.cotree)),
+                  rng.standard_normal((len(tc.cotree), 4))):
+            ref = B_hat @ Y
+            got = metric @ Y
+            assert got.shape == ref.shape
+            assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
 
 
 def test_gram_schmidt_annihilates_gradient_components(rng):

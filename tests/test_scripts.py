@@ -59,3 +59,8 @@ def test_bench_record_ladder_child_runs_on_small_mesh():
 def test_bench_record_hf_child_tracks_on_small_mesh():
     rung = _bench_record_child("HF_CHILD", "4", "1")
     assert rung["n"] == 4 and rung["track_complete"] and rung["track_s"] > 0
+
+
+def test_bench_record_build_child_runs_on_small_mesh():
+    rung = _bench_record_child("BUILD_CHILD", "4")
+    assert rung["n"] == 4 and rung["build_s"] > 0 and rung["peak_rss_mb"] > 0
