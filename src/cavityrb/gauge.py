@@ -203,14 +203,22 @@ def condensed_eigensolve(A, B, G, k: int, factor=None):
     # over its restarts. Past a quarter of the spectrum it restarts too seldom
     # (the square at mesh_n = 8 lost a copy at k = 45 of 127), so there its
     # basis spans the whole space, within 4x of the k vectors it returns.
+    whole_space = 4 * (k + 1) > n - n_grad
     try:
         lam, V = spla.eigsh(
             A, k, M=B, sigma=MIXED_SHIFT, which="LM", OPinv=op,
             v0=np.cos(np.arange(n, dtype=float)),
-            ncv=n if 4 * (k + 1) > n - n_grad else None,
+            ncv=n if whole_space else None,
         )
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
+    if whole_space and n_grad:
+        # the basis vectors past the n - n_grad divergence-free directions
+        # are rounding noise that lies in the gradient space, and the Ritz
+        # vectors pick up 10-20x the divergence of a dense solve from them;
+        # the B-orthogonal projection off the gradients removes it
+        C = B @ G
+        V = graddiv_project(V, G, C, gram_factor(G, C))
     order = np.argsort(lam, kind="stable")
     lam, V = lam[order], V[:, order]
     peak = np.abs(V).argmax(axis=0)
