@@ -18,9 +18,12 @@ space is capped at ``HF_MEMORY_LIMIT_GB``: a solve that does not fit (the
 dense eigensolve of older checkouts at n = 96) is recorded with its error
 instead of a time. For n in ``HF_TRACK_MESHES`` the same child then times
 one high-fidelity ``track`` with those settings on a fresh problem. A
-third ladder times one offline ``bench.build_basis`` with those settings
-for n in ``BUILD_MESHES``, each in its own child under the same cap, and
-records its time and peak RSS, or its error.
+third ladder times one offline ``bench.build_basis`` for n in
+``BUILD_MESHES``, with the settings of each file of ``BUILD_CONFIGS``, each
+in its own child under the same cap, and records its time and peak RSS, or
+its error. The ``bench_n24`` greedy converges on its first sweep; the
+``sinebump_n12`` greedy enriches, so its builds hold what the greedy keeps
+between sweeps.
 
 The file goes to the root of the repository that holds this script,
 whichever checkout is measured, so one tree can hold the records of a
@@ -46,6 +49,7 @@ LADDER_MESHES = (12, 16, 24)
 HF_MESHES = (12, 16, 24, 48, 96)
 HF_TRACK_MESHES = (16, 24, 48)
 BUILD_MESHES = (24, 48)
+BUILD_CONFIGS = ("bench_n24", "sinebump_n12")
 HF_T = 0.5
 HF_MEMORY_LIMIT_GB = 2
 SECONDS = 18
@@ -125,13 +129,16 @@ warnings.simplefilter("ignore")
 from cavityrb import bench
 from cavityrb.config import load_config
 
-cfg = dataclasses.replace(load_config("configs/bench_n24.cfg"), mesh_n=int(sys.argv[1]))
+cfg = dataclasses.replace(
+    load_config(f"configs/{sys.argv[2]}.cfg"), mesh_n=int(sys.argv[1])
+)
 problem = bench.build_problem(cfg)
 start = time.perf_counter()
 basis, log, _ = bench.build_basis(problem, cfg)
 print(json.dumps({
-    "n": cfg.mesh_n, "n_curl": problem.n_curl, "build_s": time.perf_counter() - start,
-    "basis_size": basis.size, "greedy_status": log.status,
+    "config": sys.argv[2], "n": cfg.mesh_n, "n_curl": problem.n_curl,
+    "build_s": time.perf_counter() - start, "basis_size": basis.size,
+    "greedy_status": log.status, "greedy_iterations": len(log.records),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -223,17 +230,19 @@ def hf_ladder(checkout):
 def build_ladder(checkout):
     env = child_env(checkout)
     rungs = []
-    for n in BUILD_MESHES:
-        try:
-            lines = run_lines([sys.executable, "-c", BUILD_CHILD, str(n)], checkout, env,
-                              preexec_fn=cap_address_space)
-        except SystemExit as exc:
-            rungs.append({"n": n, "error": str(exc).strip().splitlines()[-1]})
-            print(f"build ladder n={n}: {rungs[-1]['error']}", flush=True)
-            continue
-        rungs.append(json.loads(lines[-1]))
-        print(f"build ladder n={n}: build {rungs[-1]['build_s']:.2f} s, "
-              f"peak {rungs[-1]['peak_rss_mb']:.0f} MB", flush=True)
+    for config in BUILD_CONFIGS:
+        for n in BUILD_MESHES:
+            try:
+                lines = run_lines([sys.executable, "-c", BUILD_CHILD, str(n), config],
+                                  checkout, env, preexec_fn=cap_address_space)
+            except SystemExit as exc:
+                rungs.append({"config": config, "n": n,
+                              "error": str(exc).strip().splitlines()[-1]})
+                print(f"build ladder {config} n={n}: {rungs[-1]['error']}", flush=True)
+                continue
+            rungs.append(json.loads(lines[-1]))
+            print(f"build ladder {config} n={n}: build {rungs[-1]['build_s']:.2f} s, "
+                  f"peak {rungs[-1]['peak_rss_mb']:.0f} MB", flush=True)
     return rungs
 
 
@@ -287,8 +296,9 @@ def main(argv=None):
                          f"problem.solve({HF_T}, K + tau) after assembly, and one "
                          f"high-fidelity track for mesh_n in {list(HF_TRACK_MESHES)}, "
                          f"address space capped at {HF_MEMORY_LIMIT_GB} GiB",
-            "build_ladder": f"bench_n24 settings, mesh_n in {list(BUILD_MESHES)}, one "
-                            "bench.build_basis per child, address space capped at "
+            "build_ladder": f"the settings of {list(BUILD_CONFIGS)}, mesh_n in "
+                            f"{list(BUILD_MESHES)}, one bench.build_basis per "
+                            "child, address space capped at "
                             f"{HF_MEMORY_LIMIT_GB} GiB",
         },
         "workloads": workloads,

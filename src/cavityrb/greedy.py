@@ -13,10 +13,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
+from . import gauge
 from .eigensolve import DEFAULT_MULT_TOL, eigenvalue_clusters, solve_dense_gevp
 from .errors import ConfigError, require
-from .pod import ReducedBasis
+from .pod import ReducedBasis, reduce_system
 from .problem import CavityProblem
 
 RESIDUAL_FORMS = ("mass", "mass-inverse")
@@ -114,51 +116,144 @@ def relative_gaps(
 
 
 def estimate(
-    system,
+    systems,
     U,
-    lambdas_red: np.ndarray,
-    vectors_red: np.ndarray,
+    lambdas,
+    vectors,
     K: int,
     delta_mult: float = DEFAULT_MULT_TOL,
     b_factor=None,
 ) -> np.ndarray:
-    """Gap-weighted residual estimates of the first K reduced modes at one
-    parameter, as an array of length K.
+    """Gap-weighted residual estimates of the first K reduced modes at a
+    stack of T parameters, shape (T, K).
 
-    eta_i = (r_i^T B r_i) / (d_i lam_red_i) with r_i the residual of
-    eigenpair i upscaled by U (the third entry of ``reduced_pencil``); with
-    the factorization ``b_factor`` of B the numerator is r_i^T B^{-1} r_i
-    (the mass-inverse form). All residuals come from one block product.
-    Modes past the reduced spectrum or with an undefined gap score inf.
+    Row i scores the reduced eigenpairs (lambdas[i], vectors[i]) of the
+    upscaling U[i] on the pencil of systems[i]: eta = (r^T B r) / (d lam)
+    with the explicit residual r = A U v - lam B U v. With ``b_factor``, a
+    factorization of diag(B_1, ..., B_T) (of B itself when T = 1), the
+    numerator is r^T B^{-1} r (the mass-inverse form), from one solve for
+    the whole stack. Modes past the reduced spectrum or with an undefined
+    gap score inf.
     """
-    lam = np.asarray(lambdas_red, dtype=float)
-    etas = np.full(K, np.inf)
-    gaps = relative_gaps(lam, delta_mult)[:K]
-    live = np.flatnonzero(~np.isnan(gaps))
-    if not live.size:
-        return etas
-    W = U @ vectors_red[:, live]
-    R = system.A @ W - (system.B @ W) * lam[live]
-    weighted = system.B @ R if b_factor is None else b_factor.solve(R)
-    quad = np.einsum("ij,ij->j", R, weighted)
-    etas[live] = quad / (gaps[live] * lam[live])
+    T, n = len(systems), U[0].shape[0]
+    R = np.zeros((T, n, K))
+    scale = np.full((T, K), np.nan)  # d lam of the scored modes
+    for i, (s, lam, V) in enumerate(zip(systems, lambdas, vectors)):
+        gaps = relative_gaps(lam, delta_mult)[:K]
+        live = np.flatnonzero(~np.isnan(gaps))
+        W = U[i] @ V[:, live]
+        R[i][:, live] = s.A @ W - (s.B @ W) * lam[live]
+        scale[i, live] = gaps[live] * lam[live]
+    if b_factor is None:
+        weighted = np.stack([s.B @ r for s, r in zip(systems, R)])
+    else:
+        weighted = b_factor.solve(R.reshape(T * n, K)).reshape(T, n, K)
+    quad = np.einsum("tij,tij->tj", R, weighted)
+    etas = np.full((T, K), np.inf)
+    scored = ~np.isnan(scale)
+    etas[scored] = quad[scored] / scale[scored]
     return etas
 
 
-def _sweep(problem, Z, config):
-    """Estimator values over the training set, shape (N_train, K)."""
-    etas = np.empty((config.xi_train.size, config.K))
-    for it_t, t in enumerate(config.xi_train.tolist()):
-        b_factor = None
-        if config.residual_form == "mass-inverse":
-            b_factor = problem.mass_factor(t)
-        A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
-        lam, V = solve_dense_gevp(A_red, B_red)
-        etas[it_t] = estimate(
-            problem.system(t), U, lam[: config.K + config.tau], V, config.K,
-            config.delta_mult, b_factor,
+def _bordered(old, U, MU_new):
+    """Reduced matrix U^T M U of U = [U_old, U_new] from old = U_old^T M U_old
+    and MU_new = M U_new: only the new rows and columns are computed."""
+    N, q = U.shape[1], MU_new.shape[1]
+    cross = U.T @ MU_new
+    out = np.empty((N, N))
+    out[: N - q, : N - q] = old
+    out[:, N - q :] = cross
+    out[N - q :, : N - q] = cross[: N - q].T
+    out[N - q :, N - q :] = 0.5 * (cross[N - q :] + cross[N - q :].T)
+    return out
+
+
+class _TrainingSet:
+    """What the greedy keeps for its training set between sweeps.
+
+    Per training parameter: the upscaling U(t) of the basis (all of them in
+    one (N_train, n, N) array; edge-space bases use Z itself) and the
+    reduced pencil (A_N(t), B_N(t)). The first sweep factors each B(t),
+    uses it and drops it. From the first enrichment on, one factorization
+    of diag(B(t_1), ..., B(t_T)) expands appended columns at every
+    parameter in one solve and weights the mass-inverse residuals. A greedy
+    that converges on its first sweep never builds it.
+    """
+
+    def __init__(self, problem: CavityProblem, Z: np.ndarray, config: GreedyConfig):
+        self.config = config
+        self.Z = Z
+        self.systems = [problem.system(t) for t in config.xi_train.tolist()]
+        self.tc = problem.tree_cotree if problem.basis_space == "cotree" else None
+        self.inverse = config.residual_form == "mass-inverse"
+        self.factor = self.Ht = None
+        T, N = len(self.systems), Z.shape[1]
+        if self.tc:
+            self.U = np.empty((T, problem.n_curl, N))
+        else:
+            self.U = np.broadcast_to(Z, (T, *Z.shape))
+        self.A_N = np.empty((T, N, N))
+        self.B_N = np.empty((T, N, N))
+        self.fresh = True
+
+    def sweep(self) -> np.ndarray:
+        """Estimator values over the training set, shape (N_train, K)."""
+        T, cfg = len(self.systems), self.config
+        if self.fresh:
+            self.fresh = False
+            return np.vstack([self._first_estimate(i) for i in range(T)])
+        lambdas, vectors = zip(*(self._reduced_pairs(i) for i in range(T)))
+        return estimate(
+            self.systems, self.U, lambdas, vectors, cfg.K, cfg.delta_mult,
+            self.factor if self.inverse else None,
         )
-    return etas
+
+    def _first_estimate(self, i: int) -> np.ndarray:
+        """Upscale and reduce the basis at parameter i with a factorization
+        of B(t_i) made for it alone, and score that parameter."""
+        s, cfg = self.systems[i], self.config
+        factor = gauge.mass_factor(s.B) if self.tc or self.inverse else None
+        if self.tc:
+            self.U[i] = gauge.expand_cotree(self.Z, s.A, self.tc, factor)
+        self.A_N[i], self.B_N[i] = reduce_system(self.U[i], s.A, s.B)
+        lam, V = self._reduced_pairs(i)
+        return estimate(
+            [s], self.U[i : i + 1], [lam], [V], cfg.K, cfg.delta_mult,
+            factor if self.inverse else None,
+        )
+
+    def _reduced_pairs(self, i: int):
+        lam, V = solve_dense_gevp(self.A_N[i], self.B_N[i])
+        return lam[: self.config.K + self.config.tau], V
+
+    def append(self, Q: np.ndarray):
+        """Add the columns Q to the basis: expand them at every parameter
+        (one stacked solve for cotree bases) and border each reduced pencil
+        with their rows and columns (two sparse products per parameter)."""
+        T = len(self.systems)
+        if self.factor is None and (self.tc or self.inverse):
+            self.factor = gauge.mass_factor(
+                sp.block_diag([s.B for s in self.systems], format="csc")
+            )
+            if self.tc:
+                self.Ht = gauge.stacked_cotree_columns(
+                    [s.A for s in self.systems], self.tc
+                )
+        self.Z = np.hstack([self.Z, Q])
+        if self.tc:
+            U_new = self.factor.solve(self.Ht @ Q).reshape(T, -1, Q.shape[1])
+            self.U = np.concatenate([self.U, U_new], axis=2)
+        else:
+            U_new = np.broadcast_to(Q, (T, *Q.shape))
+            self.U = np.broadcast_to(self.Z, (T, *self.Z.shape))
+        self.A_N = np.stack([
+            _bordered(self.A_N[i], self.U[i], s.A @ U_new[i])
+            for i, s in enumerate(self.systems)
+        ])
+        self.B_N = np.stack([
+            _bordered(self.B_N[i], self.U[i], s.B @ U_new[i])
+            for i, s in enumerate(self.systems)
+        ])
 
 
 def _enrichment_vectors(problem, t_star: float, i_star: int, config):
@@ -210,9 +305,10 @@ def greedy_extend(
     log = GreedyLog()
     iteration = 0
     with problem.transient_systems():
+        training = _TrainingSet(problem, Z, config)
         while True:
             iteration += 1
-            etas = _sweep(problem, Z, config)
+            etas = training.sweep()
             flat = int(np.argmax(etas))
             it_t, i_star = divmod(flat, config.K)
             t_star = float(config.xi_train[it_t])
@@ -254,6 +350,7 @@ def greedy_extend(
                     stacklevel=2,
                 )
                 break
+            training.append(Q)
     extended = ReducedBasis(
         Z=Z, t_ref=basis.t_ref, gauge=basis.gauge, provenance=provenance,
         space=basis.space,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, NumericalError, SingularDerivativeError, require
 from .eigensolve import DEFAULT_MULT_TOL, b_orthonormalize, eigenvalue_clusters
@@ -278,6 +277,10 @@ def _correlation_matrix(P, C, B):
 
 def _assign(rho, rho_min, score=None):
     """Assignment maximizing ``score`` (default rho), accepted on rho."""
+    # imported on first use: scipy.optimize would double the package's
+    # import time and memory
+    from scipy.optimize import linear_sum_assignment
+
     K = rho.shape[0]
     rows, cols = linear_sum_assignment(-(rho if score is None else score))
     perm = np.empty(K, dtype=int)
@@ -569,6 +572,8 @@ def classify_endpoint(trace: TrackingTrace, analytic_table):
     values = np.array([v for _, v in analytic_table])
     if values.size < lam_end.size:
         raise ValueError("analytic table smaller than the tracked mode count")
+    from scipy.optimize import linear_sum_assignment  # as in _assign
+
     cost = np.abs(lam_end[:, None] - values[None, :]) / values[None, :]
     rows, cols = linear_sum_assignment(cost)
     out = [None] * lam_end.size

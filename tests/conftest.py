@@ -22,6 +22,7 @@ from cavityrb.eigensolve import (
 )
 from cavityrb.errors import NumericalError, SingularDerivativeError
 from cavityrb.gauge import expand_cotree, mass_factor
+from cavityrb.greedy import relative_gaps
 from cavityrb.pod import reduce_system
 from cavityrb.problem import CavityProblem
 from cavityrb.tracking import RESIDUAL_TOL
@@ -254,6 +255,60 @@ def reduced_derivative(problem, Z, space, t):
         dA += dA_u + dA_u.T
         dB += dB_u + dB_u.T
     return dA, dB
+
+
+def estimate_at(system, U, lambdas_red, vectors_red, K, delta_mult=DEFAULT_MULT_TOL,
+                b_factor=None):
+    """Gap-weighted residual estimates of the first K reduced modes at one
+    parameter (oracle of ``greedy.estimate``): eta_i = (r_i^T B r_i) /
+    (d_i lam_i) with r_i = A U v_i - lam_i B U v_i, or r_i^T B^{-1} r_i with
+    the factorization ``b_factor`` of B. inf past the reduced spectrum and
+    where the gap is undefined."""
+    lam = np.asarray(lambdas_red, dtype=float)
+    etas = np.full(K, np.inf)
+    gaps = relative_gaps(lam, delta_mult)[:K]
+    live = np.flatnonzero(~np.isnan(gaps))
+    if not live.size:
+        return etas
+    W = U @ vectors_red[:, live]
+    R = system.A @ W - (system.B @ W) * lam[live]
+    weighted = system.B @ R if b_factor is None else b_factor.solve(R)
+    quad = np.einsum("ij,ij->j", R, weighted)
+    etas[live] = quad / (gaps[live] * lam[live])
+    return etas
+
+
+def sweep(problem, Z, config):
+    """Estimator values over the training set, shape (N_train, K), from
+    scratch (oracle of the greedy's kept sweep): at every parameter B(t)
+    is factored, the whole basis upscaled and its reduced pencil formed
+    again."""
+    etas = np.empty((config.xi_train.size, config.K))
+    for it_t, t in enumerate(config.xi_train.tolist()):
+        b_factor = None
+        if config.residual_form == "mass-inverse":
+            b_factor = problem.mass_factor(t)
+        A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
+        lam, V = solve_dense_gevp(A_red, B_red)
+        etas[it_t] = estimate_at(
+            problem.system(t), U, lam[: config.K + config.tau], V, config.K,
+            config.delta_mult, b_factor,
+        )
+    return etas
+
+
+class SweepOracle:
+    """Stand-in for ``greedy._TrainingSet`` that keeps only the basis and
+    runs the from-scratch ``sweep``."""
+
+    def __init__(self, problem, Z, config):
+        self.problem, self.Z, self.config = problem, Z, config
+
+    def sweep(self):
+        return sweep(self.problem, self.Z, self.config)
+
+    def append(self, Q):
+        self.Z = np.hstack([self.Z, Q])
 
 
 def standard_form_eigensolve(A, B, tc):

@@ -178,3 +178,31 @@ def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings)
     assert (hf["dof_count"], cotree["dof_count"]) == (
         problem.n_curl, problem.n_curl - problem.n_grad,
     )
+
+
+def test_offline_build_never_imports_scipy_optimize():
+    # tracking imports the assignment solver where it calls it: loading
+    # scipy.optimize would double the package's import time and memory
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import cavityrb, cavityrb.cli\n"
+        "from cavityrb import bench\n"
+        "from cavityrb.config import RunConfig\n"
+        "cfg = RunConfig(mesh_n=4, family='sine-bump', N_pod=2, N_train=5,\n"
+        "                N_test=2, K=3, tau=1, N_init=6, N_max=20, tol=1e-8)\n"
+        "basis, log, _ = bench.build_basis(bench.build_problem(cfg), cfg)\n"
+        "assert len(log.records) > 1, log.rows()\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -62,5 +62,9 @@ def test_bench_record_hf_child_tracks_on_small_mesh():
 
 
 def test_bench_record_build_child_runs_on_small_mesh():
-    rung = _bench_record_child("BUILD_CHILD", "4")
-    assert rung["n"] == 4 and rung["build_s"] > 0 and rung["peak_rss_mb"] > 0
+    # the bench_n24 greedy converges on its first sweep, the sinebump_n12
+    # greedy enriches
+    for config in ("bench_n24", "sinebump_n12"):
+        rung = _bench_record_child("BUILD_CHILD", "4", config)
+        assert (rung["config"], rung["n"]) == (config, 4)
+        assert rung["build_s"] > 0 and rung["peak_rss_mb"] > 0
