@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -183,10 +187,6 @@ def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings)
 def test_offline_build_never_imports_scipy_optimize():
     # tracking imports the assignment solver where it calls it: loading
     # scipy.optimize would double the package's import time and memory
-    import os
-    import subprocess
-    import sys
-
     code = (
         "import sys, warnings\n"
         "warnings.simplefilter('ignore')\n"

@@ -22,13 +22,13 @@ from cavityrb.config import load_config
 from cavityrb.errors import ConfigError, NumericalError
 from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.gauge import mass_factor
-from cavityrb.problem import GAUGES
 from cavityrb.greedy import (
     RESIDUAL_FORMS,
     _enrichment_vectors,
     estimate,
     relative_gaps,
 )
+from cavityrb.problem import GAUGES
 
 from conftest import (
     SweepOracle,
