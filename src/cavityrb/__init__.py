@@ -5,7 +5,6 @@ from .assembly import AssembledSystem, assemble, discrete_gradient, matrix_deriv
 from .config import RunConfig, load_config, parse_config
 from .eigensolve import (
     EigenSolution,
-    b_normalize,
     b_orthonormalize,
     eigenvalue_clusters,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from statistics import mean, median
 
@@ -79,29 +79,23 @@ def initial_basis(problem: CavityProblem, cfg: RunConfig):
     return basis, snapshots
 
 
-def extend_basis(problem: CavityProblem, cfg: RunConfig, basis0, study=None):
+def extend_basis(problem: CavityProblem, cfg: RunConfig, basis0):
     """Greedy extension of an initial basis; returns (basis, log).
 
-    A given ErrorStudy evaluates the initial basis and every extension. The
-    returned basis carries the interpolant of its reduced pencil.
+    The returned basis carries the interpolant of its reduced pencil.
     """
-    if study is not None:
-        study.evaluate(basis0.Z)
-    basis, log = greedy_extend(
-        basis0, cfg.greedy_config(), problem,
-        callback=None if study is None else lambda iteration, Z: study.evaluate(Z),
-    )
+    basis, log = greedy_extend(basis0, cfg.greedy_config(), problem)
     interpolant = pencil_interpolant(problem, basis.Z)
     return replace(basis, interpolant=interpolant), log
 
 
-def build_basis(problem: CavityProblem, cfg: RunConfig, study=None):
+def build_basis(problem: CavityProblem, cfg: RunConfig):
     """Full offline phase: POD initialization plus greedy extension.
 
     Returns (basis, log, snapshots).
     """
     basis0, snapshots = initial_basis(problem, cfg)
-    basis, log = extend_basis(problem, cfg, basis0, study)
+    basis, log = extend_basis(problem, cfg, basis0)
     return basis, log, snapshots
 
 
@@ -112,42 +106,46 @@ def build_basis(problem: CavityProblem, cfg: RunConfig, study=None):
 class ErrorStudy:
     """Signed average and max-absolute eigenvalue errors over a test set.
 
-    truth[j, i] holds the i-th high-fidelity eigenvalue at test parameter j;
-    rows accumulate (basis_size, mode, avg signed, max abs, null leak).
+    rows hold (basis_size, mode, avg signed, max abs, null leak), sizes
+    ascending, one row per mode and scored size.
     """
 
     problem: CavityProblem
     cfg: RunConfig
     ts_test: np.ndarray
-    truth: np.ndarray
-    rows: list = field(default_factory=list)
+    rows: list
 
     @classmethod
-    def prepare(cls, problem: CavityProblem, cfg: RunConfig):
-        rng = np.random.default_rng(cfg.seed)
-        ts_test = rng.uniform(0.0, 1.0, cfg.N_test)
-        truth = np.empty((cfg.N_test, cfg.K))
-        for j, t in enumerate(ts_test):
-            truth[j] = problem.solve(float(t), cfg.K)[1]
-        return cls(problem=problem, cfg=cfg, ts_test=ts_test, truth=truth)
+    def run(cls, problem: CavityProblem, cfg: RunConfig, Z: np.ndarray, sizes):
+        """Score the leading ``sizes`` columns of the basis Z.
 
-    def evaluate(self, Z: np.ndarray):
-        K = self.cfg.K
-        signed = np.zeros(K)
-        max_abs = np.zeros(K)
-        leak = 0
-        for j, t in enumerate(self.ts_test):
-            A_red, B_red, _ = self.problem.reduced_pencil(Z, float(t))
-            lam, _ = solve_dense_gevp(A_red, B_red)
-            leak = max(leak, int(null_mask(lam, self.cfg.null_tol).sum()))
-            take = min(K, lam.size)
-            rel = (lam[:take] - self.truth[j, :take]) / self.truth[j, :take]
-            signed[:take] += rel
-            max_abs[:take] = np.maximum(max_abs[:take], np.abs(rel))
-        signed /= len(self.ts_test)
-        size = Z.shape[1]
-        for i in range(K):
-            self.rows.append((size, i, signed[i], max_abs[i], leak))
+        The reduced pencil of a leading block of columns is the leading
+        block of Z's reduced pencil, so each test parameter costs one truth
+        solve and one ``reduced_pencil``. Its system leaves the problem's
+        cache before the next parameter is assembled.
+        """
+        K = cfg.K
+        ts_test = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, cfg.N_test)
+        signed = np.zeros((len(sizes), K))
+        max_abs = np.zeros((len(sizes), K))
+        leak = [0] * len(sizes)
+        for t in ts_test.tolist():
+            with problem.transient_systems():
+                truth = problem.solve(t, K)[1]
+                A_red, B_red, _ = problem.reduced_pencil(Z, t)
+            for s, N in enumerate(sizes):
+                lam, _ = solve_dense_gevp(A_red[:N, :N], B_red[:N, :N])
+                leak[s] = max(leak[s], int(null_mask(lam, cfg.null_tol).sum()))
+                take = min(K, lam.size)
+                rel = (lam[:take] - truth[:take]) / truth[:take]
+                signed[s, :take] += rel
+                max_abs[s, :take] = np.maximum(max_abs[s, :take], np.abs(rel))
+        signed /= len(ts_test)
+        rows = [
+            (N, i, signed[s, i], max_abs[s, i], leak[s])
+            for s, N in enumerate(sizes) for i in range(K)
+        ]
+        return cls(problem=problem, cfg=cfg, ts_test=ts_test, rows=rows)
 
     def final_errors(self):
         """(avg signed, max abs) per mode at the largest recorded size."""
@@ -162,14 +160,15 @@ class ErrorStudy:
 
 
 def run_error_study(cfg: RunConfig):
-    """Offline build instrumented with per-size test errors.
+    """Offline build, then per-size test errors of the initial POD basis
+    and of every greedy extension.
 
-    Returns (study, basis, log). The study rows include the initial POD
-    basis and every greedy extension.
+    Returns (study, basis, log).
     """
     problem = build_problem(cfg)
-    study = ErrorStudy.prepare(problem, cfg)
-    basis, log, _ = build_basis(problem, cfg, study)
+    basis0, _ = initial_basis(problem, cfg)
+    basis, log = extend_basis(problem, cfg, basis0)
+    study = ErrorStudy.run(problem, cfg, basis.Z, log.sizes(basis0.size))
     return study, basis, log
 
 
@@ -319,13 +318,14 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
 def run_pipeline(cfg: RunConfig, with_bench: bool = True):
     """Offline-online pipeline; returns (manifest, artifacts).
 
-    Stages: snapshots and POD, cleanup, greedy (instrumented with the error
-    study), basis serialization data, tracking, endpoint classification,
-    error study rows, benchmark. A stage failure is recorded and the
-    remaining stages are skipped. The Python warnings a stage raises are
-    recorded in the manifest, prefixed with the stage name, instead of
-    reaching stderr. Nothing in the manifest depends on wall clock, so a
-    reproduced run yields a byte-identical manifest.
+    Stages: snapshots and POD, cleanup, greedy, basis serialization data,
+    tracking, endpoint classification, error study (its truth solves, then
+    the test errors of every basis the greedy went through), benchmark. A
+    stage failure is recorded and the remaining stages are skipped. The
+    Python warnings a stage raises are recorded in the manifest, prefixed
+    with the stage name, instead of reaching stderr. Nothing in the manifest
+    depends on wall clock, so a reproduced run yields a byte-identical
+    manifest.
     """
     manifest = {
         "schema": 1,
@@ -359,13 +359,10 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
 
     def _build_initial():
         state["problem"] = build_problem(cfg)
-        state["study"] = ErrorStudy.prepare(state["problem"], cfg)
         state["basis0"], _ = initial_basis(state["problem"], cfg)
 
     def _greedy():
-        basis, log = extend_basis(
-            state["problem"], cfg, state["basis0"], state["study"]
-        )
+        basis, log = extend_basis(state["problem"], cfg, state["basis0"])
         artifacts["greedy_log"] = log
         artifacts["basis"] = basis
         manifest["stages"][-1]["detail"] = (
@@ -403,8 +400,11 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
         else:
             artifacts["labels"] = labels
 
-    def _study_rows():
-        artifacts["error_study"] = state["study"]
+    def _study():
+        sizes = artifacts["greedy_log"].sizes(state["basis0"].size)
+        artifacts["error_study"] = ErrorStudy.run(
+            state["problem"], cfg, artifacts["basis"].Z, sizes
+        )
 
     def _bench():
         prebuilt = {}
@@ -417,7 +417,7 @@ def run_pipeline(cfg: RunConfig, with_bench: bool = True):
     run_stage("serialize", _serialize)
     run_stage("track", _track)
     run_stage("classify", _classify)
-    run_stage("error-study", _study_rows)
+    run_stage("error-study", _study)
     if with_bench:
         run_stage("bench", _bench)
 

@@ -78,15 +78,6 @@ def residual_norms(A, B, lambdas, vectors) -> np.ndarray:
     return out
 
 
-def b_normalize(v: np.ndarray, B) -> np.ndarray:
-    """Scale v so that v^T B v = 1; direction is preserved."""
-    v = np.asarray(v, dtype=float)
-    nn = float(v @ (B @ v))
-    if not np.isfinite(nn) or nn <= 0.0:
-        raise ValueError("cannot normalize a zero or B-degenerate vector")
-    return v / np.sqrt(nn)
-
-
 def b_orthonormalize(
     V: np.ndarray,
     B,

@@ -84,6 +84,13 @@ class GreedyLog:
             for r in self.records
         ]
 
+    def sizes(self, n_init: int) -> list:
+        """Sizes of the bases the greedy went through: the initial one and
+        one per iteration that appended columns. The greedy only appends,
+        so each of these bases is the leading columns of the one it
+        returned."""
+        return [n_init] + [r.basis_size for r in self.records if r.appended]
+
 
 def relative_gaps(
     lambdas_red: np.ndarray, delta_mult: float = DEFAULT_MULT_TOL
@@ -277,7 +284,6 @@ def greedy_extend(
     basis: ReducedBasis,
     config: GreedyConfig,
     problem: CavityProblem,
-    callback=None,
 ):
     """Grow the basis until the worst estimator value drops below tol.
 
@@ -340,8 +346,6 @@ def greedy_extend(
                 for _ in range(Q.shape[1])
             ]
             record.basis_size = Z.shape[1]
-            if callback is not None:
-                callback(iteration, Z)
             if Z.shape[1] >= config.N_max:
                 log.status = "nmax-reached"
                 warnings.warn(

@@ -20,10 +20,10 @@ class CavityProblem:
     """One parameterized eigenproblem with an active spurious-mode strategy.
 
     Mesh and mapping are immutable. Assembled systems are cached per
-    parameter value; snapshots, the greedy, interpolation nodes and tracking
-    keep theirs only while they run (``transient_systems``), so t_ref and the
-    error study's test parameters stay. The gauge strategy decides the
-    coordinate space of snapshot vectors and how basis matrices are cleaned.
+    parameter value; snapshots, the greedy, interpolation nodes, tracking and
+    the error study keep theirs only while they run (``transient_systems``),
+    so of theirs only t_ref stays. The gauge strategy decides the coordinate
+    space of snapshot vectors and how basis matrices are cleaned.
     """
 
     def __init__(
@@ -212,23 +212,18 @@ class CavityProblem:
             V = gauge_mod.cotree_coordinates(V, lambdas, self.G, self.tree_cotree)
         return lambdas, V
 
-    def reduced_pencil(
-        self, Z: np.ndarray, t: float, space: str | None = None, factor=None
-    ):
+    def reduced_pencil(self, Z: np.ndarray, t: float, space: str | None = None):
         """(A_red, B_red, U) of the basis at t; U upscales reduced vectors.
 
         U = Z for edge-space bases; cotree bases map through the parameter's
         expansion B(t)^{-1} H(t)^T, so the reduced trial space is
-        divergence-free on every domain configuration. ``factor`` is a
-        factorization of B(t) the caller already holds.
+        divergence-free on every domain configuration.
         """
         sys_t = self.system(t)
         if (space or self.basis_space) == "edge":
             U = np.asarray(Z, dtype=float)
         else:
-            U = gauge_mod.expand_cotree(
-                Z, sys_t.A, self.tree_cotree, factor or self.mass_factor(t)
-            )
+            U = gauge_mod.expand_cotree(Z, sys_t.A, self.tree_cotree, self.mass_factor(t))
         return (*reduce_system(U, sys_t.A, sys_t.B), U)
 
     # ----------------------------------------------------------------- gauge

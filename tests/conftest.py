@@ -244,7 +244,7 @@ def reduced_derivative(problem, Z, space, t):
     Then A_red' = sym(2 U'^T A U) + U^T A' U, and the same for B_red.
     """
     factor = problem.mass_factor(t) if space == "cotree" else None
-    _, _, U = problem.reduced_pencil(Z, t, space=space, factor=factor)
+    _, _, U = problem.reduced_pencil(Z, t, space=space)
     sys_t = problem.system(t)
     A_p, B_p = problem.derivative_pencil(t)
     dA, dB = reduce_system(U, A_p, B_p)
@@ -288,13 +288,38 @@ def sweep(problem, Z, config):
         b_factor = None
         if config.residual_form == "mass-inverse":
             b_factor = problem.mass_factor(t)
-        A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
+        A_red, B_red, U = problem.reduced_pencil(Z, t)
         lam, V = solve_dense_gevp(A_red, B_red)
         etas[it_t] = estimate_at(
             problem.system(t), U, lam[: config.K + config.tau], V, config.K,
             config.delta_mult, b_factor,
         )
     return etas
+
+
+def error_study_rows(problem, cfg, Z, sizes):
+    """Rows (basis_size, mode, avg signed, max abs, null leak) of the error
+    study (oracle of ``bench.ErrorStudy.run``): each size's leading columns
+    of Z evaluated as a basis of their own, one ``reduced_pencil`` per size
+    and test parameter."""
+    ts_test = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, cfg.N_test)
+    truth = np.array([problem.solve(float(t), cfg.K)[1] for t in ts_test])
+    rows = []
+    for size in sizes:
+        signed = np.zeros(cfg.K)
+        max_abs = np.zeros(cfg.K)
+        leak = 0
+        for j, t in enumerate(ts_test):
+            A_red, B_red, _ = problem.reduced_pencil(Z[:, :size], float(t))
+            lam, _ = solve_dense_gevp(A_red, B_red)
+            leak = max(leak, int(null_mask(lam, cfg.null_tol).sum()))
+            take = min(cfg.K, lam.size)
+            rel = (lam[:take] - truth[j, :take]) / truth[j, :take]
+            signed[:take] += rel
+            max_abs[:take] = np.maximum(max_abs[:take], np.abs(rel))
+        signed /= len(ts_test)
+        rows += [(size, i, signed[i], max_abs[i], leak) for i in range(cfg.K)]
+    return rows
 
 
 class SweepOracle:

@@ -17,8 +17,11 @@ from cavityrb.bench import (
     run_error_study,
 )
 from cavityrb.config import RunConfig
+from cavityrb.errors import NumericalError
 from cavityrb.problem import CavityProblem
 from cavityrb.tracking import TrackingConfig, track
+
+from conftest import error_study_rows
 
 
 def _bump_cfg(**kw):
@@ -56,13 +59,90 @@ def test_build_basis_keeps_no_training_system(quiet_warnings):
 def test_error_study_rows_and_decay(quiet_warnings):
     cfg = _bump_cfg()
     study, basis, log = run_error_study(cfg)
-    sizes = sorted({r[0] for r in study.rows})
-    assert len(sizes) == len(log.records[:-1]) + 1 or len(sizes) >= 2
+    # the initial basis and every basis an appending greedy iteration left
+    n_init = initial_basis(build_problem(cfg), cfg)[0].size
+    sizes = [n_init] + [r.basis_size for r in log.records if r.appended]
+    assert len(sizes) >= 2 and sizes[-1] == basis.size
+    assert [r[:2] for r in study.rows] == [(s, i) for s in sizes for i in range(cfg.K)]
     per_size = {s: max(abs(r[2]) for r in study.rows if r[0] == s) for s in sizes}
     assert per_size[sizes[-1]] < per_size[sizes[0]]
     # signed averages are non-negative up to solver noise (upper bounds)
     final = [r[2] for r in study.rows if r[0] == sizes[-1]]
     assert min(final) > -1e-10
+
+
+@pytest.mark.parametrize("family", ["sine-bump", "affine-stretch"])
+@pytest.mark.parametrize("gauge", ["tree-cotree", "gram-schmidt"])
+def test_error_study_matches_per_size_oracle(family, gauge, quiet_warnings):
+    # one reduced pencil of the final basis per test parameter, cut to its
+    # leading blocks, against each basis size evaluated on its own: the
+    # sizes of the greedy's bases, then every leading block (the affine
+    # stretch needs two snapshots for its greedy to append)
+    n_pod = 4 if family == "sine-bump" else 2
+    cfg = _bump_cfg(
+        mesh_n=6, family=family, gauge=gauge, K=3, tau=1, N_init=2 * n_pod,
+        N_pod=n_pod, N_train=10, N_test=6, tol=1e-8, N_max=30,
+    )
+    study, basis, _ = run_error_study(cfg)
+    every = ErrorStudy.run(study.problem, cfg, basis.Z, range(1, basis.size + 1))
+    for rows in (study.rows, every.rows):
+        sizes = list(dict.fromkeys(r[0] for r in rows))
+        oracle = error_study_rows(study.problem, cfg, basis.Z, sizes)
+        assert [r[:2] + r[4:] for r in rows] == [r[:2] + r[4:] for r in oracle]
+        np.testing.assert_allclose(
+            np.array([r[2:4] for r in rows]),
+            np.array([r[2:4] for r in oracle]), rtol=0, atol=1e-12,
+        )
+
+
+def test_error_study_keeps_no_test_system(quiet_warnings, monkeypatch):
+    # the study assembles each test parameter inside its own transient block:
+    # one is alive at a time, and afterwards the cache holds t_ref alone,
+    # also in the pipeline
+    cfg = _bump_cfg(mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, N_test=5)
+    ts_test = set(np.random.default_rng(cfg.seed).uniform(0.0, 1.0, cfg.N_test).tolist())
+    alive = []
+    reduced_pencil = CavityProblem.reduced_pencil
+
+    def counting_reduced_pencil(self, Z, t, space=None):
+        out = reduced_pencil(self, Z, t, space)
+        alive.append(len(ts_test & set(self._systems)))
+        return out
+
+    monkeypatch.setattr(CavityProblem, "reduced_pencil", counting_reduced_pencil)
+    study, _, _ = run_error_study(cfg)
+    assert set(study.problem._systems) == {study.problem.t_ref}
+    assert max(alive) == 1
+    manifest, artifacts = bench_mod.run_pipeline(cfg, with_bench=False)
+    assert [s["status"] for s in manifest["stages"]] == ["ok"] * len(manifest["stages"])
+    problem = artifacts["error_study"].problem
+    assert set(problem._systems) == {problem.t_ref}
+    # a system assembled before the study stays
+    t_kept = min(ts_test)
+    problem.system(t_kept)
+    ErrorStudy.run(problem, cfg, artifacts["basis"].Z, [artifacts["basis"].size])
+    assert set(problem._systems) == {problem.t_ref, t_kept}
+
+
+def test_failed_truth_solve_fails_the_error_study_stage(quiet_warnings, monkeypatch):
+    # the truth solves run in the error-study stage: the stages before it
+    # and their artifacts stand
+    cfg = _bump_cfg(mesh_n=4, K=3, tau=1, N_init=6, N_pod=4, N_train=8, N_test=5)
+    ts_test = set(np.random.default_rng(cfg.seed).uniform(0.0, 1.0, cfg.N_test).tolist())
+    solve = CavityProblem.solve
+
+    def failing_solve(self, t, k):
+        if t in ts_test:
+            raise NumericalError(f"no truth at t={t!r}")
+        return solve(self, t, k)
+
+    monkeypatch.setattr(CavityProblem, "solve", failing_solve)
+    manifest, artifacts = bench_mod.run_pipeline(cfg, with_bench=False)
+    status = {s["name"]: s["status"] for s in manifest["stages"]}
+    assert status.pop("error-study") == "failed"
+    assert set(status.values()) == {"ok"}
+    assert {"basis", "greedy_log", "trace"} <= set(artifacts)
+    assert "error_study" not in artifacts
 
 
 def test_larger_mode_count_needs_larger_basis(quiet_warnings):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityrb import (
     assemble,
-    b_normalize,
     b_orthonormalize,
     eigenvalue_clusters,
     identity_map,
@@ -96,26 +94,6 @@ def test_frequencies():
     sol = solve_gevp(np.diag([4.0, 9.0]), np.eye(2), 2)
     np.testing.assert_allclose(sol.frequencies, np.array([2.0, 3.0]) / (2 * np.pi))
     np.testing.assert_allclose(sol.frequencies, np.sqrt(sol.lambdas) / (2 * np.pi))
-
-
-@given(st.floats(min_value=0.1, max_value=50.0))
-def test_b_normalize_scaling(scale):
-    B = sp.identity(3, format="csr") * 4.0
-    v = np.array([scale, 0.0, 0.0])
-    out = b_normalize(v, B)
-    np.testing.assert_allclose(out @ (B @ out), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(out, v / np.linalg.norm(v) / 2.0)
-
-
-def test_b_normalize_idempotent_on_normalized():
-    B = np.diag([2.0, 3.0])
-    v = b_normalize(np.array([1.0, 1.0]), B)
-    np.testing.assert_allclose(b_normalize(v, B), v, rtol=1e-14)
-
-
-def test_b_normalize_rejects_zero():
-    with pytest.raises(ValueError):
-        b_normalize(np.zeros(3), np.eye(3))
 
 
 def test_b_orthonormalize_drops_dependent(rng):

@@ -159,7 +159,7 @@ def test_block_estimate_matches_per_column_recomputation(family, gauge, form, t)
     K, tau = 3, 1
     s = problem.system(t)
     b_factor = problem.mass_factor(t) if form == "mass-inverse" else None
-    A_red, B_red, U = problem.reduced_pencil(Z, t, factor=b_factor)
+    A_red, B_red, U = problem.reduced_pencil(Z, t)
     lam, V = solve_dense_gevp(A_red, B_red)
     lam = lam[: K + tau]
     etas = estimate([s], U[None], [lam], [V], K, 1e-6, b_factor)[0]
@@ -385,12 +385,11 @@ def test_greedy_monotone_growth_and_orthonormality(quiet_warnings):
         K=3, tau=1, xi_train=np.linspace(0, 1, 8),
         tol=1e-7, N_max=25,
     )
-    sizes = []
-    out, log = greedy_extend(
-        basis, cfg, problem, callback=lambda it, Z: sizes.append(Z.shape[1])
-    )
-    assert sizes == sorted(sizes)
-    assert all(b > a for a, b in zip(sizes, sizes[1:]))
+    out, log = greedy_extend(basis, cfg, problem)
+    sizes = [r.basis_size for r in log.records if r.appended]
+    assert sizes
+    assert all(b > a for a, b in zip([basis.size] + sizes, sizes))
+    assert sizes[-1] == out.size
     M = problem.basis_metric
     gram = out.Z.T @ (M @ out.Z)
     np.testing.assert_allclose(gram, np.eye(out.size), atol=1e-9)
