@@ -19,7 +19,6 @@ from .errors import (
 from .gauge import (
     TreeCotree,
     build_tree_cotree,
-    divergence_defect,
     graddiv_project,
     gram_schmidt_clean,
 )
@@ -46,7 +45,6 @@ from .tracking import (
     TrackingTrace,
     analytic_rectangle_table,
     classify_endpoint,
-    correlation_match,
     eigen_derivatives,
     taylor_predict,
     track,

@@ -49,9 +49,10 @@ def _check_t(args):
 
 def _null_count(problem, t: float, null_tol: float) -> int:
     """Null-space dimension of the pencil at t without a dense solve: the
-    n_grad gradient modes the mixed-form solve keeps out (its factor exists
-    only when G has full column rank) plus the physical eigenvalues at or
-    below null_tol times the largest, which one loose Lanczos run estimates."""
+    n_grad gradient modes the projected solve keeps out (its Gram factor of
+    G^T B G exists only when G has full column rank) plus the physical
+    eigenvalues at or below null_tol times the largest, which one loose
+    Lanczos run estimates."""
     sys_t = problem.system(t)
     try:
         lam_max = spla.eigsh(sys_t.A, 1, M=sys_t.B, which="LA", tol=1e-3,

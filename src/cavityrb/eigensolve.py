@@ -1,7 +1,7 @@
 """Dense generalized symmetric eigensolver, null-mode threshold and helpers.
 
 ``solve_dense_gevp`` solves whole reduced pencils; the full pencil goes to
-the sparse mixed-form solve of ``gauge.condensed_eigensolve`` only.
+the sparse shift-invert solve of ``gauge.condensed_eigensolve`` only.
 ``null_mask`` applies the relative null threshold of the error study's
 null leak and the null count of ``cavityrb check``.
 """

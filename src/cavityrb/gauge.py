@@ -25,12 +25,12 @@ from .errors import GeometryError, NumericalError
 from .eigensolve import DROP_TOL, b_orthonormalize, residual_norms
 from .geometry import ReferenceMesh
 
-# Shift of the mixed-form solve: below the physical spectrum, which starts
-# at a positive eigenvalue, so K(sigma) is nonsingular.
-MIXED_SHIFT = -1.0
+# Shift of the shift-invert solve: below the physical spectrum, which starts
+# at a positive eigenvalue, so A - sigma B is positive definite.
+SHIFT = -1.0
 # Largest relative eigen-residual ||A v - lam B v|| / (lam ||B v||) a
 # returned pair may have; the tracker's derivative rule needs 1e-8.
-MIXED_RESIDUAL_TOL = 1e-9
+EIGEN_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,35 +162,53 @@ def cotree_metric(A, tc: TreeCotree, factor):
     return spla.LinearOperator((H.shape[0],) * 2, matvec=apply, matmat=apply, dtype=float)
 
 
-def mixed_factor(A, B, G):
-    """Sparse LU of the mixed (Kikuchi) matrix of the pencil at the shift,
+class ProjectedInverse:
+    """The shift-inverted pencil at one parameter, restricted to the
+    discretely divergence-free vectors: P (A - sigma B)^{-1}, with
+    P = I - G (G^T B G)^{-1} G^T B the B-orthogonal projector off the
+    gradients.
 
-        K(sigma) = [[A - sigma B, B G], [(B G)^T, 0]],
-
-    nonsingular for sigma < 0 when G has full column rank.
+    A G = 0 makes (A - sigma B) G = -sigma B G, so P (A - sigma B)^{-1} is
+    symmetric, inverts A - sigma B on the divergence-free vectors and maps
+    the gradients to zero (Arbenz & Drmac 2002). It holds two symmetric
+    positive-definite factorizations, of A - sigma B and of the gradient
+    Gram matrix G^T B G, and the coupling block G^T B. A G without full
+    column rank makes the Gram factorization fail: a NumericalError.
     """
-    C = sp.csc_matrix(B @ G)
-    K = sp.bmat([[A - MIXED_SHIFT * B, C], [C.T, None]], format="csc")
-    try:
-        return spla.splu(K)
-    except RuntimeError as exc:
-        raise NumericalError(f"mixed-form factorization failed: {exc}") from exc
+
+    def __init__(self, A, B, G):
+        self.G = G
+        self.GtB = sp.csr_matrix(G.T @ B)
+        self.gram = gram_factor(G, self.GtB.T)
+        self.shifted = mass_factor(A - SHIFT * B)
+
+    def gradient_part(self, g):
+        """G (G^T B G)^{-1} g: the gradient whose coupling G^T B is g."""
+        return self.G @ self.gram.solve(g)
+
+    def project(self, V):
+        """P V, the B-orthogonal projection of vectors off the gradients."""
+        return V - self.gradient_part(self.GtB @ V)
+
+    def solve(self, X):
+        """P (A - sigma B)^{-1} X for a vector or a block of columns."""
+        return self.project(self.shifted.solve(X))
 
 
 def condensed_eigensolve(A, B, G, k: int, factor=None):
     """First k physical eigenpairs of (A, B): ascending eigenvalues and
     B-orthonormal full-space vectors.
 
-    Shift-invert Lanczos on the mixed form: x -> (K(sigma)^{-1} [x; 0])[:n]
+    Shift-invert Lanczos on the ``ProjectedInverse`` of the pencil, which
     inverts A - sigma B on the discretely divergence-free vectors and maps
     the gradient kernel to infinity, so no null mode is computed. ``factor``
-    is a zero-argument callable returning the ``mixed_factor`` of this
-    pencil, for callers that keep it; by default it is factored here. A start
-    vector fixed by the size and a sign convention (the entry of largest
-    magnitude of each vector is positive) make reruns byte-identical. A
-    relative eigen-residual above MIXED_RESIDUAL_TOL raises NumericalError.
-    Any k up to all n - n_grad physical pairs is solved so, but not all n
-    pairs of a pencil without a gradient space (no interior vertex).
+    is a zero-argument callable returning that operator, for callers that
+    keep it; by default it is factored here. A start vector fixed by the
+    size and a sign convention (the entry of largest magnitude of each
+    vector is positive) make reruns byte-identical. A relative
+    eigen-residual above EIGEN_RESIDUAL_TOL raises NumericalError. Any k up
+    to all n - n_grad physical pairs is solved so, but not all n pairs of a
+    pencil without a gradient space (no interior vertex).
     """
     n, n_grad = G.shape
     if n - n_grad < k:
@@ -201,12 +219,8 @@ def condensed_eigensolve(A, B, G, k: int, factor=None):
         raise NumericalError(
             f"shift-invert Lanczos cannot return all {n} eigenpairs of the pencil"
         )
-    lu = factor() if factor is not None else mixed_factor(A, B, G)
-    pad = np.zeros(n_grad)
-    op = spla.LinearOperator(
-        (n, n), matvec=lambda x: lu.solve(np.concatenate([np.ravel(x), pad]))[:n],
-        dtype=float,
-    )
+    inverse = factor() if factor is not None else ProjectedInverse(A, B, G)
+    op = spla.LinearOperator((n, n), matvec=inverse.solve, dtype=float)
     # Lanczos finds the second copy of a multiple eigenvalue only by rounding
     # over its restarts. Past a quarter of the spectrum it restarts too seldom
     # (the square at mesh_n = 8 lost a copy at k = 45 of 127), so there its
@@ -214,27 +228,26 @@ def condensed_eigensolve(A, B, G, k: int, factor=None):
     whole_space = 4 * (k + 1) > n - n_grad
     try:
         lam, V = spla.eigsh(
-            A, k, M=B, sigma=MIXED_SHIFT, which="LM", OPinv=op,
+            A, k, M=B, sigma=SHIFT, which="LM", OPinv=op,
             v0=np.cos(np.arange(n, dtype=float)),
             ncv=n if whole_space else None,
         )
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
-    if whole_space and n_grad:
+    if whole_space:
         # the basis vectors past the n - n_grad divergence-free directions
         # are rounding noise that lies in the gradient space, and the Ritz
         # vectors pick up 10-20x the divergence of a dense solve from them;
         # the B-orthogonal projection off the gradients removes it
-        C = B @ G
-        V = graddiv_project(V, G, C, gram_factor(G, C))
+        V = inverse.project(V)
     order = np.argsort(lam, kind="stable")
     lam, V = lam[order], V[:, order]
     peak = np.abs(V).argmax(axis=0)
     V = V * np.sign(V[peak, np.arange(k)])
     worst = float(residual_norms(A, B, lam, V).max())
-    if not worst <= MIXED_RESIDUAL_TOL:
+    if not worst <= EIGEN_RESIDUAL_TOL:
         raise NumericalError(
-            f"eigen-residual {worst:.2e} exceeds {MIXED_RESIDUAL_TOL:.0e}"
+            f"eigen-residual {worst:.2e} exceeds {EIGEN_RESIDUAL_TOL:.0e}"
         )
     return lam, V
 
@@ -262,7 +275,7 @@ def gram_factor(G, C0):
 def graddiv_project(Z, G, C0, factor):
     """Apply the grad-div projector P = I - G (C^T G)^{-1} C^T to columns.
 
-    C0 is the mixed coupling block at the chosen parameter (n_curl x n_grad,
+    C0 is the coupling block at the chosen parameter (n_curl x n_grad,
     equal to B G there), so C0^T G is the symmetric positive-definite
     gradient Gram matrix and ``factor`` is its ``gram_factor``. P annihilates
     gradients and is idempotent.
@@ -297,19 +310,3 @@ def gram_schmidt_clean(Z, G, B0, factor):
     alive_idx = [int(i) for i in np.flatnonzero(alive)]
     dropped += [alive_idx[i] for i in range(len(alive_idx)) if i not in kept]
     return Z, sorted(dropped)
-
-
-def divergence_defect(v, C, B) -> float:
-    """Relative discrete divergence ||C^T v|| / ||v||_B at the parameter of C.
-
-    Zero exactly when v is discretely divergence-free on that domain; the
-    defect of a vector cleaned at one parameter generally grows when it is
-    evaluated on a different domain configuration.
-    """
-    v = np.asarray(v, dtype=float)
-    den = float(v @ (B @ v))
-    if den <= 0.0:
-        return 0.0
-    if C.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.norm(C.T @ v) / np.sqrt(den))

@@ -143,7 +143,7 @@ class PencilInterpolant:
         lam, V = solve_dense_gevp(*pencil)
         return pencil, lam, V
 
-    def mixed_form(self, t: float):
+    def projected_inverse(self, t: float):
         """None: the reduced pencil has no gradient kernel to constrain, and
         ``solve`` hands the derivative rule the whole spectrum."""
         return None

@@ -42,7 +42,7 @@ class CavityProblem:
         self._tc = None
         self._metric = None
         self._gram = None
-        self._mixed = None
+        self._inverse = None
         self._transient = False
 
     # ------------------------------------------------------------------ data
@@ -90,8 +90,8 @@ class CavityProblem:
         """Systems first assembled inside the block leave the cache when it
         ends: for one-off parameters, such as interpolation nodes, that would
         otherwise stay in memory for the problem's lifetime. So does the
-        mixed-form factor, if it belongs to one of them. Inside another such
-        block nothing leaves before the outermost one ends."""
+        kept ``ProjectedInverse``, if it belongs to one of them. Inside
+        another such block nothing leaves before the outermost one ends."""
         if self._transient:
             yield
             return
@@ -104,8 +104,8 @@ class CavityProblem:
             dropped = set(self._systems) - before
             for key in dropped:
                 del self._systems[key]
-            if self._mixed is not None and self._mixed[0] in dropped:
-                self._mixed = None
+            if self._inverse is not None and self._inverse[0] in dropped:
+                self._inverse = None
 
     @property
     def b_ref(self):
@@ -139,28 +139,23 @@ class CavityProblem:
         sys_t = self.system(t)
         try:
             lambdas, V = gauge_mod.condensed_eigensolve(
-                sys_t.A, sys_t.B, sys_t.G, k, factor=lambda: self._mixed_factor(t),
+                sys_t.A, sys_t.B, sys_t.G, k, factor=lambda: self.projected_inverse(t),
             )
         except NumericalError as exc:
             raise NumericalError(f"condensed solve failed at t={t!r}: {exc}") from exc
         return (sys_t.A, sys_t.B), lambdas, V
 
-    def _mixed_factor(self, t: float):
-        """The mixed-form factor of the pencil at t, kept for the last
-        parameter only: a tracker that widens its window at the same t runs
-        one more Lanczos iteration, not one more factorization."""
+    def projected_inverse(self, t: float):
+        """The ``gauge.ProjectedInverse`` of the pencil at t, kept for the
+        last parameter only: a tracker that widens its window at the same t
+        runs one more Lanczos iteration, not one more factorization, and the
+        derivative rule of a tracking step reuses its solve's factors."""
         key = float(t)
-        if self._mixed is None or self._mixed[0] != key:
-            self._mixed = None  # free the old factor before making the next
+        if self._inverse is None or self._inverse[0] != key:
+            self._inverse = None  # free the old factors before making the next
             sys_t = self.system(key)
-            self._mixed = (key, gauge_mod.mixed_factor(sys_t.A, sys_t.B, sys_t.G))
-        return self._mixed[1]
-
-    def mixed_form(self, t: float):
-        """(G, the mixed-form factor at t): what the tracker's derivative rule
-        needs past the solved window. After a solve at t it is that solve's
-        factor, so a tracking step factors its pencil once."""
-        return self.G, self._mixed_factor(t)
+            self._inverse = (key, gauge_mod.ProjectedInverse(sys_t.A, sys_t.B, sys_t.G))
+        return self._inverse[1]
 
     def solve_condensed(self, t: float, k: int) -> EigenSolution:
         """``solve`` as an ``EigenSolution`` with residuals. Nothing in the

@@ -44,27 +44,6 @@ def write_matrix_triplets(path, M):
             fh.write(f"{C.row[i]} {C.col[i]} {fmt(C.data[i])}\n")
 
 
-def read_matrix_triplets(path):
-    rows, cols, vals = [], [], []
-    shape = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                shape = (int(parts[2]), int(parts[3]))
-                continue
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    if shape is None:
-        shape = (max(rows) + 1 if rows else 0, max(cols) + 1 if cols else 0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
 def write_mesh(path, mesh):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"vertices {mesh.num_vertices}\n")

@@ -23,8 +23,9 @@ from .problem import CavityProblem
 # "high-fidelity" tracks the physical modes of the full pencil, with the
 # problem itself as the ops; "reduced" tracks the pencil of a reduced basis,
 # with its ``PencilInterpolant`` as the ops. Both ops have ``size``,
-# ``solve(t, k)``, ``derivative_pencil(t)`` and ``mixed_form(t)``, which
-# hands the derivative rule the factor of the last solve (or nothing).
+# ``solve(t, k)``, ``derivative_pencil(t)`` and ``projected_inverse(t)``,
+# which hands the derivative rule the ``gauge.ProjectedInverse`` of the last
+# solve (or nothing).
 SYSTEMS = ("high-fidelity", "reduced")
 
 # Relative eigen-residual a pair handed to the derivative rule may have.
@@ -139,7 +140,7 @@ def _multiple(lam, delta):
     return mask
 
 
-def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=None,
+def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
                       delta=DEFAULT_MULT_TOL):
     """Derivatives of the eigenpairs ``modes`` of a solved window, as
     ``Derivatives``.
@@ -150,18 +151,20 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=None,
     and (A - lam B) v' = r = lam' B v - (A' - lam B') v, with
     v' = x + sum_j c_j v_j + w + alpha v:
 
-    * x = (K(sigma)^{-1} [0; -G^T B' v])[:n], the gradient part that keeps
+    * x = G (G^T B G)^{-1} (-G^T B' v), the gradient part that keeps
       G^T B(t) v(t) = 0 (A' G = 0);
     * c_j = v_j^T r / (lam_j - lam) over the other window pairs;
     * w, B-orthogonal to the window and divergence-free, solves
       (A - lam B) w = r + lam B x off the window by preconditioned CG. That
-      operator is positive definite there, and x -> (K(sigma)^{-1} [x; 0])[:n]
-      maps its spectrum to (mu - lam) / (mu - sigma) for the mu past the
-      window, whatever the mesh. All modes share one multi-column solve per
-      iteration, and the stop is on the largest column (CG_* constants);
+      operator is positive definite there, and the projected inverse
+      P (A - sigma B)^{-1} maps its spectrum to (mu - lam) / (mu - sigma)
+      for the mu past the window, whatever the mesh. All modes share one
+      multi-column solve per iteration, and the stop is on the largest
+      column (CG_* constants);
     * alpha fulfils the normalization row (B c)^T v' = -c^T B' v, c = B v.
 
-    ``mixed`` is (G, the ``gauge.mixed_factor`` of the pencil). Without it
+    ``inverse`` is the ``gauge.ProjectedInverse`` of the pencil, which
+    gives x (its ``gradient_part``) and the preconditioner. Without it
     (a reduced pencil, solved whole) V_w must be the whole spectrum and the
     rule is the modal sum alone. Each column must then meet RESIDUAL_TOL on
     the bordered system
@@ -191,8 +194,8 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=None,
         raise SingularDerivativeError(
             "a mode lies in a multiplicity cluster of the window (multiple eigenvalue)"
         )
-    if mixed is None and V_w.shape[1] < n:
-        raise ValueError("without a mixed-form factor the window must be the whole spectrum")
+    if inverse is None and V_w.shape[1] < n:
+        raise ValueError("without a projected inverse the window must be the whole spectrum")
 
     ApV, BpV = A_p @ V, B_p @ V
     lam_p = _colsum(V, ApV - lam * BpV) / _colsum(V, BV)
@@ -206,14 +209,12 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=None,
     gap[modes, np.arange(m)] = np.inf
     D = V_w @ ((V_w.T @ R) / gap)
     iterations = 0
-    if mixed is not None:
-        G, lu = mixed
-        pad = np.zeros((G.shape[1], m))
-        X = lu.solve(np.vstack([np.zeros((n, m)), -(G.T @ BpV)]))[:n]
+    if inverse is not None:
+        X = inverse.gradient_part(-(inverse.G.T @ BpV))
         BV_w = B @ V_w
 
         def precondition(Z):
-            Y = lu.solve(np.vstack([Z, pad]))[:n]
+            Y = inverse.solve(Z)
             return Y - V_w @ (BV_w.T @ Y)
 
         # preconditioned CG, one recurrence per column, from W = 0
@@ -288,22 +289,6 @@ def _assign(rho, rho_min, score=None):
     rhos = rho[np.arange(K), perm]
     ok = True if rho_min is None else bool(rhos.min() >= rho_min)
     return MatchResult(perm=perm, rhos=rhos, ok=ok)
-
-
-def correlation_match(predicted: np.ndarray, candidates: np.ndarray, B, rho_min=None) -> MatchResult:
-    """Assign candidates to predicted vectors by maximal total correlation.
-
-    rho_kj = |p_k^T B c_j| / (||p_k||_B ||c_j||_B); the optimal bipartite
-    assignment makes permutation recovery deterministic near degeneracies.
-    Requires at least as many candidates as predictions.
-    """
-    P = np.atleast_2d(np.asarray(predicted, dtype=float))
-    C = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if P.ndim != 2 or C.ndim != 2:
-        raise ValueError("predicted and candidate vectors must be matrices")
-    if C.shape[1] < P.shape[1]:
-        raise ValueError(f"need at least {P.shape[1]} candidates, got {C.shape[1]}")
-    return _assign(_correlation_matrix(P, C, B)[0], rho_min)
 
 
 def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
@@ -410,7 +395,7 @@ def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | 
 
     Each step takes the derivatives of its simple tracked modes from the
     window solved at t (``eigen_derivatives``; the high-fidelity ops hand
-    it the step's mixed-form factor), so each parameter is factored once;
+    it the step's ``ProjectedInverse``), so each parameter is factored once;
     at t = 0 the same derivative pencil seeds the degenerate clusters
     (``_seed_degenerate_clusters``). Steps that fail the correlation
     threshold first widen the candidate window, then halve the step size
@@ -469,7 +454,7 @@ def _march(config, ops):
                 derivative_t = ops.derivative_pencil(t)
             deriv = eigen_derivatives(
                 pencil_t, derivative_t, lam_w, V_w, positions[simple],
-                mixed=ops.mixed_form(t), delta=config.delta_mult,
+                inverse=ops.projected_inverse(t), delta=config.delta_mult,
             )
             dlam[simple] = deriv.values
             Vdot[:, simple] = deriv.vectors

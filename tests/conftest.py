@@ -21,11 +21,11 @@ from cavityrb.eigensolve import (
     solve_dense_gevp,
 )
 from cavityrb.errors import NumericalError, SingularDerivativeError
-from cavityrb.gauge import expand_cotree, mass_factor
+from cavityrb.gauge import SHIFT, expand_cotree, mass_factor
 from cavityrb.greedy import relative_gaps
 from cavityrb.pod import reduce_system
 from cavityrb.problem import CavityProblem
-from cavityrb.tracking import RESIDUAL_TOL
+from cavityrb.tracking import RESIDUAL_TOL, _assign, _correlation_matrix
 
 settings.register_profile(
     "numeric",
@@ -129,6 +129,82 @@ def count_null(A, B, null_tol: float = DEFAULT_NULL_TOL) -> int:
     ``cavityrb check``)."""
     return int(null_mask(solve_dense_gevp(A, B)[0], null_tol).sum())
 
+
+
+def mixed_factor(A, B, G):
+    """Sparse LU of the mixed (Kikuchi) saddle-point matrix of the pencil at
+    the shift (oracle of ``gauge.ProjectedInverse``),
+
+        K(sigma) = [[A - sigma B, B G], [(B G)^T, 0]],
+
+    nonsingular for sigma < 0 when G has full column rank. Solving
+    K(sigma) [x; y] = [f; 0] gives the projected inverse
+    x = P (A - sigma B)^{-1} f, and K(sigma) [x; y] = [0; g] its gradient
+    part x = G (G^T B G)^{-1} g.
+    """
+    C = sp.csc_matrix(B @ G)
+    K = sp.bmat([[A - SHIFT * B, C], [C.T, None]], format="csc")
+    return spla.splu(K)
+
+
+def mixed_solve(lu, F, g):
+    """(K(sigma)^{-1} [F; g])[:n] for blocks F (n x m) and g (n_grad x m)."""
+    return lu.solve(np.vstack([F, g]))[: F.shape[0]]
+
+
+def correlation_match(predicted, candidates, B, rho_min=None):
+    """Assign candidates to predicted vectors by maximal total correlation
+    (oracle of the tracker's cluster-aware match on simple spectra).
+
+    rho_kj = |p_k^T B c_j| / (||p_k||_B ||c_j||_B); the optimal bipartite
+    assignment makes permutation recovery deterministic near degeneracies.
+    Requires at least as many candidates as predictions.
+    """
+    P = np.atleast_2d(np.asarray(predicted, dtype=float))
+    C = np.atleast_2d(np.asarray(candidates, dtype=float))
+    if P.ndim != 2 or C.ndim != 2:
+        raise ValueError("predicted and candidate vectors must be matrices")
+    if C.shape[1] < P.shape[1]:
+        raise ValueError(f"need at least {P.shape[1]} candidates, got {C.shape[1]}")
+    return _assign(_correlation_matrix(P, C, B)[0], rho_min)
+
+
+def divergence_defect(v, C, B) -> float:
+    """Relative discrete divergence ||C^T v|| / ||v||_B at the parameter of C.
+
+    Zero exactly when v is discretely divergence-free on that domain; the
+    defect of a vector cleaned at one parameter generally grows when it is
+    evaluated on a different domain configuration.
+    """
+    v = np.asarray(v, dtype=float)
+    den = float(v @ (B @ v))
+    if den <= 0.0 or C.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(C.T @ v) / np.sqrt(den))
+
+
+def read_matrix_triplets(path):
+    """Sparse matrix of a file that ``serialize.write_matrix_triplets``
+    wrote: a ``#`` header line with the shape, then one ``row col value``
+    line per entry."""
+    rows, cols, vals = [], [], []
+    shape = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line.split()
+                shape = (int(parts[2]), int(parts[3]))
+                continue
+            r, c, v = line.split()
+            rows.append(int(r))
+            cols.append(int(c))
+            vals.append(float(v))
+    if shape is None:
+        shape = (max(rows) + 1 if rows else 0, max(cols) + 1 if cols else 0)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 # Relative eigenvalue gap below which two different solvers are compared

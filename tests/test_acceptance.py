@@ -308,7 +308,7 @@ def test_criterion_09_derivative_correctness():
     Ap, Bp = problem.derivative_pencil(t)
     a, ap = problem.family.stretch(t), problem.family.stretch_rate()
     sol = solve_gevp(s.A, s.B, 6)
-    mixed = problem.mixed_form(t)
+    inverse = problem.projected_inverse(t)
 
     # (1,0) and (2,0) are simple at t = 0.2 and carry the analytic slope
     checks = []
@@ -317,7 +317,7 @@ def test_criterion_09_derivative_correctness():
         analytic = np.pi**2 * m**2 / a**2
         assert abs(lam - analytic) / analytic < 0.02
         lp = eigen_derivatives(
-            (s.A, s.B), (Ap, Bp), sol.lambdas, sol.vectors, [idx], mixed=mixed
+            (s.A, s.B), (Ap, Bp), sol.lambdas, sol.vectors, [idx], inverse=inverse
         ).values[0]
         exact = -2.0 * np.pi**2 * m**2 * ap / a**3
         rel = abs(lp - exact) / abs(exact)

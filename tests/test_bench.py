@@ -216,8 +216,8 @@ def test_initial_basis_keeps_no_snapshot_systems(quiet_warnings):
     initial_basis(problem, cfg)
     snapshot_only = {float(t) for t in np.linspace(0.0, 1.0, cfg.N_pod)} - {problem.t_ref}
     assert not snapshot_only & set(problem._systems)
-    # nor the mixed-form factor of the last of them
-    assert problem._mixed is None or problem._mixed[0] not in snapshot_only
+    # nor the projected inverse of the last of them
+    assert problem._inverse is None or problem._inverse[0] not in snapshot_only
 
 
 def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings):

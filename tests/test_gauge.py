@@ -10,7 +10,6 @@ from cavityrb import (
     affine_stretch,
     assemble,
     build_tree_cotree,
-    divergence_defect,
     graddiv_project,
     gram_schmidt_clean,
     identity_map,
@@ -29,10 +28,13 @@ from cavityrb.gauge import (
 
 from conftest import (
     SPLIT_GAP,
+    divergence_defect,
     eigenspace_distance,
     make_problem,
     mesh,
     mgs_gradient_clean,
+    mixed_factor,
+    mixed_solve,
     solve_gevp,
     standard_form_eigensolve,
 )
@@ -198,7 +200,7 @@ def test_condensed_eigensolve_without_gradient_space_is_a_numerical_error():
     st.data(),
 )
 def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
-    # the shift-invert Lanczos solve of the mixed form against the dense
+    # the shift-invert Lanczos solve of the projected inverse against the dense
     # solve of the full pencil with its null modes dropped
     fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
     s = assemble(mesh(n), fam, t)
@@ -217,6 +219,36 @@ def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
     assert abs(s.G.T @ (s.B @ V)).max() <= 10 * abs(s.G.T @ (s.B @ V_ref)).max()
 
 
+@given(
+    st.sampled_from([4, 8, 16]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_projected_inverse_matches_mixed_form_oracle(n, kind, t, seed):
+    # P (A - sigma B)^{-1} X and G (G^T B G)^{-1} g against the solves of the
+    # saddle-point matrix K(sigma) = [[A - sigma B, B G], [(B G)^T, 0]]
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    s = assemble(mesh(n), fam, t)
+    inverse = gauge.ProjectedInverse(s.A, s.B, s.G)
+    lu = mixed_factor(s.A, s.B, s.G)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((s.n_curl, 5))
+    g = rng.standard_normal((s.n_grad, 5))
+    V = inverse.solve(X)
+    for ours, oracle in (
+        (V, mixed_solve(lu, X, np.zeros_like(g))),
+        (inverse.gradient_part(g), mixed_solve(lu, np.zeros_like(X), g)),
+    ):
+        assert abs(ours - oracle).max() <= 1e-11 * abs(oracle).max()
+    # one column alone, as Lanczos applies it, is the block's column
+    assert abs(inverse.solve(X[:, 0]) - V[:, 0]).max() <= 1e-13 * abs(V).max()
+    # the projection keeps divergence-free vectors and annihilates gradients
+    assert abs(inverse.project(V) - V).max() <= 1e-12 * abs(V).max()
+    grads = s.G @ g
+    assert abs(inverse.project(grads)).max() <= 1e-12 * abs(grads).max()
+
+
 @pytest.mark.parametrize("k", [45, 54])
 def test_mixed_form_solve_keeps_every_copy_of_a_double_eigenvalue(k):
     # the square has exactly double eigenvalues; with the default Lanczos
@@ -233,14 +265,14 @@ def test_mixed_form_solve_keeps_every_copy_of_a_double_eigenvalue(k):
 def test_failed_mixed_form_solve_names_the_parameter(monkeypatch, fault):
     problem = make_problem(n=4, family="bump")
     if fault == "singular":
-        # a zero gradient column leaves K(sigma) with a zero column
+        # a zero gradient column leaves G^T B G with a zero column
         s = problem.system(0.3)
         G = s.G.tolil()
         G[:, 0] = 0.0
         broken = dataclasses.replace(s, G=G.tocsr())
         monkeypatch.setattr(problem, "system", lambda t: broken)
     else:
-        monkeypatch.setattr(gauge, "MIXED_RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(gauge, "EIGEN_RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match=r"condensed solve failed at t=0\.3"):
         problem.solve(0.3, 3)
 
@@ -341,20 +373,28 @@ def test_gram_schmidt_keeps_clean_vectors():
 
 
 def test_tree_block_factored_once_per_partition(monkeypatch):
-    # G[tree, :] depends on the mesh only; its LU lives on the partition
-    calls = []
+    # G[tree, :] depends on the mesh only; its LU lives on the partition.
+    # The Gram matrices G^T B(t) G of the solves have its shape, so the tree
+    # block is recognized by its entries
+    factored = []
     splu = spla.splu
 
-    def counting_splu(M, *args, **kwargs):
-        calls.append(M.shape)
+    def recording_splu(M, *args, **kwargs):
+        factored.append(M)
         return splu(M, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     problem = make_problem(n=4, family="bump")
     problem.snapshot_solve(0.2, 3)
     problem.snapshot_solve(0.7, 3)
-    tree_shape = (problem.n_grad, problem.n_grad)
-    assert [shape for shape in calls if shape == tree_shape] == [tree_shape]
+    tree_block = problem.tree_cotree.tree_block
+    tree_lus = [
+        M for M in factored
+        if M.shape == tree_block.shape and abs(M - tree_block).max() == 0
+    ]
+    assert len(tree_lus) == 1
+    # each solve factors A - sigma B and G^T B G once
+    assert len(factored) == 5
 
 
 @pytest.mark.parametrize("gauge", ["gram-schmidt", "projection"])

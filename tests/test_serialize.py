@@ -8,7 +8,6 @@ from cavityrb.pod import ReducedBasis
 from cavityrb.serialize import (
     fmt,
     load_basis,
-    read_matrix_triplets,
     save_basis,
     write_csv,
     write_matrix_triplets,
@@ -16,6 +15,8 @@ from cavityrb.serialize import (
     write_tree_cotree,
 )
 from cavityrb.gauge import build_tree_cotree
+
+from conftest import read_matrix_triplets
 
 
 def test_fmt_17_significant_digits():

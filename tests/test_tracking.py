@@ -11,7 +11,6 @@ from cavityrb import (
     TrackingConfig,
     analytic_rectangle_table,
     classify_endpoint,
-    correlation_match,
     eigen_derivatives,
     taylor_predict,
     track,
@@ -25,6 +24,7 @@ from cavityrb.tracking import TrackingTrace, TrackStep, _rank_permutation
 from conftest import (
     SPLIT_GAP,
     bordered_derivatives,
+    correlation_match,
     eigenspace_distance,
     make_problem,
     probe_seeded_clusters,
@@ -39,7 +39,7 @@ def _slope(problem, t, sol, k):
     s = problem.system(t)
     d = eigen_derivatives(
         (s.A, s.B), problem.derivative_pencil(t), sol.lambdas, sol.vectors, [k],
-        mixed=problem.mixed_form(t),
+        inverse=problem.projected_inverse(t),
     )
     assert not d.failed.any()
     return d.vectors[:, 0], d.values[0]
@@ -54,7 +54,7 @@ def test_derivative_stationary_family():
     zero = s.A * 0.0
     d = eigen_derivatives(
         (s.A, s.B), (zero, zero), sol.lambdas, sol.vectors, [k],
-        mixed=problem.mixed_form(0.3),
+        inverse=problem.projected_inverse(0.3),
     )
     vp, lp = d.vectors[:, 0], d.values[0]
     assert abs(lp) <= 1e-10 * lam
@@ -110,7 +110,7 @@ def test_derivative_singular_at_degenerate_pair():
     with pytest.raises(SingularDerivativeError, match="multiple"):
         eigen_derivatives(
             (s.A, s.B), (Ap, Bp), sol.lambdas, sol.vectors, [0],
-            mixed=problem.mixed_form(0.0),
+            inverse=problem.projected_inverse(0.0),
         )
 
 
@@ -149,7 +149,7 @@ def test_derivatives_match_the_bordered_oracle(ops_kind, family, t, data):
         int(idx[0]) for idx in eigenvalue_clusters(lam_w[:6], tracking.DEFAULT_MULT_TOL)
         if idx.size == 1
     ]
-    d = eigen_derivatives(pencil, derivative, lam_w, V_w, modes, mixed=ops.mixed_form(t))
+    d = eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=ops.projected_inverse(t))
     assert not d.failed.any()
     A, B = pencil
     for j, k in enumerate(modes):
@@ -169,7 +169,7 @@ def test_round_off_column_stops_before_the_cap():
     pencil, lam_w, V_w = problem.solve(t, 6)
     derivative = problem.derivative_pencil(t)
     d = eigen_derivatives(
-        pencil, derivative, lam_w, V_w, [0, 2], mixed=problem.mixed_form(t)
+        pencil, derivative, lam_w, V_w, [0, 2], inverse=problem.projected_inverse(t)
     )
     (A, B), (A_p, B_p) = pencil, derivative
     V = V_w[:, [0, 2]]
@@ -179,7 +179,7 @@ def test_round_off_column_stops_before_the_cap():
     assert norms[0] <= 1e-12 * norms[1]
     assert not d.failed.any()
     # the round-off column adds no iteration to those of the other
-    alone = eigen_derivatives(pencil, derivative, lam_w, V_w, [2], mixed=problem.mixed_form(t))
+    alone = eigen_derivatives(pencil, derivative, lam_w, V_w, [2], inverse=problem.projected_inverse(t))
     assert 0 < d.iterations == alone.iterations < tracking.CG_MAX_ITERATIONS
 
 
@@ -364,12 +364,12 @@ def test_track_widens_window_on_low_correlation(system):
     assert [s.window for s in trace.steps] == [2] * 7 + [4, 3, 3, 3]
 
 
-def test_widened_window_reuses_the_mixed_factor(monkeypatch):
+def test_widened_window_reuses_the_projected_inverse(monkeypatch):
     # the widened window solves t = 0.7 twice; the second solve runs a
-    # new Lanczos iteration on the factor the first one made
+    # new Lanczos iteration on the factors the first one made
     problem = make_problem(n=8, family="affine")
     solved, factored = [], []
-    solve, mixed_factor = problem.solve, gauge.mixed_factor
+    solve, projected_inverse = problem.solve, gauge.ProjectedInverse
 
     def counting_solve(t, k):
         solved.append(t)
@@ -377,23 +377,24 @@ def test_widened_window_reuses_the_mixed_factor(monkeypatch):
 
     def counting_factor(*args, **kwargs):
         factored.append(1)
-        return mixed_factor(*args, **kwargs)
+        return projected_inverse(*args, **kwargs)
 
     monkeypatch.setattr(problem, "solve", counting_solve)
-    monkeypatch.setattr(gauge, "mixed_factor", counting_factor)
+    monkeypatch.setattr(gauge, "ProjectedInverse", counting_factor)
     trace = track(TrackingConfig(K=2, h=0.1, overtrack=0), problem)
     assert trace.complete
     assert len(solved) == 12 and len(set(solved)) == 11
     assert len(factored) == len(set(solved))
 
 
-def test_high_fidelity_track_factors_only_the_mixed_form(monkeypatch):
-    # the derivatives reuse the factor of the step's solve, and the t = 0
-    # clusters are seeded without a solve, so each parameter is factored
-    # once
+def test_high_fidelity_track_factors_each_parameter_once(monkeypatch):
+    # the derivatives reuse the projected inverse of the step's solve, and
+    # the t = 0 clusters are seeded without a solve, so each parameter gets
+    # one shifted factor of A - sigma B and one Gram factor of G^T B G
     problem = make_problem(n=8, family="affine")
     solved, calls, inside = [], [], []
-    solve, mixed_factor, splu = problem.solve, gauge.mixed_factor, scipy.sparse.linalg.splu
+    solve, projected_inverse = problem.solve, gauge.ProjectedInverse
+    splu = scipy.sparse.linalg.splu
 
     def counting_solve(t, k):
         solved.append(t)
@@ -402,20 +403,21 @@ def test_high_fidelity_track_factors_only_the_mixed_form(monkeypatch):
     def marked_factor(*args, **kwargs):
         inside.append(True)
         try:
-            return mixed_factor(*args, **kwargs)
+            return projected_inverse(*args, **kwargs)
         finally:
             inside.pop()
 
-    def counting_splu(*args, **kwargs):
-        calls.append(bool(inside))
-        return splu(*args, **kwargs)
+    def counting_splu(M, *args, **kwargs):
+        calls.append((bool(inside), M.shape))
+        return splu(M, *args, **kwargs)
 
     monkeypatch.setattr(problem, "solve", counting_solve)
-    monkeypatch.setattr(gauge, "mixed_factor", marked_factor)
+    monkeypatch.setattr(gauge, "ProjectedInverse", marked_factor)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     trace = track(TrackingConfig(K=5, h=0.1), problem)
     assert trace.complete
-    assert all(calls) and len(calls) == len(set(solved))
+    shapes = [(problem.n_grad,) * 2, (problem.n_curl,) * 2]
+    assert calls == [(True, shape) for _ in set(solved) for shape in shapes]
 
 
 def test_high_fidelity_track_leaves_the_cached_systems_as_it_found_them():
@@ -424,7 +426,7 @@ def test_high_fidelity_track_leaves_the_cached_systems_as_it_found_them():
     before = set(problem._systems)
     assert track(TrackingConfig(K=2, h=0.25), problem).complete
     assert set(problem._systems) == before
-    assert problem._mixed is None
+    assert problem._inverse is None
 
 
 def test_failed_residual_gate_falls_back_to_zero_order(monkeypatch):
