@@ -10,6 +10,13 @@ the reference mesh with the metric factors of the map:
     B_ij = int w_i^T (J^T J)^{-1} w_j det J
     C_iv = int w_i^T (J^T J)^{-1} grad p_v det J
 
+Every stored entry is a fixed linear combination of the pointwise metric,
+c_T = sum_q w_q / det J per triangle and s = det J (J^T J)^{-1} per point:
+A.data = Phi_A c, B.data = Phi_B s, C.data = Phi_C s. Each mesh builds these
+``MetricMaps`` once per rule; J affine in t makes (A', B') the same maps of
+(c', s'). Edge-edge values are mapped on the upper triangle and mirrored, so
+A, B, A' and B' are exactly symmetric and share one pattern at every t.
+
 Tangential boundary values are eliminated, so rows/columns belong to
 interior edges only and grad-space columns to interior vertices only.
 The incidence matrix G is purely topological: its column for a vertex v
@@ -77,9 +84,9 @@ class AssembledSystem:
         return self.G.shape[1]
 
 
-def quadrature_rule(family: MappingFamily):
-    """Barycentric points and weights used for this mapping family."""
-    if family.affine:
+def quadrature_rule(affine: bool):
+    """Barycentric points and weights for an affine or a non-affine family."""
+    if affine:
         return _QUAD_D2_BARY, _QUAD_D2_W
     return _QUAD_D4_BARY, _QUAD_D4_W
 
@@ -114,103 +121,103 @@ def discrete_gradient(mesh: ReferenceMesh) -> sp.csr_matrix:
     )
 
 
-def _scatter_edge_edge(vals, mesh):
-    idx = mesh.interior_edge_index[mesh.tri_edges]
-    r = np.broadcast_to(idx[:, :, None], vals.shape)
-    c = np.broadcast_to(idx[:, None, :], vals.shape)
-    m = (r >= 0) & (c >= 0)
-    M = sp.coo_matrix(
-        (vals[m], (r[m], c[m])), shape=(mesh.n_curl, mesh.n_curl)
-    ).tocsr()
-    return (M + M.T) * 0.5
+def _sym_products(u, v):
+    """Coefficients of (s00, s01, s11) in u^T S v, S symmetric 2 x 2."""
+    u0, u1, v0, v1 = u[..., 0], u[..., 1], v[..., 0], v[..., 1]
+    return np.stack([u0 * v0, u0 * v1 + u1 * v0, u1 * v1])
 
 
-def _scatter_edge_vertex(vals, mesh):
-    eidx = mesh.interior_edge_index[mesh.tri_edges]
-    vidx = mesh.interior_vertex_index[mesh.triangles]
-    r = np.broadcast_to(eidx[:, :, None], vals.shape)
-    c = np.broadcast_to(vidx[:, None, :], vals.shape)
-    m = (r >= 0) & (c >= 0)
-    return sp.coo_matrix(
-        (vals[m], (r[m], c[m])), shape=(mesh.n_curl, mesh.n_grad)
-    ).tocsr()
+def _pattern(rows, cols, shape):
+    """Template CSR of the (row, col) pairs, whose read-only index arrays every
+    matrix of the pattern shares; its row-major keys; each pair's entry."""
+    keys, entry = np.unique(rows * shape[1] + cols, return_inverse=True)
+    M = sp.csr_matrix((np.zeros(keys.size), np.divmod(keys, max(shape[1], 1))), shape)
+    M.indices.flags.writeable = M.indptr.flags.writeable = False
+    return M, keys, entry
 
 
-def _element_matrices(mesh, family, t, derivative=False):
-    """Element matrices of A, B and C at t, or of their t-derivatives.
+def _metric_map(rows, n_rows, tri, vals, ntri):
+    """CSC map from a metric laid out (..., T): pair j, on triangle tri[j]
+    (ascending), adds vals[..., j] to entry rows[j]. No COO intermediate."""
+    counts = np.tile(np.bincount(tri, minlength=ntri), int(np.prod(vals.shape[:-1])))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    rows = np.broadcast_to(rows.astype(np.int32), vals.shape).ravel()
+    return sp.csc_matrix((vals.ravel(), rows, indptr), shape=(n_rows, counts.size))
 
-    Both mapping families have a Jacobian affine in t, so J' = J(x, 1) -
-    J(x, 0) exactly. The derivative pass runs the same quadrature loop with
-    the two metric factors replaced by their derivatives: (1/det)' =
-    -det'/det^2 and (adj(K)/det)' = adj(K')/det - adj(K) det'/det^2, where
-    K = J^T J and K' = J'^T J + J^T J'.
-    """
-    bary, wts = quadrature_rule(family)
+
+@dataclass(frozen=True)
+class MetricMaps:
+    """Maps of one mesh and rule: the metric at ``points``, laid out (q, T),
+    gives the upper ``edge`` entries (``mirror`` copies each entry's upper
+    counterpart) through ``phi_a`` and ``phi_b``, and ``vertex`` through ``phi_c``."""
+
+    weights: np.ndarray
+    points: np.ndarray
+    phi_a: sp.csc_matrix
+    phi_b: sp.csc_matrix
+    phi_c: sp.csc_matrix
+    mirror: np.ndarray
+    edge: sp.csr_matrix
+    vertex: sp.csr_matrix
+
+
+def build_metric_maps(mesh: ReferenceMesh, affine: bool) -> MetricMaps:
+    """The maps of a mesh for a rule; ``ReferenceMesh.metric_maps`` keeps them."""
+    bary, wts = quadrature_rule(affine)
     X = mesh.vertices[mesh.triangles]  # (T, 3, 2)
     g, area = _bary_gradients(X)
     sgn = mesh.tri_edge_signs.astype(float)
-
-    curl = np.empty((X.shape[0], 3))
+    ntri, n = X.shape[0], mesh.n_curl
+    w_edge = np.empty((len(wts), ntri, 3, 2))  # edge functions at the points
     for e, (a, b) in enumerate(_LOCAL_EDGES):
-        cross = g[:, a, 0] * g[:, b, 1] - g[:, a, 1] * g[:, b, 0]
-        curl[:, e] = 2.0 * cross * sgn[:, e]
+        w_edge[:, :, e] = bary[:, a, None, None] * g[:, b] - bary[:, b, None, None] * g[:, a]
+    w_edge *= sgn[:, :, None]
+    weight = wts[:, None] * area  # (q, T)
 
-    ntri = X.shape[0]
-    B_loc = np.zeros((ntri, 3, 3))
-    C_loc = np.zeros((ntri, 3, 3))
-    inv_det_sum = np.zeros(ntri)
-
-    for q in range(len(wts)):
-        lam = bary[q]
-        xq = np.einsum("i,tid->td", lam, X)
-        J = family.jacobians(xq, t)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(det <= 0.0):
-            bad = int(np.argmax(det <= 0.0))
-            raise GeometryError(
-                "non-positive jacobian determinant at t="
-                f"{t!r}, quadrature point {tuple(xq[bad])}, det={det[bad]!r}"
-            )
-        # (J^T J)^{-1} through the adjugate; det(J^T J) = det(J)^2
-        det_k = det**2
-
-        w_edge = np.empty((ntri, 3, 2))
-        for e, (a, b) in enumerate(_LOCAL_EDGES):
-            w_edge[:, e, :] = lam[a] * g[:, b, :] - lam[b] * g[:, a, :]
-        w_edge *= sgn[:, :, None]
-
-        mw = _adjugate_metric(J, J, w_edge) / det_k[:, None, None]
-        inv_det = wts[q] / det
-        if derivative:
-            dJ = family.jacobians(xq, 1.0) - family.jacobians(xq, 0.0)
-            ddet = (
-                dJ[:, 0, 0] * J[:, 1, 1] + J[:, 0, 0] * dJ[:, 1, 1]
-                - dJ[:, 0, 1] * J[:, 1, 0] - J[:, 0, 1] * dJ[:, 1, 0]
-            )
-            rate = (ddet / det)[:, None, None]
-            dk_w = _adjugate_metric(dJ, J, w_edge) + _adjugate_metric(J, dJ, w_edge)
-            mw = dk_w / det_k[:, None, None] - rate * mw
-            inv_det = -inv_det * ddet / det
-
-        coef = (wts[q] * area * det)[:, None, None]
-        B_loc += coef * np.einsum("ted,tfd->tef", w_edge, mw)
-        C_loc += coef * np.einsum("ted,tvd->tev", mw, g)
-        inv_det_sum += inv_det
-
-    A_loc = curl[:, :, None] * curl[:, None, :] * (area * inv_det_sum)[:, None, None]
-    return A_loc, B_loc, C_loc
+    eidx = mesh.interior_edge_index[mesh.tri_edges]
+    tri, e, f = np.nonzero((eidx[:, :, None] >= 0) & (eidx[:, None, :] >= 0))
+    r, c = eidx[tri, e], eidx[tri, f]
+    edge, keys, entry = _pattern(r, c, (n, n))
+    lower_upper = np.sort(np.divmod(keys, n), axis=0)  # (min, max) of (row, col)
+    mirror = np.searchsorted(keys, lower_upper[0] * n + lower_upper[1])
+    up = r <= c  # each upper entry from its local pairs in that order
+    tri, e, f, upper = tri[up], e[up], f[up], entry[up]
+    # the curl of an edge function is its sign over the triangle's area
+    vals = sgn[tri, e] * sgn[tri, f] / area[tri]
+    phi_a = _metric_map(upper, keys.size, tri, vals, ntri)
+    vals = weight[:, tri] * _sym_products(w_edge[:, tri, e], w_edge[:, tri, f])
+    phi_b = _metric_map(upper, keys.size, tri, vals, ntri)
+    vidx = mesh.interior_vertex_index[mesh.triangles]
+    tri, e, v = np.nonzero((eidx[:, :, None] >= 0) & (vidx[:, None, :] >= 0))
+    vertex, keys, entry = _pattern(eidx[tri, e], vidx[tri, v], (n, mesh.n_grad))
+    vals = weight[:, tri] * _sym_products(w_edge[:, tri, e], g[tri, v])
+    phi_c = _metric_map(entry, keys.size, tri, vals, ntri)
+    points = np.einsum("qi,tid->qtd", bary, X).reshape(-1, 2)
+    return MetricMaps(wts, points, phi_a, phi_b, phi_c, mirror, edge, vertex)
 
 
-def _adjugate_metric(P, Q, w):
-    """adj(P^T Q) applied to the local edge vectors w (T, 3, 2)."""
-    k00 = P[:, 0, 0] * Q[:, 0, 0] + P[:, 1, 0] * Q[:, 1, 0]
-    k01 = P[:, 0, 0] * Q[:, 0, 1] + P[:, 1, 0] * Q[:, 1, 1]
-    k10 = P[:, 0, 1] * Q[:, 0, 0] + P[:, 1, 1] * Q[:, 1, 0]
-    k11 = P[:, 0, 1] * Q[:, 0, 1] + P[:, 1, 1] * Q[:, 1, 1]
-    out = np.empty_like(w)
-    out[:, :, 0] = k11[:, None] * w[:, :, 0] - k01[:, None] * w[:, :, 1]
-    out[:, :, 1] = -k10[:, None] * w[:, :, 0] + k00[:, None] * w[:, :, 1]
-    return out
+def _jacobians(maps: MetricMaps, family: MappingFamily, t: float):
+    """J and 1 / det J at the quadrature points, checking det J > 0."""
+    J = family.jacobians(maps.points, t)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    if np.any(det <= 0.0):
+        bad = int(np.argmax(det <= 0.0))
+        raise GeometryError(f"non-positive jacobian determinant at t={t!r}, quadrature "
+                            f"point {tuple(maps.points[bad])}, det={det[bad]!r}")
+    return J, 1.0 / det
+
+
+def _adjugate_gram(P, Q):
+    """adj(P^T Q + Q^T P) per point as the rows (s00, s01, s11)."""
+    k00 = 2.0 * (P[:, 0, 0] * Q[:, 0, 0] + P[:, 1, 0] * Q[:, 1, 0])
+    k11 = 2.0 * (P[:, 0, 1] * Q[:, 0, 1] + P[:, 1, 1] * Q[:, 1, 1])
+    k01 = (P[:, 0, 0] * Q[:, 0, 1] + P[:, 1, 0] * Q[:, 1, 1]
+           + P[:, 0, 1] * Q[:, 0, 0] + P[:, 1, 1] * Q[:, 1, 0])
+    return np.stack([k11, -k01, k00])
+
+
+def _filled(template, values):
+    return sp.csr_matrix((values, template.indices, template.indptr), template.shape)
 
 
 def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledSystem:
@@ -219,21 +226,28 @@ def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledS
     Raises GeometryError when det J <= 0 at any quadrature point, reporting
     the offending point and parameter value.
     """
-    A_loc, B_loc, C_loc = _element_matrices(mesh, family, t)
+    maps = mesh.metric_maps(family.affine)
+    J, inv_det = _jacobians(maps, family, t)
+    c = maps.weights @ inv_det.reshape(maps.weights.size, -1)
+    s = (0.5 * _adjugate_gram(J, J) * inv_det).ravel()  # adj(J^T J) / det J
+    E, m = maps.edge, maps.mirror
     return AssembledSystem(
-        t=float(t),
-        A=_scatter_edge_edge(A_loc, mesh),
-        B=_scatter_edge_edge(B_loc, mesh),
-        C=_scatter_edge_vertex(C_loc, mesh),
-        G=mesh.gradient,
+        t=float(t), A=_filled(E, (maps.phi_a @ c)[m]), B=_filled(E, (maps.phi_b @ s)[m]),
+        C=_filled(maps.vertex, maps.phi_c @ s), G=mesh.gradient,
     )
 
 
 def matrix_derivatives(mesh: ReferenceMesh, family: MappingFamily, t: float):
-    """Exact t-derivatives (A'(t), B'(t)) of the assembled pencil.
-
-    One derivative pass of the assembly quadrature; the matrices share the
-    sparsity pattern of A(t) and B(t).
+    """Exact t-derivatives (A'(t), B'(t)): the maps of ``assemble`` applied to
+    c'(t) and s'(t). With J' = J(x, 1) - J(x, 0), K = J^T J and K' = J'^T J +
+    J^T J': (1/det)' = -det'/det^2, (adj(K)/det)' = (adj(K') - adj(K) det'/det)/det.
     """
-    A_loc, B_loc, _ = _element_matrices(mesh, family, t, derivative=True)
-    return _scatter_edge_edge(A_loc, mesh), _scatter_edge_edge(B_loc, mesh)
+    maps = mesh.metric_maps(family.affine)
+    J, inv_det = _jacobians(maps, family, t)
+    dJ = family.jacobians(maps.points, 1.0) - family.jacobians(maps.points, 0.0)
+    rate = inv_det * (dJ[:, 0, 0] * J[:, 1, 1] + J[:, 0, 0] * dJ[:, 1, 1]
+                      - dJ[:, 0, 1] * J[:, 1, 0] - J[:, 0, 1] * dJ[:, 1, 0])  # det'/det
+    dc = maps.weights @ (-rate * inv_det).reshape(maps.weights.size, -1)
+    ds = (_adjugate_gram(dJ, J) - 0.5 * _adjugate_gram(J, J) * rate) * inv_det
+    E, m = maps.edge, maps.mirror
+    return _filled(E, (maps.phi_a @ dc)[m]), _filled(E, (maps.phi_b @ ds.ravel())[m])

@@ -69,6 +69,13 @@ class ReferenceMesh:
 
         return discrete_gradient(self)
 
+    def metric_maps(self, affine: bool):
+        """``assembly.MetricMaps`` of the affine or non-affine rule, built once."""
+        from .assembly import build_metric_maps  # assembly imports this module
+
+        kept = self.__dict__.setdefault("_metric_maps", {})
+        return kept.get(affine) or kept.setdefault(affine, build_metric_maps(self, affine))
+
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_triangles
 

@@ -113,7 +113,7 @@ class CavityProblem:
         return self.system(self.t_ref).B
 
     def derivative_pencil(self, t: float):
-        """Exact (A'(t), B'(t)) from one derivative pass of the assembly."""
+        """Exact (A'(t), B'(t)): the assembly maps applied to the metric's rate."""
         return matrix_derivatives(self.mesh, self.family, t)
 
     def mass_factor(self, t: float):

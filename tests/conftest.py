@@ -20,7 +20,8 @@ from cavityrb.eigensolve import (
     residual_norms,
     solve_dense_gevp,
 )
-from cavityrb.errors import NumericalError, SingularDerivativeError
+from cavityrb.assembly import _LOCAL_EDGES, _bary_gradients, quadrature_rule
+from cavityrb.errors import GeometryError, NumericalError, SingularDerivativeError
 from cavityrb.gauge import SHIFT, expand_cotree, mass_factor
 from cavityrb.greedy import relative_gaps
 from cavityrb.pod import reduce_system
@@ -205,6 +206,127 @@ def read_matrix_triplets(path):
     if shape is None:
         shape = (max(rows) + 1 if rows else 0, max(cols) + 1 if cols else 0)
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+# ------------------------------------------------- assembly quadrature oracle
+# The quadrature loop and COO scatter that the assembly maps replaced: each
+# parameter integrates the element matrices afresh and sums them per entry.
+
+
+def _scatter_edge_edge(vals, mesh):
+    idx = mesh.interior_edge_index[mesh.tri_edges]
+    r = np.broadcast_to(idx[:, :, None], vals.shape)
+    c = np.broadcast_to(idx[:, None, :], vals.shape)
+    m = (r >= 0) & (c >= 0)
+    M = sp.coo_matrix(
+        (vals[m], (r[m], c[m])), shape=(mesh.n_curl, mesh.n_curl)
+    ).tocsr()
+    return (M + M.T) * 0.5
+
+
+def _scatter_edge_vertex(vals, mesh):
+    eidx = mesh.interior_edge_index[mesh.tri_edges]
+    vidx = mesh.interior_vertex_index[mesh.triangles]
+    r = np.broadcast_to(eidx[:, :, None], vals.shape)
+    c = np.broadcast_to(vidx[:, None, :], vals.shape)
+    m = (r >= 0) & (c >= 0)
+    return sp.coo_matrix(
+        (vals[m], (r[m], c[m])), shape=(mesh.n_curl, mesh.n_grad)
+    ).tocsr()
+
+
+def _element_matrices(mesh, family, t, derivative=False):
+    """Element matrices of A, B and C at t, or of their t-derivatives.
+
+    Both mapping families have a Jacobian affine in t, so J' = J(x, 1) -
+    J(x, 0) exactly. The derivative pass runs the same quadrature loop with
+    the two metric factors replaced by their derivatives: (1/det)' =
+    -det'/det^2 and (adj(K)/det)' = adj(K')/det - adj(K) det'/det^2, where
+    K = J^T J and K' = J'^T J + J^T J'.
+    """
+    bary, wts = quadrature_rule(family.affine)
+    X = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    g, area = _bary_gradients(X)
+    sgn = mesh.tri_edge_signs.astype(float)
+
+    curl = np.empty((X.shape[0], 3))
+    for e, (a, b) in enumerate(_LOCAL_EDGES):
+        cross = g[:, a, 0] * g[:, b, 1] - g[:, a, 1] * g[:, b, 0]
+        curl[:, e] = 2.0 * cross * sgn[:, e]
+
+    ntri = X.shape[0]
+    B_loc = np.zeros((ntri, 3, 3))
+    C_loc = np.zeros((ntri, 3, 3))
+    inv_det_sum = np.zeros(ntri)
+
+    for q in range(len(wts)):
+        lam = bary[q]
+        xq = np.einsum("i,tid->td", lam, X)
+        J = family.jacobians(xq, t)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        if np.any(det <= 0.0):
+            bad = int(np.argmax(det <= 0.0))
+            raise GeometryError(
+                "non-positive jacobian determinant at t="
+                f"{t!r}, quadrature point {tuple(xq[bad])}, det={det[bad]!r}"
+            )
+        # (J^T J)^{-1} through the adjugate; det(J^T J) = det(J)^2
+        det_k = det**2
+
+        w_edge = np.empty((ntri, 3, 2))
+        for e, (a, b) in enumerate(_LOCAL_EDGES):
+            w_edge[:, e, :] = lam[a] * g[:, b, :] - lam[b] * g[:, a, :]
+        w_edge *= sgn[:, :, None]
+
+        mw = _adjugate_metric(J, J, w_edge) / det_k[:, None, None]
+        inv_det = wts[q] / det
+        if derivative:
+            dJ = family.jacobians(xq, 1.0) - family.jacobians(xq, 0.0)
+            ddet = (
+                dJ[:, 0, 0] * J[:, 1, 1] + J[:, 0, 0] * dJ[:, 1, 1]
+                - dJ[:, 0, 1] * J[:, 1, 0] - J[:, 0, 1] * dJ[:, 1, 0]
+            )
+            rate = (ddet / det)[:, None, None]
+            dk_w = _adjugate_metric(dJ, J, w_edge) + _adjugate_metric(J, dJ, w_edge)
+            mw = dk_w / det_k[:, None, None] - rate * mw
+            inv_det = -inv_det * ddet / det
+
+        coef = (wts[q] * area * det)[:, None, None]
+        B_loc += coef * np.einsum("ted,tfd->tef", w_edge, mw)
+        C_loc += coef * np.einsum("ted,tvd->tev", mw, g)
+        inv_det_sum += inv_det
+
+    A_loc = curl[:, :, None] * curl[:, None, :] * (area * inv_det_sum)[:, None, None]
+    return A_loc, B_loc, C_loc
+
+
+def _adjugate_metric(P, Q, w):
+    """adj(P^T Q) applied to the local edge vectors w (T, 3, 2)."""
+    k00 = P[:, 0, 0] * Q[:, 0, 0] + P[:, 1, 0] * Q[:, 1, 0]
+    k01 = P[:, 0, 0] * Q[:, 0, 1] + P[:, 1, 0] * Q[:, 1, 1]
+    k10 = P[:, 0, 1] * Q[:, 0, 0] + P[:, 1, 1] * Q[:, 1, 0]
+    k11 = P[:, 0, 1] * Q[:, 0, 1] + P[:, 1, 1] * Q[:, 1, 1]
+    out = np.empty_like(w)
+    out[:, :, 0] = k11[:, None] * w[:, :, 0] - k01[:, None] * w[:, :, 1]
+    out[:, :, 1] = -k10[:, None] * w[:, :, 0] + k00[:, None] * w[:, :, 1]
+    return out
+
+
+def assemble_loop(mesh, family, t):
+    """(A, B, C) at t from the quadrature loop: the oracle for ``assemble``."""
+    A_loc, B_loc, C_loc = _element_matrices(mesh, family, t)
+    return (
+        _scatter_edge_edge(A_loc, mesh),
+        _scatter_edge_edge(B_loc, mesh),
+        _scatter_edge_vertex(C_loc, mesh),
+    )
+
+
+def matrix_derivatives_loop(mesh, family, t):
+    """(A'(t), B'(t)) from the loop's derivative pass: the oracle for
+    ``matrix_derivatives``."""
+    A_loc, B_loc, _ = _element_matrices(mesh, family, t, derivative=True)
+    return _scatter_edge_edge(A_loc, mesh), _scatter_edge_edge(B_loc, mesh)
 
 
 # Relative eigenvalue gap below which two different solvers are compared

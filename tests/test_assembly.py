@@ -15,7 +15,7 @@ from cavityrb import (
 from cavityrb.errors import GeometryError
 from cavityrb.geometry import MappingFamily
 
-from conftest import central_difference, mesh
+from conftest import assemble_loop, central_difference, matrix_derivatives_loop, mesh
 
 
 def _discrete_gradient_loop(m):
@@ -72,7 +72,7 @@ def test_structural_identities(n, kind, t):
         assert abs(s.A @ s.G).max() <= 1e-12 * a_scale
         assert abs(s.C - s.B @ s.G).max() <= 1e-12 * b_scale
     d = (s.A - s.A.T)
-    assert abs(d).max() if d.nnz else 0.0 <= 1e-15 * a_scale
+    assert (abs(d).max() if d.nnz else 0.0) <= 1e-15 * a_scale
 
 
 def test_mass_positive_definite():
@@ -129,6 +129,70 @@ def test_gradient_built_once_per_mesh(monkeypatch):
     assert len(calls) == 1
 
 
+def test_metric_maps_built_once_per_mesh_and_rule(monkeypatch):
+    # every problem on one mesh shares the maps of its quadrature rule
+    import cavityrb.assembly as assembly_mod
+    from cavityrb import CavityProblem, build_reference_mesh
+
+    calls = []
+    build = assembly_mod.build_metric_maps
+
+    def counting(m, affine):
+        calls.append(affine)
+        return build(m, affine)
+
+    monkeypatch.setattr(assembly_mod, "build_metric_maps", counting)
+    m = build_reference_mesh(3)
+    for gauge in ("tree-cotree", "gram-schmidt"):
+        problem = CavityProblem(m, affine_stretch(2.5), gauge=gauge)
+        problem.system(0.5)
+        problem.derivative_pencil(0.5)
+    assert calls == [True]
+    CavityProblem(m, sine_bump(0.3)).system(0.5)
+    CavityProblem(m, sine_bump(0.1)).derivative_pencil(0.2)
+    assert calls == [True, False]
+
+
+@given(
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.sampled_from(["affine", "bump"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_metric_maps_match_quadrature_oracle(n, kind, t):
+    # the maps against the per-parameter quadrature loop and scatter they
+    # replaced, values and derivatives alike; the edge-edge matrices are
+    # mirrored from one triangle, so they are symmetric entry for entry
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    m = mesh(n)
+    s = assemble(m, fam, t)
+    Ap, Bp = matrix_derivatives(m, fam, t)
+    oracle = (*assemble_loop(m, fam, t), *matrix_derivatives_loop(m, fam, t))
+    for name, M, O in zip(("A", "B", "C", "A'", "B'"), (s.A, s.B, s.C, Ap, Bp), oracle):
+        d = M - O
+        scale = abs(O).max() if O.nnz else 0.0
+        assert (abs(d).max() if d.nnz else 0.0) <= 1e-12 * scale, name
+    for M in (s.A, s.B, Ap, Bp):
+        assert (M != M.T).nnz == 0
+
+
+@pytest.mark.parametrize("kind", ["affine", "bump"])
+def test_pencil_matrices_share_one_pattern(kind):
+    # A, B, A' and B' store one edge-edge pattern at every t, t = 0 included,
+    # where the identity map makes some entries exact zeros (on the affine
+    # family at n = 16, a dropped-zero B(0) would store 1,632 of its 3,552)
+    fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
+    m = mesh(16)
+    ref = assemble(m, fam, 0.5)
+    assert ref.B.nnz == 3552
+    for t in (0.0, 0.3, 1.0):
+        s = assemble(m, fam, t)
+        for M in (s.A, s.B, *matrix_derivatives(m, fam, t)):
+            assert np.shares_memory(M.indptr, ref.A.indptr)
+            assert np.shares_memory(M.indices, ref.A.indices)
+        assert np.shares_memory(s.C.indices, ref.C.indices)
+        assert s.C.nnz == ref.C.nnz
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_gradient_matches_loop_oracle(n):
     G = discrete_gradient(mesh(n))
@@ -148,8 +212,8 @@ def test_negative_jacobian_rejected():
 
 def test_derivative_of_identity_family_is_zero():
     Ap, Bp = matrix_derivatives(mesh(2), identity_map(), 0.5)
-    assert abs(Ap).max() if Ap.nnz else 0.0 == 0.0
-    assert abs(Bp).max() if Bp.nnz else 0.0 == 0.0
+    assert (abs(Ap).max() if Ap.nnz else 0.0) == 0.0
+    assert (abs(Bp).max() if Bp.nnz else 0.0) == 0.0
 
 
 def test_derivative_matches_closed_form():

@@ -94,3 +94,27 @@ def test_online_affine_trace_check_passes(tmp_path):
     config = _load("cases").tracking_config(workload.cfg, "high-fidelity")
     trace = tracking.track(config, bench.build_problem(workload.cfg))
     assert workload.check_trace(trace) == []
+
+
+def test_benchmark_ops_share_the_mesh_maps(tmp_path, monkeypatch):
+    # set-up builds only the mesh and each op a fresh problem on it; the
+    # mesh keeps the assembly maps, so the first op builds them and no
+    # later op does
+    import cavityrb.assembly as assembly_mod
+
+    calls = []
+    build = assembly_mod.build_metric_maps
+
+    def counting(m, affine):
+        calls.append(affine)
+        return build(m, affine)
+
+    monkeypatch.setattr(assembly_mod, "build_metric_maps", counting)
+    workload = _workload("hf-track", tmp_path, mesh_n="4")
+    workload.setup()
+    assert calls == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        workload.op()
+        workload.op()
+    assert calls == [True]
