@@ -239,12 +239,13 @@ def assemble(mesh: ReferenceMesh, family: MappingFamily, t: float) -> AssembledS
 
 def matrix_derivatives(mesh: ReferenceMesh, family: MappingFamily, t: float):
     """Exact t-derivatives (A'(t), B'(t)): the maps of ``assemble`` applied to
-    c'(t) and s'(t). With J' = J(x, 1) - J(x, 0), K = J^T J and K' = J'^T J +
-    J^T J': (1/det)' = -det'/det^2, (adj(K)/det)' = (adj(K') - adj(K) det'/det)/det.
+    c'(t) and s'(t). With J' = J(x, 1) - J(x, 0), kept by the mesh, K = J^T J
+    and K' = J'^T J + J^T J': (1/det)' = -det'/det^2,
+    (adj(K)/det)' = (adj(K') - adj(K) det'/det)/det.
     """
     maps = mesh.metric_maps(family.affine)
     J, inv_det = _jacobians(maps, family, t)
-    dJ = family.jacobians(maps.points, 1.0) - family.jacobians(maps.points, 0.0)
+    dJ = mesh.jacobian_rate(family)
     rate = inv_det * (dJ[:, 0, 0] * J[:, 1, 1] + J[:, 0, 0] * dJ[:, 1, 1]
                       - dJ[:, 0, 1] * J[:, 1, 0] - J[:, 0, 1] * dJ[:, 1, 0])  # det'/det
     dc = maps.weights @ (-rate * inv_det).reshape(maps.weights.size, -1)

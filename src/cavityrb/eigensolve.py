@@ -118,20 +118,26 @@ def b_orthonormalize(
     return Q, kept_idx
 
 
+def cluster_breaks(s: np.ndarray, delta: float = DEFAULT_MULT_TOL) -> np.ndarray:
+    """The one rule of the package for which eigenvalues approximate one
+    multiple eigenvalue: along the last axis of ascending spectra ``s``,
+    True between consecutive eigenvalues whose gap exceeds delta times the
+    larger magnitude, where a new cluster starts. Shape (..., m - 1)."""
+    scale = np.maximum(np.abs(s[..., 1:]), np.abs(s[..., :-1]))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    return ~(np.diff(s, axis=-1) <= delta * scale)
+
+
 def eigenvalue_clusters(lambdas: np.ndarray, delta: float = DEFAULT_MULT_TOL):
     """Group a spectrum, in any order, into multiplicity clusters.
 
-    The one rule of the package for which eigenvalues approximate one
-    multiple eigenvalue: in value order, consecutive eigenvalues stay in one
-    cluster while their gap is at most delta times the larger magnitude, so
-    clusters chain. Returns a list of index arrays into ``lambdas``, each
-    ordered by value (a stable sort breaks ties), clusters ascending.
+    In value order, consecutive eigenvalues stay in one cluster while
+    ``cluster_breaks`` finds none between them, so clusters chain. Returns a
+    list of index arrays into ``lambdas``, each ordered by value (a stable
+    sort breaks ties), clusters ascending.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.size == 0:
         return []
     order = np.argsort(lam, kind="stable")
-    s = lam[order]
-    scale = np.maximum(np.abs(s[1:]), np.abs(s[:-1]))
-    scale = np.maximum(scale, np.finfo(float).tiny)
-    return np.split(order, np.flatnonzero(~(np.diff(s) <= delta * scale)) + 1)
+    return np.split(order, np.flatnonzero(cluster_breaks(lam[order], delta)) + 1)

@@ -139,14 +139,6 @@ def expand_cotree(Y, A, tc: TreeCotree, factor):
     return factor.solve(H.T @ np.asarray(Y, dtype=float))
 
 
-def stacked_cotree_columns(As, tc: TreeCotree):
-    """The H^T = A[:, cotree] of T stiffness matrices stacked into one
-    (T n) x n_cot matrix. With a factorization of diag(B_1, ..., B_T),
-    ``factor.solve(Ht @ Y)`` is ``expand_cotree`` of Y at all T parameters,
-    one after the other, from one solve."""
-    return sp.vstack([sp.csr_matrix(A)[tc.cotree, :].T for A in As], format="csr")
-
-
 def cotree_metric(A, tc: TreeCotree, factor):
     """The cotree inner product B_hat = H X = H B^{-1} H^T as an operator.
 

@@ -76,6 +76,16 @@ class ReferenceMesh:
         kept = self.__dict__.setdefault("_metric_maps", {})
         return kept.get(affine) or kept.setdefault(affine, build_metric_maps(self, affine))
 
+    def jacobian_rate(self, family: MappingFamily) -> np.ndarray:
+        """J' = J(x, 1) - J(x, 0) of a family (J is affine in t) at the points
+        of its rule's metric maps, evaluated once per family."""
+        kept = self.__dict__.setdefault("_jacobian_rates", {})
+        if family not in kept:
+            points = self.metric_maps(family.affine).points
+            kept[family] = family.jacobians(points, 1.0) - family.jacobians(points, 0.0)
+            kept[family].flags.writeable = False
+        return kept[family]
+
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_triangles
 

@@ -16,7 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gauge
-from .eigensolve import DEFAULT_MULT_TOL, eigenvalue_clusters, solve_dense_gevp
+from .eigensolve import (
+    DEFAULT_MULT_TOL, cluster_breaks, eigenvalue_clusters, solve_dense_gevp,
+)
 from .errors import ConfigError, require
 from .pod import ReducedBasis, reduce_system
 from .problem import CavityProblem
@@ -97,33 +99,31 @@ def relative_gaps(
 ) -> np.ndarray:
     """Relative distance |lam_j - lam_i| / |lam_j| from every eigenvalue i
     to the nearest eigenvalue j outside its multiplicity cluster (the lower
-    one on a tie), from one clustering of the spectrum.
+    one on a tie), for each ascending spectrum along the last axis: one
+    (m,) spectrum or a (T, m) stack of them, row by row.
 
     Neighbors inside the cluster of i are excluded, since they approximate
     the same high-fidelity eigenvalue. The gap is nan where the whole
     spectrum is one cluster.
     """
-    lam = np.asarray(lambdas_red, dtype=float)
-    clusters = eigenvalue_clusters(lam, delta_mult)
-    gaps = np.full(lam.size, np.nan)
-    if len(clusters) < 2:
-        return gaps
-    # in value order, the nearest outside a cluster are the top of the
-    # cluster below and the bottom of the one above; a missing side is
-    # infinitely far
-    order = np.concatenate(clusters)
-    x = lam[order]
-    sizes = [c.size for c in clusters]
-    first = np.cumsum(sizes) - sizes
-    lo = np.repeat(np.append(np.inf, x[first[1:] - 1]), sizes)
-    hi = np.repeat(np.append(x[first[1:]], np.inf), sizes)
+    x = np.asarray(lambdas_red, dtype=float)
+    breaks = cluster_breaks(x, delta_mult)
+    # the nearest outside a cluster are the top of the cluster below and the
+    # bottom of the one above; a missing side is infinitely far, so a
+    # spectrum of one cluster gets inf / inf = nan
+    inf = np.full((*x.shape[:-1], 1), np.inf)
+    below = np.concatenate([-inf, np.where(breaks, x[..., :-1], -np.inf)], axis=-1)
+    above = np.concatenate([np.where(breaks, x[..., 1:], np.inf), inf], axis=-1)
+    lo = np.maximum.accumulate(below, axis=-1)
+    hi = np.minimum.accumulate(above[..., ::-1], axis=-1)[..., ::-1]
     j = np.where(np.abs(lo - x) <= np.abs(hi - x), lo, hi)
-    gaps[order] = np.abs((j - x) / j)
-    return gaps
+    with np.errstate(invalid="ignore"):
+        return np.abs((j - x) / j)
 
 
 def estimate(
-    systems,
+    A,
+    B,
     U,
     lambdas,
     vectors,
@@ -134,66 +134,88 @@ def estimate(
     """Gap-weighted residual estimates of the first K reduced modes at a
     stack of T parameters, shape (T, K).
 
-    Row i scores the reduced eigenpairs (lambdas[i], vectors[i]) of the
-    upscaling U[i] on the pencil of systems[i]: eta = (r^T B r) / (d lam)
-    with the explicit residual r = A U v - lam B U v. With ``b_factor``, a
-    factorization of diag(B_1, ..., B_T) (of B itself when T = 1), the
-    numerator is r^T B^{-1} r (the mass-inverse form), from one solve for
-    the whole stack. Modes past the reduced spectrum or with an undefined
-    gap score inf.
+    A and B are diag(A(t_1), ..., A(t_T)) and diag(B(t_1), ..., B(t_T)),
+    the pencil itself when T = 1. Row i of the (T, m) ``lambdas`` and the
+    (T, N, m) ``vectors`` holds the reduced eigenpairs at t_i of the
+    upscaling U[i], U of shape (T, n, N). eta = (r^T B r) / (d lam) with the
+    explicit residual r = A U v - lam B U v: one sparse product by A and
+    one by B for the whole stack. With ``b_factor``, a factorization of B,
+    the numerator is r^T B^{-1} r (the mass-inverse form), from one solve.
+    Modes past the reduced spectrum or with an undefined gap score inf.
     """
-    T, n = len(systems), U[0].shape[0]
-    R = np.zeros((T, n, K))
-    scale = np.full((T, K), np.nan)  # d lam of the scored modes
-    for i, (s, lam, V) in enumerate(zip(systems, lambdas, vectors)):
-        gaps = relative_gaps(lam, delta_mult)[:K]
-        live = np.flatnonzero(~np.isnan(gaps))
-        W = U[i] @ V[:, live]
-        R[i][:, live] = s.A @ W - (s.B @ W) * lam[live]
-        scale[i, live] = gaps[live] * lam[live]
-    if b_factor is None:
-        weighted = np.stack([s.B @ r for s, r in zip(systems, R)])
-    else:
-        weighted = b_factor.solve(R.reshape(T * n, K)).reshape(T, n, K)
-    quad = np.einsum("tij,tij->tj", R, weighted)
+    lam = np.asarray(lambdas, dtype=float)
+    T, n = U.shape[:2]
+    k = min(K, lam.shape[1])
+    scale = relative_gaps(lam, delta_mult)[:, :k] * lam[:, :k]  # d lam
+    W = (U @ vectors[:, :, :k]).reshape(T * n, k)
+    R = (A @ W).reshape(T, n, k)
+    BW = (B @ W).reshape(T, n, k)
+    BW *= lam[:, None, :k]
+    R -= BW
+    del W, BW  # before the weighting: 11 MB each at n = 48 with 40 parameters
+    flat = R.reshape(T * n, k)
+    weighted = B @ flat if b_factor is None else b_factor.solve(flat)
+    quad = np.einsum("tij,tij->tj", R, weighted.reshape(T, n, k))
     etas = np.full((T, K), np.inf)
     scored = ~np.isnan(scale)
-    etas[scored] = quad[scored] / scale[scored]
+    etas[:, :k][scored] = quad[scored] / scale[scored]
     return etas
 
 
 def _bordered(old, U, MU_new):
-    """Reduced matrix U^T M U of U = [U_old, U_new] from old = U_old^T M U_old
-    and MU_new = M U_new: only the new rows and columns are computed."""
-    N, q = U.shape[1], MU_new.shape[1]
-    cross = U.T @ MU_new
-    out = np.empty((N, N))
-    out[: N - q, : N - q] = old
-    out[:, N - q :] = cross
-    out[N - q :, : N - q] = cross[: N - q].T
-    out[N - q :, N - q :] = 0.5 * (cross[N - q :] + cross[N - q :].T)
+    """Reduced matrices U^T M U at T parameters of U = [U_old, U_new], from
+    old = U_old^T M U_old (T, N - q, N - q) and MU_new = M U_new (T, n, q):
+    only the new rows and columns are computed."""
+    T, N, q = U.shape[0], U.shape[2], MU_new.shape[2]
+    cross = U.transpose(0, 2, 1) @ MU_new
+    new = cross[:, N - q :]
+    out = np.empty((T, N, N))
+    out[:, : N - q, : N - q] = old
+    out[:, :, N - q :] = cross
+    out[:, N - q :, : N - q] = cross[:, : N - q].transpose(0, 2, 1)
+    out[:, N - q :, N - q :] = 0.5 * (new + new.transpose(0, 2, 1))
+    return out
+
+
+def _block_diagonal(mats, like=None):
+    """diag(M_1, ..., M_T) of CSR matrices that share one pattern, as A(t)
+    and B(t) do at every t: the concatenated data on the pattern's index
+    arrays at block offsets, or on the read-only index arrays of ``like``, a
+    block diagonal of that pattern and stack size."""
+    data = np.concatenate([M.data for M in mats])
+    if like is not None:
+        return sp.csr_matrix((data, like.indices, like.indptr), like.shape)
+    M, T = mats[0], len(mats)
+    offsets = np.arange(T)[:, None]
+    indices = (M.indices + M.shape[1] * offsets).ravel()
+    indptr = np.append((M.indptr[:-1] + M.nnz * offsets).ravel(), T * M.nnz)
+    out = sp.csr_matrix((data, indices, indptr), (T * M.shape[0], T * M.shape[1]))
+    out.indices.flags.writeable = out.indptr.flags.writeable = False
     return out
 
 
 class _TrainingSet:
     """What the greedy keeps for its training set between sweeps.
 
-    Per training parameter: the upscaling U(t) of the basis (all of them in
-    one (N_train, n, N) array; edge-space bases use Z itself) and the
-    reduced pencil (A_N(t), B_N(t)). The first sweep factors each B(t),
-    uses it and drops it. From the first enrichment on, one factorization
-    of diag(B(t_1), ..., B(t_T)) expands appended columns at every
-    parameter in one solve and weights the mass-inverse residuals. A greedy
-    that converges on its first sweep never builds it.
+    The stacked pencil A = diag(A(t_1), ..., A(t_T)) and B likewise, built
+    at construction from the one pattern of every A(t) and B(t), O(T nnz(B))
+    memory: a sweep or an append is one sparse product per matrix. Per
+    parameter: the upscaling U(t) of the basis (one (T, n, N) array;
+    edge-space bases use Z itself) and the reduced pencil (A_N(t), B_N(t)).
+    The first sweep factors each B(t), uses it and drops it. From the first
+    enrichment on, one factorization of the stacked B expands appended
+    columns at every parameter and weights the mass-inverse residuals.
     """
 
     def __init__(self, problem: CavityProblem, Z: np.ndarray, config: GreedyConfig):
         self.config = config
         self.Z = Z
         self.systems = [problem.system(t) for t in config.xi_train.tolist()]
+        self.A = _block_diagonal([s.A for s in self.systems])
+        self.B = _block_diagonal([s.B for s in self.systems], self.A)
         self.tc = problem.tree_cotree if problem.basis_space == "cotree" else None
         self.inverse = config.residual_form == "mass-inverse"
-        self.factor = self.Ht = None
+        self.factor = None
         T, N = len(self.systems), Z.shape[1]
         if self.tc:
             self.U = np.empty((T, problem.n_curl, N))
@@ -209,9 +231,10 @@ class _TrainingSet:
         if self.fresh:
             self.fresh = False
             return np.vstack([self._first_estimate(i) for i in range(T)])
-        lambdas, vectors = zip(*(self._reduced_pairs(i) for i in range(T)))
+        pairs = [self._reduced_pairs(i) for i in range(T)]
+        lambdas, vectors = map(np.stack, zip(*pairs))
         return estimate(
-            self.systems, self.U, lambdas, vectors, cfg.K, cfg.delta_mult,
+            self.A, self.B, self.U, lambdas, vectors, cfg.K, cfg.delta_mult,
             self.factor if self.inverse else None,
         )
 
@@ -225,59 +248,57 @@ class _TrainingSet:
         self.A_N[i], self.B_N[i] = reduce_system(self.U[i], s.A, s.B)
         lam, V = self._reduced_pairs(i)
         return estimate(
-            [s], self.U[i : i + 1], [lam], [V], cfg.K, cfg.delta_mult,
+            s.A, s.B, self.U[i : i + 1], lam[None], V[None], cfg.K, cfg.delta_mult,
             factor if self.inverse else None,
         )
 
     def _reduced_pairs(self, i: int):
+        m = self.config.K + self.config.tau
         lam, V = solve_dense_gevp(self.A_N[i], self.B_N[i])
-        return lam[: self.config.K + self.config.tau], V
+        return lam[:m], V[:, :m]
 
     def append(self, Q: np.ndarray):
         """Add the columns Q to the basis: expand them at every parameter
-        (one stacked solve for cotree bases) and border each reduced pencil
-        with their rows and columns (two sparse products per parameter)."""
-        T = len(self.systems)
+        (one stacked solve for cotree bases) and border every reduced pencil
+        with their rows and columns (one stacked sparse product per matrix)."""
+        T, q = len(self.systems), Q.shape[1]
         if self.factor is None and (self.tc or self.inverse):
-            self.factor = gauge.mass_factor(
-                sp.block_diag([s.B for s in self.systems], format="csc")
-            )
-            if self.tc:
-                self.Ht = gauge.stacked_cotree_columns(
-                    [s.A for s in self.systems], self.tc
-                )
-        self.Z = np.hstack([self.Z, Q])
+            self.factor = gauge.mass_factor(self.B)
         if self.tc:
-            U_new = self.factor.solve(self.Ht @ Q).reshape(T, -1, Q.shape[1])
-            self.U = np.concatenate([self.U, U_new], axis=2)
+            # H(t)^T Q = A(t) Y for Y = Q on the cotree edges, 0 on the tree
+            Y = np.zeros((self.U.shape[1], q))
+            Y[self.tc.cotree] = Q
+            U_new = self.factor.solve(self.A @ np.tile(Y, (T, 1)))
+            self.U = np.concatenate([self.U, U_new.reshape(T, -1, q)], axis=2)
         else:
-            U_new = np.broadcast_to(Q, (T, *Q.shape))
-            self.U = np.broadcast_to(self.Z, (T, *self.Z.shape))
-        self.A_N = np.stack([
-            _bordered(self.A_N[i], self.U[i], s.A @ U_new[i])
-            for i, s in enumerate(self.systems)
-        ])
-        self.B_N = np.stack([
-            _bordered(self.B_N[i], self.U[i], s.B @ U_new[i])
-            for i, s in enumerate(self.systems)
-        ])
+            U_new = np.tile(Q, (T, 1))
+            Z = np.hstack([self.U[0], Q])
+            self.U = np.broadcast_to(Z, (T, *Z.shape))
+        self.A_N = _bordered(self.A_N, self.U, (self.A @ U_new).reshape(T, -1, q))
+        self.B_N = _bordered(self.B_N, self.U, (self.B @ U_new).reshape(T, -1, q))
 
 
-def _enrichment_vectors(problem, t_star: float, i_star: int, config):
-    """Full multiplicity-cluster eigenspace of mode i_star at t_star."""
+def _enrichment_vectors(problem, t_star: float, i_star: int, config, solves: dict):
+    """Full multiplicity-cluster eigenspace of mode i_star at t_star.
+
+    ``solves`` holds the ``snapshot_solve`` made at each t_star: a later pick
+    at the same t reuses it, and solves again, with twice the window, only
+    when the cluster reaches the kept window's edge, so multiplicities are
+    never split by the solve count.
+    """
     available = problem.size
-    k_solve = min(config.K + config.tau + 2, available)
+    if t_star not in solves:
+        solves[t_star] = problem.snapshot_solve(
+            t_star, min(config.K + config.tau + 2, available)
+        )
     while True:
-        lams, vectors = problem.snapshot_solve(t_star, k_solve)
+        lams, vectors = solves[t_star]
         cluster = next(
             c for c in eigenvalue_clusters(lams, config.delta_mult) if i_star in c
         )
-        # Re-solve with a wider window when the cluster touches its edge,
-        # so multiplicities are never split by the solve count.
-        if cluster[-1] < lams.size - 1 or k_solve >= available:
-            break
-        k_solve = min(k_solve * 2, available)
-    return vectors[:, cluster]
+        if cluster[-1] < lams.size - 1 or lams.size >= available:
+            return vectors[:, cluster]
+        solves[t_star] = problem.snapshot_solve(t_star, min(lams.size * 2, available))
 
 
 def greedy_extend(
@@ -310,6 +331,7 @@ def greedy_extend(
     provenance = list(basis.provenance)
     log = GreedyLog()
     iteration = 0
+    solves = {}  # the enrichment solves by t_star, while the greedy runs
     with problem.transient_systems():
         training = _TrainingSet(problem, Z, config)
         while True:
@@ -327,7 +349,7 @@ def greedy_extend(
             if max_eta < config.tol:
                 log.status = "converged"
                 break
-            V = _enrichment_vectors(problem, t_star, i_star, config)
+            V = _enrichment_vectors(problem, t_star, i_star, config, solves)
             V_clean, _ = problem.clean_basis(V)
             Q, kept = problem.orthonormalize(V_clean, against=Z)
             record.appended = Q.shape[1]

@@ -153,6 +153,30 @@ def test_metric_maps_built_once_per_mesh_and_rule(monkeypatch):
     assert calls == [True, False]
 
 
+def test_jacobian_rate_evaluated_once_per_mesh_and_family(monkeypatch):
+    # the first derivative of a family on a mesh evaluates J at t, 1 and 0;
+    # later ones only at t, and the kept J' gives the bits of a fresh one
+    from cavityrb import build_reference_mesh
+
+    calls = []
+    jacobians = MappingFamily.jacobians
+
+    def counting(self, points, t):
+        calls.append(t)
+        return jacobians(self, points, t)
+
+    fresh = matrix_derivatives(build_reference_mesh(3), sine_bump(0.3), 0.4)
+    monkeypatch.setattr(MappingFamily, "jacobians", counting)
+    m = build_reference_mesh(3)
+    for family in (sine_bump(0.3), affine_stretch(2.5)):
+        matrix_derivatives(m, family, 0.7)
+        matrix_derivatives(m, family, 0.4)
+        assert calls == [0.7, 1.0, 0.0, 0.4]
+        calls.clear()
+    for got, want in zip(matrix_derivatives(m, sine_bump(0.3), 0.4), fresh):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 @given(
     st.sampled_from([1, 2, 4, 8, 16]),
     st.sampled_from(["affine", "bump"]),

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from cavityrb.problem import GAUGES
 from conftest import (
     SweepOracle,
     clusters_loop,
+    estimate_at,
     make_problem,
     pod_clamped,
     solve_gevp,
@@ -93,6 +95,71 @@ def test_one_pass_gaps_match_per_mode_oracle(gaps, start, delta):
     np.testing.assert_array_equal(got, expected)
 
 
+@given(
+    rows=st.lists(
+        st.lists(
+            st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 0.25, 0.5, 1.0]),
+            min_size=0, max_size=8,
+        ),
+        min_size=1, max_size=4,
+    ),
+    m=st.integers(1, 9),
+    start=st.sampled_from([0.5, 1.0, 2.0, 7.25]),
+    delta=st.sampled_from([1e-6, 1e-3]),
+)
+def test_row_wise_gaps_match_per_mode_oracle(rows, m, start, delta):
+    # a (T, m) stack of spectra, row by row: clustered rows, rows that are
+    # one cluster (nan) and rows of a single eigenvalue
+    stack = np.array([start + np.cumsum(([0.0] + g + [1e-12] * m)[:m]) for g in rows])
+    got = relative_gaps(stack, delta)
+    expected = [[gap(lam, i, delta) for i in range(m)] for lam in stack]
+    np.testing.assert_array_equal(got, expected)
+
+
+@given(
+    family=st.sampled_from(["affine", "bump"]),
+    gauge=st.sampled_from(["none", "tree-cotree"]),
+    form=st.sampled_from(RESIDUAL_FORMS),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5),
+    m=st.integers(1, 4),
+    one_cluster=st.integers(-1, 4),
+)
+def test_stacked_estimate_matches_per_parameter_oracle(
+    family, gauge, form, ts, m, one_cluster
+):
+    # T >= 3 parameters scored from one stacked pencil against the
+    # per-parameter oracle; m < K leaves modes unscored, and so does a row
+    # whose spectrum is one cluster
+    problem, Z = _estimator_basis(family, gauge)
+    K = 3
+    systems = [problem.system(t) for t in ts]
+    pairs = [problem.reduced_pencil(Z, t) for t in ts]
+    U = np.stack([p[2] for p in pairs])
+    lambdas, vectors = [], []
+    for i, (A_red, B_red, _) in enumerate(pairs):
+        lam, V = solve_dense_gevp(A_red, B_red)
+        if i == one_cluster:
+            lam = lam[0] * (1.0 + 1e-9 * np.arange(lam.size))
+        lambdas.append(lam[:m])
+        vectors.append(V[:, :m])
+    A = sp.block_diag([s.A for s in systems], format="csr")
+    B = sp.block_diag([s.B for s in systems], format="csr")
+    inverse = form == "mass-inverse"
+    got = estimate(
+        A, B, U, np.stack(lambdas), np.stack(vectors), K, 1e-6,
+        mass_factor(B) if inverse else None,
+    )
+    want = np.stack([
+        estimate_at(
+            s, U[i], lambdas[i], vectors[i], K, 1e-6,
+            problem.mass_factor(t) if inverse else None,
+        )
+        for i, (s, t) in enumerate(zip(systems, ts))
+    ])
+    _assert_tables_agree(got, want)
+    assert np.isinf(got[:, m:]).all()
+
+
 def test_estimate_components_recombine(quiet_warnings, rng):
     problem = make_problem(n=4, family="affine", gauge="none")
     s = problem.system(0.3)
@@ -100,7 +167,7 @@ def test_estimate_components_recombine(quiet_warnings, rng):
     Z = pod_clamped(snaps.Y, problem.b_ref, 5).Z
     A_red, B_red, U = problem.reduced_pencil(Z, 0.3, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    etas = estimate([s], U[None], [lam], [V], 2)[0]
+    etas = estimate(s.A, s.B, U[None], lam[None], V[None], 2)[0]
     u = (U @ V[:, :2])[:, 1]
     r = s.A @ u - lam[1] * (s.B @ u)
     np.testing.assert_allclose(
@@ -115,7 +182,7 @@ def test_estimate_exact_containment_is_tiny(quiet_warnings):
     Z = sol.vectors
     A_red, B_red, U = problem.reduced_pencil(Z, 0.0, space="edge")
     lam, V = solve_dense_gevp(A_red, B_red)
-    etas = estimate([s], U[None], [lam], [V], 1)[0]
+    etas = estimate(s.A, s.B, U[None], lam[None], V[None], 1)[0]
     assert etas[0] <= 1e-15 * sol.lambdas[0]
 
 
@@ -130,7 +197,9 @@ def test_estimate_scores_missing_and_gapless_modes_inf(rng):
     s = make_problem(n=4, family="affine", gauge="none").system(0.3)
     U = rng.standard_normal((s.n_curl, 2))
     # one multiplicity cluster: no gap is defined; K = 3 exceeds the spectrum
-    etas = estimate([s], U[None], [np.array([1.0, 1.0 + 1e-12])], [np.eye(2)], 3)
+    etas = estimate(
+        s.A, s.B, U[None], np.array([[1.0, 1.0 + 1e-12]]), np.eye(2)[None], 3
+    )
     assert etas.shape == (1, 3) and np.isinf(etas).all()
 
 
@@ -162,7 +231,7 @@ def test_block_estimate_matches_per_column_recomputation(family, gauge, form, t)
     A_red, B_red, U = problem.reduced_pencil(Z, t)
     lam, V = solve_dense_gevp(A_red, B_red)
     lam = lam[: K + tau]
-    etas = estimate([s], U[None], [lam], [V], K, 1e-6, b_factor)[0]
+    etas = estimate(s.A, s.B, U[None], lam[None], V[None], K, 1e-6, b_factor)[0]
     assert etas.shape == (K,)
     for i in range(K):
         d_i = gap(lam, i, 1e-6)
@@ -485,9 +554,46 @@ def test_enrichment_widens_the_window_until_the_cluster_ends():
     cfg = GreedyConfig(
         K=2, tau=1, xi_train=[0.5], tol=1e-6, N_max=10,
     )
-    V = _enrichment_vectors(Stub(), 0.5, 1, cfg)
+    solves = {}
+    V = _enrichment_vectors(Stub(), 0.5, 1, cfg, solves)
     assert calls == [5, 10]
     np.testing.assert_array_equal(V, np.tile(np.arange(7.0), (3, 1)))
+    # a second pick at t = 0.5 inside the kept window of 10 solves nothing
+    V = _enrichment_vectors(Stub(), 0.5, 8, cfg, solves)
+    assert calls == [5, 10]
+    np.testing.assert_array_equal(V, np.full((3, 1), 8.0))
+    # a cluster at the kept window's edge solves once, with twice the count
+    V = _enrichment_vectors(Stub(), 0.5, 9, cfg, solves)
+    assert calls == [5, 10, 20]
+    np.testing.assert_array_equal(V, np.full((3, 1), 9.0))
+
+
+def test_greedy_solves_each_enrichment_parameter_once(monkeypatch, quiet_warnings):
+    # every solve at a parameter the greedy picked before widens the kept
+    # window: twice its count, and only because the cluster reached its edge
+    problem, basis = _small_setup(family="bump", n=4, K=3, n_pod=3)
+    cfg = GreedyConfig(
+        K=3, tau=1, xi_train=np.linspace(0, 1, 8), tol=1e-7, N_max=25,
+    )
+    calls = []
+    snapshot_solve = problem.snapshot_solve
+
+    def recorded(t, k):
+        calls.append((t, k))
+        return snapshot_solve(t, k)
+
+    monkeypatch.setattr(problem, "snapshot_solve", recorded)
+    _, log = greedy_extend(basis, cfg, problem)
+    picks = [r.t_star for r in log.records if r.appended or r.skipped]
+    assert len(set(picks)) < len(picks)  # some parameter is picked again
+    widenings = [
+        (t, k) for i, (t, k) in enumerate(calls)
+        if any(u == t and q < k for u, q in calls[:i])
+    ]
+    for t, k in widenings:
+        previous = max(q for u, q in calls if u == t and q < k)
+        assert k == min(2 * previous, problem.size)
+    assert len(calls) == len(set(picks)) + len(widenings)
 
 
 def test_greedy_nmax_cap(quiet_warnings):
