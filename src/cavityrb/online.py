@@ -8,8 +8,9 @@ Online, the pencil and its t-derivative at any t are weighted sums of the
 stored node values: the barycentric Lagrange weights and their derivative,
 applied in one matrix-vector product each. No online evaluation touches the
 mesh. The interpolant is the reduced tracker's operator layer itself: its
-``solve(t, k)`` returns the pencil it solved beside the eigenpairs, so a
-tracking step evaluates it once for the solve and once for the derivative.
+``solve(t, k)`` returns the pencil it solved beside the eigenpairs, and it
+keeps the weights of the last parameter, so a tracking step computes the
+weights of each parameter once, for the solve and the derivative alike.
 See Trefethen, *Approximation Theory and Approximation Practice*, and
 Berrut & Trefethen, Barycentric Lagrange interpolation, SIAM Review 2004.
 """
@@ -127,13 +128,23 @@ class PencilInterpolant:
         out[:, cols, rows] = packed
         return out[0], out[1]
 
+    def _weights_at(self, t: float):
+        """``weights(t)``, kept for the last t asked for: a tracking step's
+        solve and the next step's derivative share one evaluation. Kept in
+        the instance dict, as ``cached_property`` keeps its values."""
+        t = float(t)
+        last = self.__dict__.get("_last_weights")
+        if last is None or last[0] != t:
+            last = self.__dict__["_last_weights"] = (t, self.weights(t))
+        return last[1]
+
     def pencil(self, t: float):
         """(A_N(t), B_N(t))."""
-        return self._combine(self.weights(t)[0])
+        return self._combine(self._weights_at(t)[0])
 
     def derivative_pencil(self, t: float):
         """(A_N'(t), B_N'(t)), the derivative of the interpolant."""
-        return self._combine(self.weights(t)[1])
+        return self._combine(self._weights_at(t)[1])
 
     def solve(self, t: float, k: int):
         """The pencil at t and its eigenpairs, as ((A_N, B_N), lambdas,

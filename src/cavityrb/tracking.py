@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, SingularDerivativeError, require
-from .eigensolve import DEFAULT_MULT_TOL, b_orthonormalize, eigenvalue_clusters
+from .eigensolve import DEFAULT_MULT_TOL, b_orthonormalize, cluster_breaks, eigenvalue_clusters
 from .online import pencil_interpolant
 from .pod import ReducedBasis
 from .problem import CavityProblem
@@ -133,10 +133,13 @@ def _colsum(X, Y):
 
 
 def _multiple(lam, delta):
-    """Whether each eigenvalue lies in a multiplicity cluster."""
-    mask = np.zeros(lam.size, dtype=bool)
-    for idx in eigenvalue_clusters(lam, delta):
-        mask[idx] = idx.size > 1
+    """Whether each eigenvalue lies in a multiplicity cluster: in value
+    order, unless ``cluster_breaks`` finds a break on both sides of it."""
+    order = np.argsort(lam, kind="stable")
+    edges = np.ones(lam.size + 1, dtype=bool)
+    edges[1:-1] = cluster_breaks(lam[order], delta)
+    mask = np.empty(lam.size, dtype=bool)
+    mask[order] = ~(edges[:-1] & edges[1:])
     return mask
 
 
@@ -171,7 +174,7 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
         [A - lam B   -B v] [v']     [-A' v + lam B' v]
         [  c^T B       0 ] [lam']  = [   -c^T B' v    ],
     or fails. A mode in a multiplicity cluster of the window
-    (``eigenvalue_clusters`` with ``delta``) raises SingularDerivativeError.
+    (``cluster_breaks`` with ``delta``) raises SingularDerivativeError.
     """
     A, B = pencil
     A_p, B_p = derivative
@@ -300,16 +303,20 @@ def _cluster_aware_match(P, lam_pred, C, B, delta, rho_min):
     subspace; the assignment still hands out distinct candidates.
     """
     rho_ind, BC, cn = _correlation_matrix(P, C, B)
-    rho = rho_ind.copy()
-    for idx in eigenvalue_clusters(lam_pred, delta):
-        if idx.size < 2:
-            continue
-        Q, _ = b_orthonormalize(P[:, idx], B)
-        if Q.shape[1] == 0:
-            continue
-        proj = (Q.T @ BC) / cn[None, :]
-        score = np.minimum(np.sqrt((proj**2).sum(axis=0)), 1.0)
-        rho[idx, :] = score[None, :]
+    rho = rho_ind
+    order = np.argsort(lam_pred, kind="stable")
+    breaks = cluster_breaks(lam_pred[order], delta)
+    if not breaks.all():  # a multiple eigenvalue: split into clusters
+        rho = rho_ind.copy()
+        for idx in np.split(order, np.flatnonzero(breaks) + 1):
+            if idx.size < 2:
+                continue
+            Q, _ = b_orthonormalize(P[:, idx], B)
+            if Q.shape[1] == 0:
+                continue
+            proj = (Q.T @ BC) / cn[None, :]
+            score = np.minimum(np.sqrt((proj**2).sum(axis=0)), 1.0)
+            rho[idx, :] = score[None, :]
     # The subspace score decides acceptance; a small individual-correlation
     # term breaks assignment ties inside clusters so that seeded/predicted
     # member order survives a degenerate step.
@@ -378,16 +385,17 @@ def _rank_permutation(prev_lam, cur_lam, delta):
     swapped modes lay in different multiplicity clusters before the step;
     the splitting of a degenerate cluster is not a crossing.
     """
-    prev_rank = np.argsort(np.argsort(prev_lam, kind="stable"), kind="stable")
+    order = np.argsort(prev_lam, kind="stable")
+    prev_rank = np.argsort(order, kind="stable")
     cur_rank = np.argsort(np.argsort(cur_lam, kind="stable"), kind="stable")
     sigma = np.empty(len(prev_lam), dtype=int)
     sigma[prev_rank] = cur_rank
-    cluster_id = np.empty(len(prev_lam), dtype=int)
-    for c, idx in enumerate(eigenvalue_clusters(prev_lam, delta)):
-        cluster_id[idx] = c
+    # clusters numbered in value order: the count of breaks below each rank
+    breaks = cluster_breaks(prev_lam[order], delta)
+    cluster_id = np.concatenate(([0], np.cumsum(breaks)))[prev_rank]
     swapped = (prev_rank[:, None] < prev_rank) != (cur_rank[:, None] < cur_rank)
     crossing = bool((swapped & (cluster_id[:, None] != cluster_id[None, :])).any())
-    return tuple(int(s) for s in sigma), crossing, tuple(int(r) for r in cur_rank)
+    return tuple(sigma.tolist()), crossing, tuple(cur_rank.tolist())
 
 
 def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | None = None) -> TrackingTrace:

@@ -601,6 +601,47 @@ def clusters_loop(lam, delta):
     return [np.array(g, dtype=int) for g in groups]
 
 
+def multiple_by_clusters(lam, delta):
+    """Whether each eigenvalue lies in a multiplicity cluster, from the
+    cluster index lists (oracle of ``tracking._multiple``)."""
+    mask = np.zeros(lam.size, dtype=bool)
+    for idx in eigenvalue_clusters(lam, delta):
+        mask[idx] = idx.size > 1
+    return mask
+
+
+def rank_permutation_by_clusters(prev_lam, cur_lam, delta):
+    """``tracking._rank_permutation`` with cluster labels from the cluster
+    index lists (its oracle)."""
+    prev_rank = np.argsort(np.argsort(prev_lam, kind="stable"), kind="stable")
+    cur_rank = np.argsort(np.argsort(cur_lam, kind="stable"), kind="stable")
+    sigma = np.empty(len(prev_lam), dtype=int)
+    sigma[prev_rank] = cur_rank
+    cluster_id = np.empty(len(prev_lam), dtype=int)
+    for c, idx in enumerate(eigenvalue_clusters(prev_lam, delta)):
+        cluster_id[idx] = c
+    swapped = (prev_rank[:, None] < prev_rank) != (cur_rank[:, None] < cur_rank)
+    crossing = bool((swapped & (cluster_id[:, None] != cluster_id[None, :])).any())
+    return tuple(int(s) for s in sigma), crossing, tuple(int(r) for r in cur_rank)
+
+
+def cluster_aware_match_by_clusters(P, lam_pred, C, B, delta, rho_min):
+    """``tracking._cluster_aware_match`` with a subspace score for every
+    cluster index list, the simple ones skipped (its oracle)."""
+    rho_ind, BC, cn = _correlation_matrix(P, C, B)
+    rho = rho_ind.copy()
+    for idx in eigenvalue_clusters(lam_pred, delta):
+        if idx.size < 2:
+            continue
+        Q, _ = b_orthonormalize(P[:, idx], B)
+        if Q.shape[1] == 0:
+            continue
+        proj = (Q.T @ BC) / cn[None, :]
+        score = np.minimum(np.sqrt((proj**2).sum(axis=0)), 1.0)
+        rho[idx, :] = score[None, :]
+    return _assign(rho, rho_min, score=rho + 1e-6 * rho_ind)
+
+
 def probe_seeded_clusters(ops, lam0, V0, B0, t_probe, delta=DEFAULT_MULT_TOL):
     """The t = 0 eigenpairs (lam0, V0) of the ops, mass matrix B0, with each
     degenerate cluster aligned by a probe solve (oracle of

@@ -129,10 +129,9 @@ def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch, b
     assert trace.complete and calls == []
 
 
-def test_reduced_track_evaluates_the_interpolant_twice_per_step(monkeypatch, built):
-    # one solve at each new parameter, whose pencil also serves the next
-    # bordered system, and one derivative; plus the solve at t = 0, whose
-    # derivative also seeds the degenerate clusters
+def test_reduced_track_computes_the_weights_once_per_parameter(monkeypatch, built):
+    # the solve at each parameter and the derivative the next step takes
+    # there share one computation of the Lagrange weights
     cfg, problem, basis = built
     evaluations = []
     weights = online.PencilInterpolant.weights
@@ -145,7 +144,20 @@ def test_reduced_track_evaluates_the_interpolant_twice_per_step(monkeypatch, bui
     config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
     trace = track(config, problem, basis=basis)
     assert trace.complete
-    assert len(evaluations) <= 2 * (len(trace.steps) - 1) + 1, evaluations
+    assert evaluations == [step.t for step in trace.steps], evaluations
+
+
+def test_alternating_parameters_never_get_stale_weights():
+    # the kept weights belong to one parameter: asking for another computes
+    # its own, and coming back computes the first again
+    _, _, interp = _case("edge", "bump")
+    fresh = {}
+    for t in (0.3, 0.7):
+        ell, dell = interp.weights(t)
+        fresh[t] = (*interp._combine(ell), *interp._combine(dell))
+    for t in (0.3, 0.7, 0.3, 0.3, 0.7, 0.7, 0.3):
+        got = (*interp.pencil(t), *interp.derivative_pencil(t))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, fresh[t]))
 
 
 def test_track_on_another_problem_is_config_error(built):

@@ -24,10 +24,13 @@ from cavityrb.tracking import TrackingTrace, TrackStep, _rank_permutation
 from conftest import (
     SPLIT_GAP,
     bordered_derivatives,
+    cluster_aware_match_by_clusters,
     correlation_match,
     eigenspace_distance,
     make_problem,
+    multiple_by_clusters,
     probe_seeded_clusters,
+    rank_permutation_by_clusters,
     solve_full,
     solve_gevp,
 )
@@ -491,6 +494,60 @@ def test_split_of_a_chained_cluster_is_not_a_crossing():
     assert perm == (2, 1, 0) and not crossing
     _, crossing, _ = _rank_permutation(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 1e-6)
     assert crossing
+
+
+@st.composite
+def _spectra(draw, size=None):
+    """Spectra in any order: simple values, exact ties, and near-ties that
+    chain (relative steps of 0.9e-6 against delta = 1e-6) or break (3e-6)."""
+    m = draw(st.integers(min_value=1, max_value=8)) if size is None else size
+    base = draw(st.lists(st.sampled_from([1.0, 2.0, 9.0]), min_size=m, max_size=m))
+    step = draw(st.lists(st.sampled_from([0.0, 0.0, 0.9e-6, 1.8e-6, 3e-6, 0.4]),
+                         min_size=m, max_size=m))
+    lam = np.array(base) * (1.0 + np.array(step))
+    return lam[draw(st.permutations(range(m)))]
+
+
+# unsorted: an exact tie at 1, a chained cluster at 2 and a simple 9
+CHAINED = np.array([2.0 * (1 + 1.8e-6), 1.0, 2.0, 2.0 * (1 + 0.9e-6), 9.0, 1.0])
+
+
+@given(_spectra())
+@pytest.mark.parametrize("lam", [CHAINED, np.array([3.0]), np.array([2.0, 1.0, 9.0])])
+def test_multiple_matches_the_cluster_oracle(lam, drawn):
+    for spectrum in (lam, drawn):
+        got = tracking._multiple(spectrum, 1e-6)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, multiple_by_clusters(spectrum, 1e-6))
+
+
+@given(st.data())
+def test_rank_permutation_matches_the_cluster_oracle(data):
+    prev = data.draw(_spectra())
+    cur = data.draw(_spectra(size=prev.size))
+    got = _rank_permutation(prev, cur, 1e-6)
+    want = rank_permutation_by_clusters(prev, cur, 1e-6)
+    assert got == want
+    assert all(type(i) is int for i in got[0] + got[2])
+
+
+@given(st.data())
+@pytest.mark.parametrize("lam", [CHAINED, np.array([3.0]), np.array([2.0, 1.0, 9.0])])
+def test_cluster_aware_match_matches_the_cluster_oracle(lam, data):
+    # bit for bit, so the score of a spectrum without a multiple eigenvalue
+    # is the oracle's rho + 1e-6 rho on the individual correlations
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    for spectrum in (lam, data.draw(_spectra())):
+        n, m = 12, spectrum.size
+        M = rng.standard_normal((n, n))
+        B = M @ M.T + n * np.eye(n)
+        C = rng.standard_normal((n, m + data.draw(st.integers(0, 2))))
+        P = C[:, :m] + 0.3 * rng.standard_normal((n, m))
+        for rho_min in (None, 0.8):
+            got = tracking._cluster_aware_match(P, spectrum, C, B, 1e-6, rho_min)
+            want = cluster_aware_match_by_clusters(P, spectrum, C, B, 1e-6, rho_min)
+            np.testing.assert_array_equal(got.perm, want.perm)
+            assert got.rhos.tobytes() == want.rhos.tobytes() and got.ok == want.ok
 
 
 @given(
