@@ -17,9 +17,9 @@ from .errors import (
     SingularDerivativeError,
 )
 from .gauge import (
+    GradientProjector,
     TreeCotree,
     build_tree_cotree,
-    graddiv_project,
     gram_schmidt_clean,
 )
 from .geometry import (

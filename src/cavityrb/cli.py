@@ -48,11 +48,11 @@ def _check_t(args):
 
 def _null_count(problem, t: float, null_tol: float) -> int:
     """Null-space dimension of the pencil at t without a dense solve: the
-    n_grad gradient modes the projected solve keeps out (its Gram factor of
-    G^T B G exists only when G has full column rank) plus the physical
-    eigenvalues at or below null_tol times the largest. The threshold needs
-    only the scale of the largest, so the Rayleigh quotient after 20 power
-    steps x <- B^{-1} A x stands for it."""
+    n_grad gradient modes the projected solve keeps out (the Gram factor of
+    its ``gauge.GradientProjector`` exists only when G has full column rank)
+    plus the physical eigenvalues at or below null_tol times the largest.
+    The threshold needs only the scale of the largest, so the Rayleigh
+    quotient after 20 power steps x <- B^{-1} A x stands for it."""
     sys_t = problem.system(t)
     factor = problem.mass_factor(t)
     x = np.cos(np.arange(problem.n_curl, dtype=float))

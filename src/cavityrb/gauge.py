@@ -6,7 +6,7 @@ Three interchangeable strategies:
   fixed mass inner product B(t_ref), then re-orthonormalization in it
   (cheap, but ties divergence-freeness to one domain),
 * the grad-div projector alone (same fixed-parameter limitation); both
-  apply ``graddiv_project`` with the coupling block B(t_ref) G,
+  apply the ``GradientProjector`` of B(t_ref),
 * tree-cotree condensation, which eliminates the gradient kernel purely
   topologically and therefore works uniformly in the deformation parameter.
 """
@@ -60,11 +60,14 @@ class TreeCotree:
 
 
 def mass_factor(B):
-    """Sparse LU of a mass matrix; a failed factorization is a NumericalError.
+    """Sparse LU of a symmetric positive-definite matrix; a failed
+    factorization is a NumericalError.
 
-    B is symmetric positive definite, so the factorization orders it
-    symmetrically and keeps its diagonal pivots: about a third less fill,
-    factor and solve time than the default column ordering with pivoting.
+    Every SPD matrix of the package is factored here: the mass matrix B,
+    the shifted A - sigma B, the gradient Gram matrix G^T B G and the
+    greedy's stacked B. The factorization orders it symmetrically and keeps
+    its diagonal pivots: about a third less fill, factor and solve time than
+    the default column ordering with pivoting.
     """
     try:
         return spla.splu(
@@ -154,25 +157,25 @@ def cotree_metric(A, tc: TreeCotree, factor):
     return spla.LinearOperator((H.shape[0],) * 2, matvec=apply, matmat=apply, dtype=float)
 
 
-class ProjectedInverse:
-    """The shift-inverted pencil at one parameter, restricted to the
-    discretely divergence-free vectors: P (A - sigma B)^{-1}, with
-    P = I - G (G^T B G)^{-1} G^T B the B-orthogonal projector off the
-    gradients.
+class GradientProjector:
+    """P = I - G (G^T B G)^{-1} G^T B, the B-orthogonal projector off the
+    gradients (Arbenz & Drmac 2002): P G = 0 and P^2 = P.
 
-    A G = 0 makes (A - sigma B) G = -sigma B G, so P (A - sigma B)^{-1} is
-    symmetric, inverts A - sigma B on the divergence-free vectors and maps
-    the gradients to zero (Arbenz & Drmac 2002). It holds two symmetric
-    positive-definite factorizations, of A - sigma B and of the gradient
-    Gram matrix G^T B G, and the coupling block G^T B. A G without full
-    column rank makes the Gram factorization fail: a NumericalError.
+    It keeps the coupling block G^T B as CSR and the ``mass_factor`` of the
+    gradient Gram matrix G^T B G. A G without full column rank makes that
+    factorization fail: a NumericalError.
     """
 
-    def __init__(self, A, B, G):
+    def __init__(self, B, G):
+        self.B = B
         self.G = G
         self.GtB = sp.csr_matrix(G.T @ B)
-        self.gram = gram_factor(G, self.GtB.T)
-        self.shifted = mass_factor(A - SHIFT * B)
+        try:
+            self.gram = mass_factor(self.GtB @ G)
+        except NumericalError as exc:  # SuperLU's RuntimeError is its cause
+            raise NumericalError(
+                f"gradient Gram matrix is singular: {exc.__cause__}"
+            ) from exc
 
     def gradient_part(self, g):
         """G (G^T B G)^{-1} g: the gradient whose coupling G^T B is g."""
@@ -182,9 +185,25 @@ class ProjectedInverse:
         """P V, the B-orthogonal projection of vectors off the gradients."""
         return V - self.gradient_part(self.GtB @ V)
 
+
+class ProjectedInverse:
+    """The shift-inverted pencil at one parameter, restricted to the
+    discretely divergence-free vectors: P (A - sigma B)^{-1}, with P the
+    ``GradientProjector`` of B.
+
+    A G = 0 makes (A - sigma B) G = -sigma B G, so P (A - sigma B)^{-1} is
+    symmetric, inverts A - sigma B on the divergence-free vectors and maps
+    the gradients to zero (Arbenz & Drmac 2002). It holds the projector and
+    the ``mass_factor`` of A - sigma B.
+    """
+
+    def __init__(self, A, B, G):
+        self.projector = GradientProjector(B, G)
+        self.shifted = mass_factor(A - SHIFT * B)
+
     def solve(self, X):
         """P (A - sigma B)^{-1} X for a vector or a block of columns."""
-        return self.project(self.shifted.solve(X))
+        return self.projector.project(self.shifted.solve(X))
 
 
 def condensed_eigensolve(A, B, G, k: int, factor=None):
@@ -231,7 +250,7 @@ def condensed_eigensolve(A, B, G, k: int, factor=None):
         # are rounding noise that lies in the gradient space, and the Ritz
         # vectors pick up 10-20x the divergence of a dense solve from them;
         # the B-orthogonal projection off the gradients removes it
-        V = inverse.project(V)
+        V = inverse.projector.project(V)
     order = np.argsort(lam, kind="stable")
     lam, V = lam[order], V[:, order]
     peak = np.abs(V).argmax(axis=0)
@@ -256,45 +275,22 @@ def cotree_coordinates(V, lambdas, G, tc: TreeCotree):
     return W[tc.cotree]
 
 
-def gram_factor(G, C0):
-    """Sparse LU of the gradient Gram matrix C0^T G."""
-    try:
-        return spla.splu(sp.csc_matrix(C0.T @ G))
-    except RuntimeError as exc:
-        raise NumericalError(f"gradient Gram matrix is singular: {exc}") from exc
+def gram_schmidt_clean(Z, projector: GradientProjector):
+    """Orthogonalize basis columns against the gradient space in the
+    projector's inner product B.
 
-
-def graddiv_project(Z, G, C0, factor):
-    """Apply the grad-div projector P = I - G (C^T G)^{-1} C^T to columns.
-
-    C0 is the coupling block at the chosen parameter (n_curl x n_grad,
-    equal to B G there), so C0^T G is the symmetric positive-definite
-    gradient Gram matrix and ``factor`` is its ``gram_factor``. P annihilates
-    gradients and is idempotent.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if G.shape[1] == 0:
-        return Z.copy()
-    return Z - G @ factor.solve(np.asarray(C0.T @ Z))
-
-
-def gram_schmidt_clean(Z, G, B0, factor):
-    """Orthogonalize basis columns against the gradient space in B0.
-
-    The B0-orthogonal projection is ``graddiv_project`` with the coupling
-    block B0 G, applied twice: one sparse solve leaves its rounding error in
-    the gradient space. ``factor`` is the ``gram_factor`` of that block.
-    Columns that collapse to (numerically) pure
-    gradients are dropped and reported; the rest are re-orthonormalized in B0.
+    The projection is applied twice: one sparse solve leaves its rounding
+    error in the gradient space. Columns that collapse to (numerically) pure
+    gradients are dropped and reported; the rest are re-orthonormalized in B.
 
     Returns (Z_orth, dropped_column_indices).
     """
     Z = np.array(Z, dtype=float, copy=True)
-    if G.shape[1] == 0:
+    if projector.G.shape[1] == 0:
         return Z, []
+    B0 = projector.B
     before = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
-    C0 = B0 @ G
-    Z = graddiv_project(graddiv_project(Z, G, C0, factor), G, C0, factor)
+    Z = projector.project(projector.project(Z))
     after = np.sqrt(np.maximum(np.einsum("ij,ij->j", Z, B0 @ Z), 0.0))
     alive = after >= DROP_TOL * np.maximum(before, np.finfo(float).tiny)
     dropped = [int(i) for i in np.flatnonzero(~alive)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,6 @@ class CavityProblem:
         self._systems: dict[float, AssembledSystem] = {}
         self._tc = None
         self._metric = None
-        self._gram = None
         self._inverse = None
         self._transient = False
 
@@ -231,21 +231,16 @@ class CavityProblem:
         ungauged runs deliberately skip it.
         """
         if self.gauge == "gram-schmidt":
-            return gauge_mod.gram_schmidt_clean(Z, self.G, self.b_ref, self._gram_factor())
+            return gauge_mod.gram_schmidt_clean(Z, self.cleaning_projector)
         if self.gauge == "projection":
-            sys_ref = self.system(self.t_ref)
-            return gauge_mod.graddiv_project(Z, self.G, sys_ref.C, self._gram_factor()), []
+            return self.cleaning_projector.project(np.asarray(Z, dtype=float)), []
         return np.array(Z, dtype=float, copy=True), []
 
-    def _gram_factor(self):
-        """LU of the cleaning's gradient Gram matrix C0^T G, factored once
-        per problem: C0 = B(t_ref) G for gram-schmidt, the assembled coupling
-        block C(t_ref) for projection. None without interior vertices."""
-        if self._gram is None and self.n_grad:
-            sys_ref = self.system(self.t_ref)
-            C0 = sys_ref.B @ self.G if self.gauge == "gram-schmidt" else sys_ref.C
-            self._gram = gauge_mod.gram_factor(self.G, C0)
-        return self._gram
+    @cached_property
+    def cleaning_projector(self) -> gauge_mod.GradientProjector:
+        """The ``gauge.GradientProjector`` of B(t_ref) that both cleaning
+        gauges apply, with its Gram factor made once per problem."""
+        return gauge_mod.GradientProjector(self.b_ref, self.G)
 
     def orthonormalize(self, V: np.ndarray, against: np.ndarray | None = None):
         return b_orthonormalize(V, self.basis_metric, against=against)

@@ -25,7 +25,7 @@ from .problem import CavityProblem
 # with its ``PencilInterpolant`` as the ops. Both ops have ``size``,
 # ``solve(t, k)``, ``derivative_pencil(t)`` and ``projected_inverse(t)``,
 # which hands the derivative rule the ``gauge.ProjectedInverse`` of the last
-# solve (or nothing).
+# solve, with its ``gauge.GradientProjector`` (or nothing).
 SYSTEMS = ("high-fidelity", "reduced")
 
 # Relative eigen-residual a pair handed to the derivative rule may have.
@@ -167,7 +167,8 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
     * alpha fulfils the normalization row (B c)^T v' = -c^T B' v, c = B v.
 
     ``inverse`` is the ``gauge.ProjectedInverse`` of the pencil, which
-    gives x (its ``gradient_part``) and the preconditioner. Without it
+    gives x (the ``gradient_part`` of its ``projector``, the
+    ``gauge.GradientProjector`` of B) and the preconditioner. Without it
     (a reduced pencil, solved whole) V_w must be the whole spectrum and the
     rule is the modal sum alone. Each column must then meet RESIDUAL_TOL on
     the bordered system
@@ -213,7 +214,7 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
     D = V_w @ ((V_w.T @ R) / gap)
     iterations = 0
     if inverse is not None:
-        X = inverse.gradient_part(-(inverse.G.T @ BpV))
+        X = inverse.projector.gradient_part(-(inverse.projector.G.T @ BpV))
         BV_w = B @ V_w
 
         def precondition(Z):

@@ -153,6 +153,19 @@ def mixed_solve(lu, F, g):
     return lu.solve(np.vstack([F, g]))[: F.shape[0]]
 
 
+def gram_factor(G, C0):
+    """Default-ordering, partially pivoted LU of the gradient Gram matrix
+    C0^T G (oracle of the ``mass_factor`` of ``gauge.GradientProjector``)."""
+    return spla.splu(sp.csc_matrix(C0.T @ G))
+
+
+def graddiv_project(Z, G, C0, factor):
+    """Z - G (C0^T G)^{-1} C0^T Z with ``factor`` the ``gram_factor`` of C0:
+    with the assembled coupling block C0 = C(t), equal to B(t) G, the
+    C-coupled oracle of ``gauge.GradientProjector(B(t), G).project``."""
+    return Z - G @ factor.solve(np.asarray(C0.T @ Z))
+
+
 def correlation_match(predicted, candidates, B, rho_min=None):
     """Assign candidates to predicted vectors by maximal total correlation
     (oracle of the tracker's cluster-aware match on simple spectra).

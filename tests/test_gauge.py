@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cavityrb
 from cavityrb import (
+    GradientProjector,
     affine_stretch,
     assemble,
     build_tree_cotree,
-    graddiv_project,
     gram_schmidt_clean,
     identity_map,
     sine_bump,
@@ -22,7 +25,6 @@ from cavityrb.gauge import (
     condensed_eigensolve,
     cotree_coordinates,
     expand_cotree,
-    gram_factor,
     mass_factor,
 )
 
@@ -30,6 +32,8 @@ from conftest import (
     SPLIT_GAP,
     divergence_defect,
     eigenspace_distance,
+    graddiv_project,
+    gram_factor,
     make_problem,
     mesh,
     mgs_gradient_clean,
@@ -227,26 +231,35 @@ def test_mixed_form_solve_matches_dense_oracle(n, kind, t, data):
 )
 def test_projected_inverse_matches_mixed_form_oracle(n, kind, t, seed):
     # P (A - sigma B)^{-1} X and G (G^T B G)^{-1} g against the solves of the
-    # saddle-point matrix K(sigma) = [[A - sigma B, B G], [(B G)^T, 0]]
+    # saddle-point matrix K(sigma) = [[A - sigma B, B G], [(B G)^T, 0]], and
+    # the projector P against its form coupled by the assembled C(t) = B(t) G
+    # with a default LU of the Gram matrix
     fam = affine_stretch(2.5) if kind == "affine" else sine_bump(0.3)
     s = assemble(mesh(n), fam, t)
     inverse = gauge.ProjectedInverse(s.A, s.B, s.G)
+    projector = inverse.projector
     lu = mixed_factor(s.A, s.B, s.G)
+    gram = gram_factor(s.G, s.C)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((s.n_curl, 5))
     g = rng.standard_normal((s.n_grad, 5))
     V = inverse.solve(X)
-    for ours, oracle in (
-        (V, mixed_solve(lu, X, np.zeros_like(g))),
-        (inverse.gradient_part(g), mixed_solve(lu, np.zeros_like(X), g)),
+    PX = projector.project(X)
+    for ours, oracle, tol in (
+        (V, mixed_solve(lu, X, np.zeros_like(g)), 1e-11),
+        (projector.gradient_part(g), mixed_solve(lu, np.zeros_like(X), g), 1e-11),
+        (PX, graddiv_project(X, s.G, s.C, gram), 1e-12),
+        (projector.gradient_part(g), s.G @ gram.solve(g), 1e-12),
     ):
-        assert abs(ours - oracle).max() <= 1e-11 * abs(oracle).max()
+        assert abs(ours - oracle).max() <= tol * abs(oracle).max()
     # one column alone, as Lanczos applies it, is the block's column
     assert abs(inverse.solve(X[:, 0]) - V[:, 0]).max() <= 1e-13 * abs(V).max()
-    # the projection keeps divergence-free vectors and annihilates gradients
-    assert abs(inverse.project(V) - V).max() <= 1e-12 * abs(V).max()
+    # the projection is idempotent, keeps divergence-free vectors and
+    # annihilates gradients
+    assert abs(projector.project(PX) - PX).max() <= 1e-12 * abs(PX).max()
+    assert abs(projector.project(V) - V).max() <= 1e-12 * abs(V).max()
     grads = s.G @ g
-    assert abs(inverse.project(grads)).max() <= 1e-12 * abs(grads).max()
+    assert abs(projector.project(grads)).max() <= 1e-12 * abs(grads).max()
 
 
 @pytest.mark.parametrize("k", [45, 54])
@@ -264,6 +277,7 @@ def test_mixed_form_solve_keeps_every_copy_of_a_double_eigenvalue(k):
 @pytest.mark.parametrize("fault", ["singular", "residual"])
 def test_failed_mixed_form_solve_names_the_parameter(monkeypatch, fault):
     problem = make_problem(n=4, family="bump")
+    expected = r"condensed solve failed at t=0\.3: "
     if fault == "singular":
         # a zero gradient column leaves G^T B G with a zero column
         s = problem.system(0.3)
@@ -271,9 +285,10 @@ def test_failed_mixed_form_solve_names_the_parameter(monkeypatch, fault):
         G[:, 0] = 0.0
         broken = dataclasses.replace(s, G=G.tocsr())
         monkeypatch.setattr(problem, "system", lambda t: broken)
+        expected += "gradient Gram matrix is singular"
     else:
         monkeypatch.setattr(gauge, "EIGEN_RESIDUAL_TOL", 0.0)
-    with pytest.raises(NumericalError, match=r"condensed solve failed at t=0\.3"):
+    with pytest.raises(NumericalError, match=expected):
         problem.solve(0.3, 3)
 
 
@@ -336,7 +351,7 @@ def test_gram_schmidt_annihilates_gradient_components(rng):
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     Z = rng.standard_normal((m.n_curl, 5))
-    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
+    Z_orth, dropped = gram_schmidt_clean(Z, GradientProjector(s0.B, s0.G))
     assert dropped == []
     defect = abs(s0.G.T @ (s0.B @ Z_orth)).max()
     assert defect <= 1e-10 * abs(s0.B).max()
@@ -346,9 +361,9 @@ def test_gram_schmidt_idempotent(rng):
     m = mesh(4)
     s0 = assemble(m, affine_stretch(2.5), 0.0)
     Z = rng.standard_normal((m.n_curl, 4))
-    factor = gram_factor(s0.G, s0.B @ s0.G)
-    once, _ = gram_schmidt_clean(Z, s0.G, s0.B, factor)
-    twice, _ = gram_schmidt_clean(once, s0.G, s0.B, factor)
+    projector = GradientProjector(s0.B, s0.G)
+    once, _ = gram_schmidt_clean(Z, projector)
+    twice, _ = gram_schmidt_clean(once, projector)
     np.testing.assert_allclose(np.abs(once), np.abs(twice), atol=1e-11)
 
 
@@ -356,7 +371,7 @@ def test_gram_schmidt_drops_pure_gradient():
     m = mesh(4)
     s0 = assemble(m, identity_map(), 0.0)
     g = s0.G.toarray()[:, 2]
-    _, dropped = gram_schmidt_clean(g[:, None], s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
+    _, dropped = gram_schmidt_clean(g[:, None], GradientProjector(s0.B, s0.G))
     assert dropped == [0]
 
 
@@ -364,9 +379,7 @@ def test_gram_schmidt_keeps_clean_vectors():
     m = mesh(4)
     s0 = assemble(m, identity_map(), 0.0)
     sol = solve_gevp(s0.A, s0.B, 2)
-    Z_orth, dropped = gram_schmidt_clean(
-        sol.vectors, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
-    )
+    Z_orth, dropped = gram_schmidt_clean(sol.vectors, GradientProjector(s0.B, s0.G))
     assert dropped == []
     # already divergence-free orthonormal columns pass through unchanged
     np.testing.assert_allclose(Z_orth, sol.vectors, atol=1e-8)
@@ -399,7 +412,7 @@ def test_tree_block_factored_once_per_partition(monkeypatch):
 
 @pytest.mark.parametrize("gauge", ["gram-schmidt", "projection"])
 def test_gradient_gram_matrix_factored_once_per_problem(monkeypatch, gauge, rng):
-    # the cleaning's Gram matrix C0^T G is fixed at t_ref: one LU per
+    # the cleaning's Gram matrix G^T B(t_ref) G is fixed: one LU per
     # problem, however many cleanings the offline build runs
     calls = []
     splu = spla.splu
@@ -414,6 +427,39 @@ def test_gradient_gram_matrix_factored_once_per_problem(monkeypatch, gauge, rng)
     for _ in range(5):
         problem.clean_basis(rng.standard_normal((problem.n_curl, 3)))
     assert calls == [(problem.n_grad, problem.n_grad)]
+
+
+@pytest.mark.parametrize("strategy", ["gram-schmidt", "projection"])
+def test_cleaning_without_gradient_space_returns_its_input(strategy, rng):
+    # a one-cell mesh has no interior vertex: the cleaning projector has an
+    # empty Gram matrix and leaves every column as it is
+    problem = make_problem(n=1, family="bump", gauge=strategy)
+    assert problem.n_grad == 0
+    Z = rng.standard_normal((problem.n_curl, 2))
+    cleaned, dropped = problem.clean_basis(Z)
+    assert dropped == []
+    np.testing.assert_array_equal(cleaned, Z)
+
+
+def _splu_sites(node, scope, sites):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call) and "splu" in (
+            getattr(child.func, "attr", None), getattr(child.func, "id", None)
+        ):
+            sites.append(inner)
+        _splu_sites(child, inner, sites)
+
+
+def test_sparse_lu_is_called_only_by_mass_factor_and_the_tree_block():
+    # every symmetric positive-definite matrix goes through mass_factor's
+    # symmetric mode; the tree block G[tree, :] is not SPD and keeps its LU
+    sites = []
+    for path in sorted(Path(cavityrb.__file__).parent.glob("*.py")):
+        _splu_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, sites)
+    assert sorted(sites) == ["gauge.TreeCotree.tree_lu", "gauge.mass_factor"]
 
 
 @given(
@@ -439,7 +485,7 @@ def test_gram_schmidt_clean_matches_dense_mgs_oracle(n, family, t, seed, data):
     Z = rng.standard_normal((s0.n_curl, n_cols))
     for j in np.flatnonzero(grad):
         Z[:, j] = s0.G @ rng.standard_normal(s0.G.shape[1])
-    Z_orth, dropped = gram_schmidt_clean(Z, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G))
+    Z_orth, dropped = gram_schmidt_clean(Z, GradientProjector(s0.B, s0.G))
     Z_ref, dropped_ref = mgs_gradient_clean(Z, s0.G, s0.B)
     assert dropped == dropped_ref == [int(j) for j in np.flatnonzero(grad)]
     assert Z_orth.shape == Z_ref.shape
@@ -452,12 +498,12 @@ def test_projector_laws(rng):
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     Z = rng.standard_normal((m.n_curl, 6))
-    factor = gram_factor(s0.G, s0.C)
-    PZ = graddiv_project(Z, s0.G, s0.C, factor)
-    PPZ = graddiv_project(PZ, s0.G, s0.C, factor)
+    projector = GradientProjector(s0.B, s0.G)
+    PZ = projector.project(Z)
+    PPZ = projector.project(PZ)
     scale = abs(Z).max()
     assert abs(PPZ - PZ).max() <= 1e-12 * scale
-    assert abs(graddiv_project(s0.G.toarray(), s0.G, s0.C, factor)).max() <= 1e-12
+    assert abs(projector.project(s0.G.toarray())).max() <= 1e-12
     assert abs(s0.C.T @ PZ).max() <= 1e-10 * abs(s0.C).max() * scale
 
 
@@ -465,9 +511,8 @@ def test_projector_fixes_divergence_free_vectors():
     m = mesh(4)
     s0 = assemble(m, sine_bump(0.3), 0.0)
     sol = solve_gevp(s0.A, s0.B, 3)
-    cleaned, _ = gram_schmidt_clean(
-        sol.vectors, s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
-    )
+    # columns cleaned in B(0) are fixed by the projector coupled by C(0)
+    cleaned, _ = gram_schmidt_clean(sol.vectors, GradientProjector(s0.B, s0.G))
     P_cleaned = graddiv_project(cleaned, s0.G, s0.C, gram_factor(s0.G, s0.C))
     np.testing.assert_allclose(P_cleaned, cleaned, atol=1e-10)
 
@@ -487,9 +532,7 @@ def test_fixed_parameter_cleanup_defect_grows_with_t():
     s0 = assemble(m, fam, 0.0)
     s1 = assemble(m, fam, 1.0)
     sol = solve_gevp(s1.A, s1.B, 1)  # eigenvector of the deformed domain
-    z, _ = gram_schmidt_clean(
-        sol.vectors[:, :1], s0.G, s0.B, gram_factor(s0.G, s0.B @ s0.G)
-    )
+    z, _ = gram_schmidt_clean(sol.vectors[:, :1], GradientProjector(s0.B, s0.G))
     d0 = divergence_defect(z[:, 0], s0.C, s0.B)
     d1 = divergence_defect(z[:, 0], s1.C, s1.B)
     assert d0 <= 1e-10
