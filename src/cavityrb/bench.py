@@ -185,15 +185,23 @@ def classify_run(cfg: RunConfig, trace):
 # --------------------------------------------------------------------- bench
 
 
+# Least wall time the timed runs of one callable take together: a reduced
+# track of a few ms is repeated until its median no longer rests on three
+# samples.
+MIN_TIMED_S = 0.25
+
+
 def _time_callable(fn, repetitions: int):
-    """Median/mean seconds over ``repetitions`` runs after one warm-up."""
+    """(median, mean, runs) of the seconds per run after one warm-up: the
+    callable runs at least ``repetitions`` times and until the timed runs
+    add up to MIN_TIMED_S."""
     fn()  # warm-up, also fills raw assembly caches
     times = []
-    for _ in range(repetitions):
+    while len(times) < repetitions or sum(times) < MIN_TIMED_S:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return median(times), mean(times)
+    return median(times), mean(times), len(times)
 
 
 BENCH_GAUGES = ("tree-cotree", "gram-schmidt")
@@ -207,6 +215,8 @@ class BenchVariant:
     evp_mean: float = float("nan")
     track_median: float = float("nan")
     track_mean: float = float("nan")
+    evp_runs: int = 0
+    track_runs: int = 0
     status: str = "ok"
 
 
@@ -265,11 +275,11 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
         # alone drops it) until the timed runs are over
         with problem.transient_systems():
             try:
-                variant.evp_median, variant.evp_mean = _time_callable(
-                    evp_fn, cfg.repetitions
+                variant.evp_median, variant.evp_mean, variant.evp_runs = (
+                    _time_callable(evp_fn, cfg.repetitions)
                 )
-                variant.track_median, variant.track_mean = _time_callable(
-                    track_fn, cfg.repetitions
+                variant.track_median, variant.track_mean, variant.track_runs = (
+                    _time_callable(track_fn, cfg.repetitions)
                 )
             except CavityError as exc:
                 variant.status = f"failed: {exc}"
@@ -288,11 +298,13 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
                 "dof_count": variant.dof_count,
                 "evp_time_median": variant.evp_median,
                 "evp_time_mean": variant.evp_mean,
+                "evp_runs": variant.evp_runs,
                 "evp_speedup": ref.evp_median / variant.evp_median
                 if variant.status == "ok"
                 else float("nan"),
                 "tracking_time_median": variant.track_median,
                 "tracking_time_mean": variant.track_mean,
+                "tracking_runs": variant.track_runs,
                 "tracking_speedup": ref.track_median / variant.track_median
                 if variant.status == "ok"
                 else float("nan"),
@@ -303,7 +315,10 @@ def run_bench(cfg: RunConfig, prebuilt: dict | None = None):
         "rows": report_rows,
         "protocol": {
             "repetitions": cfg.repetitions,
-            "aggregation": "median (mean reported alongside)",
+            "min_timed_s": MIN_TIMED_S,
+            "aggregation": "median (mean reported alongside) of at least "
+            "`repetitions` runs lasting at least `min_timed_s` together; "
+            "each row reports its run counts",
             "warmup_runs_discarded": 1,
             "excluded": "raw matrix assembly and offline basis construction",
             "included": "per-parameter condensation, reduced-pencil evaluation "

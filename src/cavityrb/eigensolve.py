@@ -54,17 +54,26 @@ def solve_dense_gevp(A, B):
     """All eigenpairs of a symmetric-definite pencil, no null filtering.
 
     The one dense eigensolver of the package, which hands it only reduced
-    pencils. Sparse matrices (the tests' full-pencil oracles) are densified
-    into fresh Fortran-ordered arrays that LAPACK factors in place; dense
-    arrays (the cached reduced pencils) are never overwritten.
+    pencils. A and B may be (..., N, N) stacks of pencils: the result is
+    then the (..., N) eigenvalues and (..., N, N) eigenvectors of each,
+    from one ``scipy.linalg.eigh`` call per matrix, so every pencil of a
+    stack gets the same LAPACK call, and the same bits, as alone. Sparse
+    matrices (the tests' full-pencil oracles) are densified into fresh
+    Fortran-ordered arrays that LAPACK factors in place; dense arrays (the
+    cached reduced pencils) are never overwritten.
     """
     a_fresh, b_fresh = sp.issparse(A), sp.issparse(B)
     Ad = A.toarray(order="F") if a_fresh else np.asarray(A, float)
     Bd = B.toarray(order="F") if b_fresh else np.asarray(B, float)
+    lam, V = np.empty(Ad.shape[:-1]), np.empty(Ad.shape)
     try:
-        return scipy.linalg.eigh(Ad, Bd, overwrite_a=a_fresh, overwrite_b=b_fresh)
+        for i in np.ndindex(Ad.shape[:-2]):
+            lam[i], V[i] = scipy.linalg.eigh(
+                Ad[i], Bd[i], overwrite_a=a_fresh, overwrite_b=b_fresh
+            )
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"mass-matrix factorization failed: {exc}") from exc
+    return lam, V
 
 
 def residual_norms(A, B, lambdas, vectors) -> np.ndarray:

@@ -226,16 +226,17 @@ class _TrainingSet:
         self.fresh = True
 
     def sweep(self) -> np.ndarray:
-        """Estimator values over the training set, shape (N_train, K)."""
+        """Estimator values over the training set, shape (N_train, K): the
+        (T, N, N) reduced pencils go to the dense solver as one stack."""
         T, cfg = len(self.systems), self.config
         if self.fresh:
             self.fresh = False
             return np.vstack([self._first_estimate(i) for i in range(T)])
-        pairs = [self._reduced_pairs(i) for i in range(T)]
-        lambdas, vectors = map(np.stack, zip(*pairs))
+        m = cfg.K + cfg.tau
+        lambdas, vectors = solve_dense_gevp(self.A_N, self.B_N)
         return estimate(
-            self.A, self.B, self.U, lambdas, vectors, cfg.K, cfg.delta_mult,
-            self.factor if self.inverse else None,
+            self.A, self.B, self.U, lambdas[:, :m], vectors[:, :, :m], cfg.K,
+            cfg.delta_mult, self.factor if self.inverse else None,
         )
 
     def _first_estimate(self, i: int) -> np.ndarray:
@@ -246,16 +247,12 @@ class _TrainingSet:
         if self.tc:
             self.U[i] = gauge.expand_cotree(self.Z, s.A, self.tc, factor)
         self.A_N[i], self.B_N[i] = reduce_system(self.U[i], s.A, s.B)
-        lam, V = self._reduced_pairs(i)
+        m = cfg.K + cfg.tau
+        lam, V = solve_dense_gevp(self.A_N[i : i + 1], self.B_N[i : i + 1])
         return estimate(
-            s.A, s.B, self.U[i : i + 1], lam[None], V[None], cfg.K, cfg.delta_mult,
+            s.A, s.B, self.U[i : i + 1], lam[:, :m], V[:, :, :m], cfg.K, cfg.delta_mult,
             factor if self.inverse else None,
         )
-
-    def _reduced_pairs(self, i: int):
-        m = self.config.K + self.config.tau
-        lam, V = solve_dense_gevp(self.A_N[i], self.B_N[i])
-        return lam[:m], V[:, :m]
 
     def append(self, Q: np.ndarray):
         """Add the columns Q to the basis: expand them at every parameter

@@ -5,12 +5,15 @@ Chebyshev-Lobatto nodes t_j = (1 - cos(pi j / m)) / 2 of [0, 1], doubling m
 from 8 (every level reuses the node values of the one before) until the
 trailing quarter of the Chebyshev coefficients has decayed to round-off.
 Online, the pencil and its t-derivative at any t are weighted sums of the
-stored node values: the barycentric Lagrange weights and their derivative,
-applied in one matrix-vector product each. No online evaluation touches the
-mesh. The interpolant is the reduced tracker's operator layer itself: its
-``solve(t, k)`` returns the pencil it solved beside the eigenpairs, and it
-keeps the weights of the last parameter, so a tracking step computes the
-weights of each parameter once, for the solve and the derivative alike.
+stored node values: the barycentric Lagrange weights and their derivative.
+The interpolant evaluates a stack of S parameters at once: the weights of
+all of them times the node values in one matrix product, unpacked into an
+(S, 4, N, N) array of A_N, B_N, A_N' and B_N' by one index, and solved by
+one ``solve_dense_gevp`` call (``evaluate``). No online evaluation touches
+the mesh. The interpolant is the reduced tracker's operator layer itself:
+a march hands it every parameter of its step grid as one stack, and keeps
+nothing of it on the interpolant. ``pencil``, ``derivative_pencil`` and
+``solve`` are stacks of one.
 See Trefethen, *Approximation Theory and Approximation Practice*, and
 Berrut & Trefethen, Barycentric Lagrange interpolation, SIAM Review 2004.
 """
@@ -89,12 +92,17 @@ class PencilInterpolant:
         return w
 
     @cached_property
-    def triangle(self):
-        """Row and column indices of the packed upper triangles."""
-        return np.triu_indices(self.size)
+    def unpack(self):
+        """(N, N) index of each matrix entry into the packed upper triangle,
+        built once per interpolant: one fancy index unpacks a whole stack."""
+        rows, cols = np.triu_indices(self.size)
+        index = np.empty((self.size, self.size), dtype=np.intp)
+        index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+        return index
 
-    def weights(self, t: float):
-        """Lagrange weights of the nodes at t and their t-derivatives.
+    def weights(self, ts):
+        """Lagrange weights of the nodes at each parameter of ts and their
+        t-derivatives, two (S, m + 1) arrays.
 
         The barycentric terms w_j / (t - t_j) are scaled by t - t_k, with
         t_k the nearest node, so nothing overflows at or next to a node; at
@@ -104,59 +112,60 @@ class PencilInterpolant:
         zero), which avoids the cancellation next to a node.
         """
         w = self.barycentric_weights
-        diff = float(t) - self.nodes
-        k = int(np.argmin(np.abs(diff)))
-        delta, diff[k] = diff[k], 1.0
-        c = w * delta / diff
-        c[k] = w[k]
-        total = c.sum()
+        diff = np.asarray(ts, dtype=float).reshape(-1, 1) - self.nodes
+        rows = np.arange(diff.shape[0])
+        k = np.argmin(np.abs(diff), axis=1)
+        delta = diff[rows, k].copy()
+        diff[rows, k] = 1.0
+        c = w * delta[:, None] / diff
+        c[rows, k] = w[k]
+        total = c.sum(axis=1, keepdims=True)
         ell = c / total
         # l_j' = l_j (sum_i l_i / (t - t_i) - 1 / (t - t_j)), with the i = k
         # term l_j l_k / delta rewritten as l_k w_j / ((t - t_j) total)
         inner = ell / diff
-        inner[k] = 0.0
-        dell = ell * (inner.sum() - 1.0 / diff) + ell[k] * w / (diff * total)
-        dell[k] = 0.0
-        dell[k] = -dell.sum()
+        inner[rows, k] = 0.0
+        dell = (ell * (inner.sum(axis=1, keepdims=True) - 1.0 / diff)
+                + ell[rows, k][:, None] * w / (diff * total))
+        dell[rows, k] = 0.0
+        dell[rows, k] = -dell.sum(axis=1)
         return ell, dell
 
-    def _combine(self, weights):
-        rows, cols = self.triangle
-        packed = (weights @ self.values.reshape(weights.size, -1)).reshape(2, -1)
-        out = np.empty((2, self.size, self.size))
-        out[:, rows, cols] = packed
-        out[:, cols, rows] = packed
-        return out[0], out[1]
+    def pencils(self, ts):
+        """A_N, B_N, A_N' and B_N' at each parameter of ts, one (S, 4, N, N)
+        array: the weights and derivative weights of every parameter times
+        the node values in one matrix product, unpacked by one index."""
+        ell, dell = self.weights(ts)
+        weights = np.stack([ell, dell], axis=1).reshape(-1, self.m + 1)
+        packed = weights @ self.values.reshape(self.m + 1, -1)
+        return packed.reshape(ell.shape[0], 4, -1)[:, :, self.unpack]
 
-    def _weights_at(self, t: float):
-        """``weights(t)``, kept for the last t asked for: a tracking step's
-        solve and the next step's derivative share one evaluation. Kept in
-        the instance dict, as ``cached_property`` keeps its values."""
-        t = float(t)
-        last = self.__dict__.get("_last_weights")
-        if last is None or last[0] != t:
-            last = self.__dict__["_last_weights"] = (t, self.weights(t))
-        return last[1]
+    def evaluate(self, ts):
+        """The stack of the parameters ts: ``pencils(ts)`` and the whole
+        spectrum of each pencil, as (pencils, lambdas (S, N), vectors
+        (S, N, N)), from one stacked dense solve."""
+        pencils = self.pencils(ts)
+        return (pencils, *solve_dense_gevp(pencils[:, 0], pencils[:, 1]))
 
     def pencil(self, t: float):
-        """(A_N(t), B_N(t))."""
-        return self._combine(self._weights_at(t)[0])
+        """(A_N(t), B_N(t)), a stack of one."""
+        return tuple(self.pencils([t])[0, :2])
 
     def derivative_pencil(self, t: float):
-        """(A_N'(t), B_N'(t)), the derivative of the interpolant."""
-        return self._combine(self._weights_at(t)[1])
+        """(A_N'(t), B_N'(t)), the derivative of the interpolant, a stack of
+        one."""
+        return tuple(self.pencils([t])[0, 2:])
 
     def solve(self, t: float, k: int):
         """The pencil at t and its eigenpairs, as ((A_N, B_N), lambdas,
         vectors): the whole spectrum, of which the first k are asked for,
-        because the dense solve computes every pair anyway."""
-        pencil = self.pencil(t)
-        lam, V = solve_dense_gevp(*pencil)
-        return pencil, lam, V
+        because the dense solve computes every pair anyway. A stack of one."""
+        pencils, lam, V = self.evaluate([t])
+        return (pencils[0, 0], pencils[0, 1]), lam[0], V[0]
 
     def projected_inverse(self, t: float):
         """None: the reduced pencil has no gradient kernel to constrain, and
-        ``solve`` hands the derivative rule the whole spectrum."""
+        its solves hand the derivative rule the whole spectrum."""
         return None
 
 

@@ -5,7 +5,8 @@ predicts the pair at t + h by first-order Taylor expansion, solves the
 eigenproblem there and re-identifies the tracked modes by a B-weighted
 correlation assignment. Crossings show up as rank changes inside the
 tracked family and are flagged; splits of previously degenerate clusters
-are not crossings and stay unflagged.
+are not crossings and stay unflagged. The parameters a march visits at one
+step size are evaluated as one stack before it steps.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from .problem import CavityProblem
 
 # "high-fidelity" tracks the physical modes of the full pencil, with the
 # problem itself as the ops; "reduced" tracks the pencil of a reduced basis,
-# with its ``PencilInterpolant`` as the ops. Both ops have ``size``,
-# ``solve(t, k)``, ``derivative_pencil(t)`` and ``projected_inverse(t)``,
-# which hands the derivative rule the ``gauge.ProjectedInverse`` of the last
-# solve, with its ``gauge.GradientProjector`` (or nothing).
+# with its ``PencilInterpolant`` as the ops. The march reads the ops through
+# a stack of the parameters it will visit: a ``_WindowStack`` calls the
+# problem's ``solve(t, k)``, ``derivative_pencil(t)`` and
+# ``projected_inverse(t)`` (the ``gauge.ProjectedInverse`` of the last solve,
+# with its ``gauge.GradientProjector``) one parameter at a time; a
+# ``_SpectrumStack`` takes the interpolant's ``evaluate(ts)``, all of them at
+# once. Both ops also have ``size`` and the three per-parameter methods.
 SYSTEMS = ("high-fidelity", "reduced")
 
 # Relative eigen-residual a pair handed to the derivative rule may have.
@@ -115,36 +119,67 @@ class TrackingTrace:
 
 @dataclass
 class Derivatives:
-    """Eigenpair derivatives of some modes of a solved window.
+    """Eigenpair derivatives of some modes of a solved window, or of every
+    mode of a stack of windows (leading axes).
 
-    ``vectors`` (n x m) and ``values`` (m) are zero in the columns that
-    failed the residual gate (``failed``); ``iterations`` counts the
-    complement solve's iterations (0 without a complement).
+    ``vectors`` (..., n, m) and ``values`` (..., m) are zero in the columns
+    that failed the residual gate (``failed``); ``iterations`` counts the
+    complement solve's iterations (0 without a complement). ``unpaired``,
+    ``orthogonal`` and ``multiple`` mark the columns whose input the rule
+    cannot use: a pair off PAIR_RESIDUAL_TOL, an eigenvector B-orthogonal
+    to its normalization vector, a mode in a multiplicity cluster.
     """
 
     vectors: np.ndarray
     values: np.ndarray
     failed: np.ndarray
     iterations: int
+    unpaired: np.ndarray
+    orthogonal: np.ndarray
+    multiple: np.ndarray
+
+    def pick(self, modes, row=()):
+        """The columns ``modes`` of stack row ``row`` (of the whole, unstacked),
+        raising for them as the rule raises for the modes it is asked for."""
+        unpaired, orthogonal, multiple = (
+            a[row][modes] for a in (self.unpaired, self.orthogonal, self.multiple)
+        )
+        _require_usable(unpaired, orthogonal, multiple)
+        return Derivatives(
+            self.vectors[row][..., modes], self.values[row][modes],
+            self.failed[row][modes], self.iterations, unpaired, orthogonal, multiple,
+        )
+
+
+def _require_usable(unpaired, orthogonal, multiple):
+    if unpaired.any():
+        raise ValueError("input pair is not an eigenpair to the required residual")
+    if orthogonal.any():
+        raise ValueError("normalization vector is B-orthogonal to the eigenvector")
+    if multiple.any():
+        raise SingularDerivativeError(
+            "a mode lies in a multiplicity cluster of the window (multiple eigenvalue)"
+        )
 
 
 def _colsum(X, Y):
-    return np.einsum("ij,ij->j", X, Y)
+    return np.einsum("...ij,...ij->...j", X, Y)
 
 
 def _multiple(lam, delta):
     """Whether each eigenvalue lies in a multiplicity cluster: in value
-    order, unless ``cluster_breaks`` finds a break on both sides of it."""
-    order = np.argsort(lam, kind="stable")
-    edges = np.ones(lam.size + 1, dtype=bool)
-    edges[1:-1] = cluster_breaks(lam[order], delta)
-    mask = np.empty(lam.size, dtype=bool)
-    mask[order] = ~(edges[:-1] & edges[1:])
+    order, unless ``cluster_breaks`` finds a break on both sides of it.
+    Along the last axis, so a (S, m) stack of spectra is one classification."""
+    order = np.argsort(lam, axis=-1, kind="stable")
+    edges = np.ones((*lam.shape[:-1], lam.shape[-1] + 1), dtype=bool)
+    edges[..., 1:-1] = cluster_breaks(np.take_along_axis(lam, order, axis=-1), delta)
+    mask = np.empty(lam.shape, dtype=bool)
+    np.put_along_axis(mask, order, ~(edges[..., :-1] & edges[..., 1:]), axis=-1)
     return mask
 
 
-def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
-                      delta=DEFAULT_MULT_TOL):
+def eigen_derivatives(pencil, derivative, lam_w, V_w, modes=None, inverse=None,
+                      delta=DEFAULT_MULT_TOL, multiple=None):
     """Derivatives of the eigenpairs ``modes`` of a solved window, as
     ``Derivatives``.
 
@@ -170,48 +205,63 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
     gives x (the ``gradient_part`` of its ``projector``, the
     ``gauge.GradientProjector`` of B) and the preconditioner. Without it
     (a reduced pencil, solved whole) V_w must be the whole spectrum and the
-    rule is the modal sum alone. Each column must then meet RESIDUAL_TOL on
-    the bordered system
+    rule is the modal sum alone; the pencils, their derivatives and the
+    windows may then be (S, N, N) and (S, N) stacks, and the rule takes
+    every stack at once. Each column must meet RESIDUAL_TOL on the bordered
+    system
         [A - lam B   -B v] [v']     [-A' v + lam B' v]
         [  c^T B       0 ] [lam']  = [   -c^T B' v    ],
-    or fails. A mode in a multiplicity cluster of the window
-    (``cluster_breaks`` with ``delta``) raises SingularDerivativeError.
+    or fails. ``multiple`` marks the window's modes that lie in a
+    multiplicity cluster (``_multiple`` with ``delta`` when not given);
+    their columns are masked before the modal division.
+
+    With ``modes`` given, a mode in a cluster raises SingularDerivativeError,
+    and a pair off PAIR_RESIDUAL_TOL or one B-orthogonal to its
+    normalization vector ValueError. With ``modes=None`` the rule takes
+    every column of every window and returns those gates per column, for
+    ``Derivatives.pick`` to raise on the modes a caller selects.
     """
     A, B = pencil
     A_p, B_p = derivative
     lam_w = np.asarray(lam_w, dtype=float)
     V_w = np.asarray(V_w, dtype=float)
-    modes = np.atleast_1d(np.asarray(modes, dtype=int))
-    n, m = V_w.shape[0], modes.size
-    V, lam = V_w[:, modes], lam_w[modes]
+    n = V_w.shape[-2]
+    if inverse is None and V_w.shape[-1] < n:
+        raise ValueError("without a projected inverse the window must be the whole spectrum")
+    if multiple is None:
+        multiple = _multiple(lam_w, delta)
+    every = modes is None
+    modes = np.arange(lam_w.shape[-1]) if every else np.atleast_1d(
+        np.asarray(modes, dtype=int))
+    m = modes.size
+    V, lam, multiple = V_w[..., modes], lam_w[..., modes], multiple[..., modes]
+    lam_c = lam[..., None, :]
     BV = B @ V
-    norm_BV = np.linalg.norm(BV, axis=0)
+    norm_BV = np.linalg.norm(BV, axis=-2)
     scale = np.maximum(np.abs(lam) * norm_BV, np.finfo(float).tiny)
-    if np.any(np.linalg.norm(A @ V - lam * BV, axis=0) / scale > PAIR_RESIDUAL_TOL):
-        raise ValueError("input pair is not an eigenpair to the required residual")
+    unpaired = np.linalg.norm(A @ V - lam_c * BV, axis=-2) / scale > PAIR_RESIDUAL_TOL
     BC = B @ BV
     vBC = _colsum(BC, V)
-    if np.any(np.abs(vBC) < 1e-12 * np.maximum(
-            np.linalg.norm(BC, axis=0) * np.linalg.norm(V, axis=0), 1e-300)):
-        raise ValueError("normalization vector is B-orthogonal to the eigenvector")
-    if _multiple(lam_w, delta)[modes].any():
-        raise SingularDerivativeError(
-            "a mode lies in a multiplicity cluster of the window (multiple eigenvalue)"
-        )
-    if inverse is None and V_w.shape[1] < n:
-        raise ValueError("without a projected inverse the window must be the whole spectrum")
+    orthogonal = np.abs(vBC) < 1e-12 * np.maximum(
+        np.linalg.norm(BC, axis=-2) * np.linalg.norm(V, axis=-2), 1e-300)
+    if not every:
+        _require_usable(unpaired, orthogonal, multiple)
+    unusable = unpaired | orthogonal | multiple
 
     ApV, BpV = A_p @ V, B_p @ V
-    lam_p = _colsum(V, ApV - lam * BpV) / _colsum(V, BV)
-    rhs = lam * BpV - ApV
-    R = rhs + lam_p * BV
+    lam_p = _colsum(V, ApV - lam_c * BpV) / _colsum(V, BV)
+    rhs = lam_c * BpV - ApV
+    R = rhs + lam_p[..., None, :] * BV
     rhs_row = -_colsum(BV, BpV)
     ref = np.maximum(np.sqrt(_colsum(rhs, rhs) + rhs_row**2), np.abs(lam) * norm_BV)
     gate = RESIDUAL_TOL * np.maximum(ref, 1.0)
 
-    gap = lam_w[:, None] - lam
-    gap[modes, np.arange(m)] = np.inf
-    D = V_w @ ((V_w.T @ R) / gap)
+    # a clustered column would divide by its partners' zero gaps: it is
+    # masked, and no caller selects it
+    gap = lam_w[..., :, None] - lam_c
+    gap[..., modes, np.arange(m)] = np.inf
+    gap = np.where(unusable[..., None, :], np.inf, gap)
+    D = V_w @ ((np.swapaxes(V_w, -1, -2) @ R) / gap)
     iterations = 0
     if inverse is not None:
         X = inverse.projector.gradient_part(-(inverse.projector.G.T @ BpV))
@@ -249,14 +299,16 @@ def eigen_derivatives(pencil, derivative, lam_w, V_w, modes, inverse=None,
             P = Y + np.divide(rz_next, rz, out=np.zeros(m), where=rz > 0) * P
             rz = rz_next
         D += X + W
-    D += ((rhs_row - _colsum(BC, D)) / vBC) * V
+    alpha = np.divide(rhs_row - _colsum(BC, D), vBC, out=np.zeros_like(vBC),
+                      where=~orthogonal)
+    D += alpha[..., None, :] * V
 
-    top = A @ D - lam * (B @ D) - lam_p * BV - rhs
+    top = A @ D - lam_c * (B @ D) - lam_p[..., None, :] * BV - rhs
     row = _colsum(BC, D) - rhs_row
-    failed = ~(np.sqrt(_colsum(top, top) + row**2) <= gate)
-    D[:, failed] = 0.0
-    lam_p[failed] = 0.0
-    return Derivatives(D, lam_p, failed, iterations)
+    failed = ~(np.sqrt(_colsum(top, top) + row**2) <= gate) | unusable
+    D = np.where(failed[..., None, :], 0.0, D)
+    lam_p = np.where(failed, 0.0, lam_p)
+    return Derivatives(D, lam_p, failed, iterations, unpaired, orthogonal, multiple)
 
 
 def taylor_predict(v, lam, v_prime, lam_prime, h):
@@ -348,11 +400,12 @@ def _seed_degenerate_clusters(lam0, V0, derivative, delta):
 
 
 def _make_ops(config, problem, basis):
-    """Operators of the tracked system: the problem itself, or the basis's
-    interpolant. A reduced basis fits only the problem it was built for:
-    every mismatch is one ConfigError."""
+    """Operators of the tracked system and the stack that evaluates their
+    parameters: the problem itself with a ``_WindowStack``, or the basis's
+    interpolant with a ``_SpectrumStack``. A reduced basis fits only the
+    problem it was built for: every mismatch is one ConfigError."""
     if config.system == "high-fidelity":
-        return problem
+        return problem, _WindowStack
     if basis is None:
         raise ValueError("reduced tracking needs a basis")
     rows = problem.size if problem.basis_space == "cotree" else problem.n_curl
@@ -375,7 +428,76 @@ def _make_ops(config, problem, basis):
     if interpolant is None:
         # a version-1 file or a bare POD basis stores no interpolant
         interpolant = pencil_interpolant(problem, basis.Z)
-    return interpolant
+    return interpolant, _SpectrumStack
+
+
+class _WindowStack:
+    """Parameters ``ts`` of a march on the high-fidelity ops, each solved
+    when the march reaches it, with as many pairs as the march asks for:
+    one factorization and one Lanczos run per parameter (a widened window
+    runs Lanczos again on the same factors). The march reads only the row
+    it solved last, so only that row's window, derivative pencil and
+    multiplicity mask are kept, each made once; its derivatives run the
+    rule on that window alone, with the complement solve of the step's
+    ``ProjectedInverse``."""
+
+    def __init__(self, ops, ts, delta):
+        self.ops, self.ts, self.delta = ops, ts, delta
+
+    def solve(self, i, k):
+        pencil, lam, V = self.ops.solve(self.ts[i], k)
+        self.pencil, self.lam, self.V = {i: pencil}, {i: lam}, {i: V}
+        self.derivative, self.mask = {}, {}
+        return pencil, lam, V
+
+    def derivative_pencil(self, i):
+        if i not in self.derivative:
+            self.derivative[i] = self.ops.derivative_pencil(self.ts[i])
+        return self.derivative[i]
+
+    def multiple(self, i):
+        if i not in self.mask:
+            self.mask[i] = _multiple(self.lam[i], self.delta)
+        return self.mask[i]
+
+    def derivatives(self, i, modes):
+        return eigen_derivatives(
+            self.pencil[i], self.derivative_pencil(i), self.lam[i], self.V[i], modes,
+            inverse=self.ops.projected_inverse(self.ts[i]), multiple=self.multiple(i),
+        )
+
+
+class _SpectrumStack:
+    """Parameters ``ts`` of a march on the reduced ops, evaluated as one
+    stack when it is made: the pencils, derivative pencils and whole
+    spectra of ``PencilInterpolant.evaluate``, and one multiplicity
+    classification of every spectrum. The derivatives of every mode of
+    every parameter follow in one pass of the rule when the march first
+    asks for them, so a seeded t = 0 window enters them. A row's window is
+    its whole spectrum, however many pairs the march asks for."""
+
+    def __init__(self, ops, ts, delta):
+        self.pencils, self.lam, self.V = ops.evaluate(ts)
+        self.mask = _multiple(self.lam, delta)
+        self.every = None
+
+    def solve(self, i, k):
+        return (self.pencils[i, 0], self.pencils[i, 1]), self.lam[i], self.V[i]
+
+    def derivative_pencil(self, i):
+        return self.pencils[i, 2], self.pencils[i, 3]
+
+    def multiple(self, i):
+        return self.mask[i]
+
+    def derivatives(self, i, modes):
+        if self.every is None:
+            P = self.pencils
+            self.every = eigen_derivatives(
+                (P[:, 0], P[:, 1]), (P[:, 2], P[:, 3]), self.lam, self.V,
+                multiple=self.mask,
+            )
+        return self.every.pick(modes, i)
 
 
 def _rank_permutation(prev_lam, cur_lam, delta):
@@ -402,36 +524,56 @@ def _rank_permutation(prev_lam, cur_lam, delta):
 def track(config: TrackingConfig, problem: CavityProblem, basis: ReducedBasis | None = None) -> TrackingTrace:
     """March the tracked eigenpairs from t = 0 to t = 1.
 
-    Each step takes the derivatives of its simple tracked modes from the
-    window solved at t (``eigen_derivatives``; the high-fidelity ops hand
-    it the step's ``ProjectedInverse``), so each parameter is factored once;
-    at t = 0 the same derivative pencil seeds the degenerate clusters
+    Before it steps, the march hands the ops every parameter it will visit
+    at the step size h as one stack (``_WindowStack``, ``_SpectrumStack``):
+    the reduced ops evaluate all of them at once, the high-fidelity ops
+    each one as the march reaches it. Each step takes the derivatives of
+    its simple tracked modes from the window solved at t
+    (``eigen_derivatives``; the high-fidelity ops hand it the step's
+    ``ProjectedInverse``), so each parameter is factored once; at t = 0
+    the same derivative pencil seeds the degenerate clusters
     (``_seed_degenerate_clusters``). Steps that fail the correlation
     threshold first widen the candidate window, then halve the step size
     (at most max_halvings times) before aborting with a partial trace. The
-    final step lands exactly on 1. The problem's systems of the visited
-    parameters leave its cache at the end.
+    final step lands exactly on 1. The stacks, and the problem's systems of
+    the visited parameters, live only as long as the call.
     """
-    ops = _make_ops(config, problem, basis)
+    ops, Stack = _make_ops(config, problem, basis)
     if ops.size < config.K:
         raise NumericalError(
             f"system provides only {ops.size} eigenvalues, tracking needs {config.K}"
         )
     with problem.transient_systems():
-        return _march(config, ops)
+        return _march(config, ops, Stack)
 
 
-def _march(config, ops):
-    """The march of ``track`` on its ops."""
+def _grid(t, h):
+    """The parameters a march from t visits at step size h: t + h, t + 2 h,
+    ..., the last step cut to land on 1 exactly."""
+    ts = []
+    while t < 1.0 - 1e-12:
+        t = min(t + min(h, 1.0 - t), 1.0)
+        ts.append(t)
+    return ts
+
+
+def _march(config, ops, Stack):
+    """The march of ``track`` on its ops, reading every window from a
+    ``Stack`` of parameters: one stack of 0 and the grid of step h from it;
+    a stack of one for a halved step, after which the rest of the grid is
+    stacked again from the parameter that step reached."""
     trace = TrackingTrace()
-    K = config.K
-    # the pencil, derivative pencil and solved window at t: the tracked modes
-    # are the window columns ``positions``, and every window pair enters
-    # their derivatives
+    K, delta = config.K, config.delta_mult
+    # the window at t is row i of the stack ``here``: the tracked modes are
+    # its columns ``positions``, and every window pair enters their
+    # derivatives; the next full step reads row g of ``grid``
     window = min(ops.size, K + config.overtrack)
-    pencil_t, lam_w, V_w = ops.solve(0.0, min(window + 1, ops.size))
-    derivative_t = ops.derivative_pencil(0.0)
-    V_w = _seed_degenerate_clusters(lam_w, V_w, derivative_t, config.delta_mult)
+    grid = here = Stack(ops, [0.0, *_grid(0.0, config.h)], delta)
+    i, g = 0, 1
+    _, lam_w, V_w = here.solve(i, min(window + 1, ops.size))
+    V_w = here.V[i] = _seed_degenerate_clusters(
+        lam_w, V_w, here.derivative_pencil(i), delta
+    )
     positions = np.arange(K)
     trace.steps.append(
         TrackStep(
@@ -448,23 +590,20 @@ def _march(config, ops):
 
     t = 0.0
     while t < 1.0 - 1e-12:
+        if grid is None:
+            grid, g = Stack(ops, _grid(t, config.h), delta), 0
         lam_cur, V_cur = lam_w[positions], V_w[:, positions]
         # Modes in a multiplicity cluster of the window, which reaches one
         # past the candidate window (an untracked partner of a multiple
         # eigenvalue counts), fall back to zero-order prediction, and so do
         # modes whose derivative fails the residual gate.
-        fallback = _multiple(lam_w, config.delta_mult)[positions]
+        fallback = here.multiple(i)[positions]
         simple = np.flatnonzero(~fallback)
         dlam = np.zeros(K)
         Vdot = np.zeros_like(V_cur)
         iterations = 0
         if simple.size:
-            if derivative_t is None:
-                derivative_t = ops.derivative_pencil(t)
-            deriv = eigen_derivatives(
-                pencil_t, derivative_t, lam_w, V_w, positions[simple],
-                inverse=ops.projected_inverse(t), delta=config.delta_mult,
-            )
+            deriv = here.derivatives(i, positions[simple])
             dlam[simple] = deriv.values
             Vdot[:, simple] = deriv.vectors
             fallback[simple[deriv.failed]] = True
@@ -475,6 +614,7 @@ def _march(config, ops):
         match = None
         while True:
             t_next = min(t + h_cur, 1.0)
+            nxt, j = (grid, g) if not halvings else (Stack(ops, [t_next], delta), 0)
             dt = t_next - t
             V_pred, _ = taylor_predict(V_cur, lam_cur, Vdot, dlam, dt)
             win = min(window, ops.size)
@@ -483,10 +623,10 @@ def _march(config, ops):
             # eigenvalue beyond the window shows whether a candidate at its
             # edge belongs to a multiplicity cluster.
             while True:
-                pencil, lam_next, V_next = ops.solve(t_next, min(win + 1, ops.size))
+                pencil, lam_next, V_next = nxt.solve(j, min(win + 1, ops.size))
                 match = _cluster_aware_match(
                     V_pred, lam_cur, V_next[:, :win], pencil[1],
-                    config.delta_mult, config.rho_min,
+                    delta, config.rho_min,
                 )
                 if match.ok or win >= ops.size:
                     break
@@ -500,7 +640,7 @@ def _march(config, ops):
             return trace
 
         lam_new = lam_next[match.perm].copy()
-        perm, crossing, ranks = _rank_permutation(lam_cur, lam_new, config.delta_mult)
+        perm, crossing, ranks = _rank_permutation(lam_cur, lam_new, delta)
         flags = []
         if crossing:
             flags.append("crossing-detected")
@@ -522,10 +662,13 @@ def _march(config, ops):
             )
         )
         window = max(K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
-        # the pencil and window solved at t_next serve the next derivatives,
-        # so every parameter is evaluated and factored once
-        pencil_t, lam_w, V_w = pencil, lam_next, V_next
-        derivative_t = None
+        # the window solved at t_next serves the next derivatives, so every
+        # parameter is evaluated and factored once
+        here, i, lam_w, V_w = nxt, j, lam_next, V_next
+        if halvings:
+            grid = None
+        else:
+            g += 1
         positions = match.perm
         t = t_next
 

@@ -26,6 +26,7 @@ from cavityrb.gauge import SHIFT, expand_cotree, mass_factor
 from cavityrb.greedy import relative_gaps
 from cavityrb.pod import reduce_system
 from cavityrb.problem import CavityProblem
+from cavityrb import tracking
 from cavityrb.tracking import RESIDUAL_TOL, _assign, _correlation_matrix
 
 settings.register_profile(
@@ -698,3 +699,126 @@ def pod_clamped(Y, B, want, **kw):
         return pod_basis(Y, B, want, **kw)
     except RankDeficiencyError as exc:
         return pod_basis(Y, B, exc.achievable, **kw)
+
+
+def per_parameter_track(config, problem, basis=None):
+    """``tracking.track`` by ``per_parameter_march`` (its oracle)."""
+    ops, _ = tracking._make_ops(config, problem, basis)
+    with problem.transient_systems():
+        return per_parameter_march(config, ops)
+
+
+def per_parameter_march(config, ops):
+    """The march of ``tracking.track`` one parameter at a time (oracle of
+    the stacked march): each step solves its next parameter with
+    ``ops.solve``, takes its derivative pencil with ``ops.derivative_pencil``
+    and runs ``eigen_derivatives`` on its own window, which classifies the
+    window itself."""
+    trace = tracking.TrackingTrace()
+    K = config.K
+    # the pencil, derivative pencil and solved window at t: the tracked modes
+    # are the window columns ``positions``, and every window pair enters
+    # their derivatives
+    window = min(ops.size, K + config.overtrack)
+    pencil_t, lam_w, V_w = ops.solve(0.0, min(window + 1, ops.size))
+    derivative_t = ops.derivative_pencil(0.0)
+    V_w = tracking._seed_degenerate_clusters(lam_w, V_w, derivative_t, config.delta_mult)
+    positions = np.arange(K)
+    trace.steps.append(
+        tracking.TrackStep(
+            t=0.0,
+            lambdas=lam_w[:K].copy(),
+            ranks=np.arange(K),
+            perm=tuple(range(K)),
+            rhos=np.full(K, np.nan),
+            dlambdas=np.zeros(K),
+            flags=(),
+            window=window,
+        )
+    )
+
+    t = 0.0
+    while t < 1.0 - 1e-12:
+        lam_cur, V_cur = lam_w[positions], V_w[:, positions]
+        # Modes in a multiplicity cluster of the window, which reaches one
+        # past the candidate window (an untracked partner of a multiple
+        # eigenvalue counts), fall back to zero-order prediction, and so do
+        # modes whose derivative fails the residual gate.
+        fallback = tracking._multiple(lam_w, config.delta_mult)[positions]
+        simple = np.flatnonzero(~fallback)
+        dlam = np.zeros(K)
+        Vdot = np.zeros_like(V_cur)
+        iterations = 0
+        if simple.size:
+            if derivative_t is None:
+                derivative_t = ops.derivative_pencil(t)
+            deriv = tracking.eigen_derivatives(
+                pencil_t, derivative_t, lam_w, V_w, positions[simple],
+                inverse=ops.projected_inverse(t), delta=config.delta_mult,
+            )
+            dlam[simple] = deriv.values
+            Vdot[:, simple] = deriv.vectors
+            fallback[simple[deriv.failed]] = True
+            iterations = deriv.iterations
+
+        h_cur = min(config.h, 1.0 - t)
+        halvings = 0
+        match = None
+        while True:
+            t_next = min(t + h_cur, 1.0)
+            dt = t_next - t
+            V_pred, _ = tracking.taylor_predict(V_cur, lam_cur, Vdot, dlam, dt)
+            win = min(window, ops.size)
+            # Low correlation first widens the candidate window (tracked
+            # modes may have been overtaken), then shrinks the step. One
+            # eigenvalue beyond the window shows whether a candidate at its
+            # edge belongs to a multiplicity cluster.
+            while True:
+                pencil, lam_next, V_next = ops.solve(t_next, min(win + 1, ops.size))
+                match = tracking._cluster_aware_match(
+                    V_pred, lam_cur, V_next[:, :win], pencil[1],
+                    config.delta_mult, config.rho_min,
+                )
+                if match.ok or win >= ops.size:
+                    break
+                win = min(2 * win, ops.size)
+            if match.ok or halvings >= config.max_halvings:
+                break
+            halvings += 1
+            h_cur *= 0.5
+        if not match.ok:
+            trace.status = "aborted-low-correlation"
+            return trace
+
+        lam_new = lam_next[match.perm].copy()
+        perm, crossing, ranks = tracking._rank_permutation(lam_cur, lam_new, config.delta_mult)
+        flags = []
+        if crossing:
+            flags.append("crossing-detected")
+        if fallback.any():
+            flags.append("derivative-fallback")
+        if halvings:
+            flags.append("step-halved")
+        trace.steps.append(
+            tracking.TrackStep(
+                t=t_next,
+                lambdas=lam_new,
+                ranks=np.array(ranks),
+                perm=perm,
+                rhos=match.rhos.copy(),
+                dlambdas=dlam,
+                flags=tuple(flags),
+                window=win,
+                derivative_iterations=iterations,
+            )
+        )
+        window = max(K + config.overtrack, int(match.perm.max()) + 1 + config.overtrack)
+        # the pencil and window solved at t_next serve the next derivatives,
+        # so every parameter is evaluated and factored once
+        pencil_t, lam_w, V_w = pencil, lam_next, V_next
+        derivative_t = None
+        positions = match.perm
+        t = t_next
+
+    trace.status = "completed"
+    return trace

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,9 +248,12 @@ def test_bench_times_each_distinct_computation_once(monkeypatch, quiet_warnings)
         N_max=20, track_h=0.25, repetitions=3,
     )
     report = run_bench(cfg)
-    assert [s for s in systems if s != "reduced"] == ["high-fidelity"] * 4
-    assert hf_assembled[0] > 0 and hf_assembled[1:] == [0, 0, 0]
     rows = {r["label"]: r for r in report["rows"]}
+    # one warm-up, then the timed runs the report counts
+    runs = rows["high-fidelity"]["tracking_runs"]
+    assert runs >= cfg.repetitions
+    assert [s for s in systems if s != "reduced"] == ["high-fidelity"] * (1 + runs)
+    assert hf_assembled[0] > 0 and hf_assembled[1:] == [0] * runs
     assert list(rows) == [
         "high-fidelity", "high-fidelity-cotree", "rb-tree-cotree", "rb-gram-schmidt",
     ]
@@ -286,3 +290,16 @@ def test_offline_build_never_imports_scipy_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("step, runs", [(0.0625, 4), (0.5, 3)])
+def test_timing_repeats_until_the_minimum_wall_time(monkeypatch, step, runs):
+    # a fast callable runs until its timed runs add up to MIN_TIMED_S, a
+    # slow one the requested repetitions; the warm-up is not timed
+    clock = iter(step * np.arange(1000))
+    monkeypatch.setattr(bench_mod, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    med, avg, n = bench_mod._time_callable(lambda: calls.append(1), 3)
+    assert n == runs and len(calls) == runs + 1
+    assert med == pytest.approx(step) and avg == pytest.approx(step)
+    assert bench_mod.MIN_TIMED_S == 0.25

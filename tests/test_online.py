@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ import cavityrb.tracking as tracking_mod
 from cavityrb import TrackingConfig, track
 from cavityrb.bench import build_basis, build_problem
 from cavityrb.config import RunConfig
+from cavityrb.eigensolve import solve_dense_gevp
 from cavityrb.errors import ConfigError, NumericalError
 from cavityrb.online import lobatto_nodes, pencil_interpolant
 from cavityrb.pod import ReducedBasis
@@ -57,6 +59,32 @@ def test_interpolated_derivative_matches_chain_rule(space, kind, t):
     problem, Z, interp = _case(space, kind)
     oracle = reduced_derivative(problem, Z, space, t)
     assert _rel_err(interp.derivative_pencil(t), oracle) < 1e-9
+
+
+@given(SPACES, FAMILIES, st.lists(PARAMS, min_size=1, max_size=5))
+def test_stacked_evaluation_matches_exact_pencils_and_chain_rule(space, kind, ts):
+    # every row of one stacked product against the exact reduced pencil and
+    # the chain-rule derivative at its parameter
+    problem, Z, interp = _case(space, kind)
+    pencils = interp.pencils(ts)
+    assert pencils.shape == (len(ts), 4, interp.size, interp.size)
+    for row, t in zip(pencils, ts):
+        assert _rel_err(row[:2], problem.reduced_pencil(Z, t, space=space)[:2]) < 1e-12
+        assert _rel_err(row[2:], reduced_derivative(problem, Z, space, t)) < 1e-9
+
+
+@given(SPACES, FAMILIES, st.lists(PARAMS, min_size=1, max_size=5))
+def test_stacked_dense_solve_is_the_per_matrix_solve_bit_for_bit(space, kind, ts):
+    # one solve_dense_gevp call on a stack makes the LAPACK call of each
+    # matrix alone: the same bits, also for a stack with two leading axes
+    _, _, interp = _case(space, kind)
+    pencils, lam, V = interp.evaluate(ts)
+    assert lam.shape == (len(ts), interp.size) and V.shape == (len(ts),) + (interp.size,) * 2
+    for i in range(len(ts)):
+        one_lam, one_V = scipy.linalg.eigh(pencils[i, 0], pencils[i, 1])
+        assert one_lam.tobytes() == lam[i].tobytes() and one_V.tobytes() == V[i].tobytes()
+    twice = solve_dense_gevp(*(np.stack([pencils[:, j]] * 2) for j in (0, 1)))
+    assert all(x.tobytes() == np.stack([y, y]).tobytes() for x, y in zip(twice, (lam, V)))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-15, -1e-13, 1e-9])
@@ -130,34 +158,35 @@ def test_reduced_track_with_interpolant_needs_no_assembly_or_splu(monkeypatch, b
 
 
 def test_reduced_track_computes_the_weights_once_per_parameter(monkeypatch, built):
-    # the solve at each parameter and the derivative the next step takes
-    # there share one computation of the Lagrange weights
+    # a march without halved steps evaluates its whole grid as one stack:
+    # one computation of the Lagrange weights, one row per parameter
     cfg, problem, basis = built
     evaluations = []
     weights = online.PencilInterpolant.weights
 
-    def counted(self, t):
-        evaluations.append(t)
-        return weights(self, t)
+    def counted(self, ts):
+        evaluations.append(list(ts))
+        return weights(self, ts)
 
     monkeypatch.setattr(online.PencilInterpolant, "weights", counted)
     config = TrackingConfig(K=3, h=0.25, system="reduced", overtrack=1)
     trace = track(config, problem, basis=basis)
     assert trace.complete
-    assert evaluations == [step.t for step in trace.steps], evaluations
+    assert evaluations == [[step.t for step in trace.steps]], evaluations
 
 
 def test_alternating_parameters_never_get_stale_weights():
-    # the kept weights belong to one parameter: asking for another computes
-    # its own, and coming back computes the first again
+    # nothing is kept between evaluations: a parameter asked for again, in
+    # any order, gets the bits it got the first time, and a stack holds
+    # the same pencils as its stacks of one, to round-off
     _, _, interp = _case("edge", "bump")
-    fresh = {}
-    for t in (0.3, 0.7):
-        ell, dell = interp.weights(t)
-        fresh[t] = (*interp._combine(ell), *interp._combine(dell))
+    fresh = {t: (*interp.pencil(t), *interp.derivative_pencil(t)) for t in (0.3, 0.7)}
     for t in (0.3, 0.7, 0.3, 0.3, 0.7, 0.7, 0.3):
         got = (*interp.pencil(t), *interp.derivative_pencil(t))
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, fresh[t]))
+    stack = interp.pencils([0.7, 0.3, 0.7])
+    for row, t in zip(stack, (0.7, 0.3, 0.7)):
+        assert _rel_err(row, fresh[t]) < 1e-14
 
 
 def test_track_on_another_problem_is_config_error(built):

@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import pathlib
+import warnings
 import weakref
 
 import numpy as np
@@ -18,7 +21,8 @@ from cavityrb import (
 from cavityrb.eigensolve import eigenvalue_clusters, solve_dense_gevp
 from cavityrb.errors import ConfigError, NumericalError, SingularDerivativeError
 from cavityrb.online import pencil_interpolant
-from cavityrb import gauge, tracking
+from cavityrb import bench, gauge, online, tracking
+from cavityrb.config import load_config
 from cavityrb.tracking import TrackingTrace, TrackStep, _rank_permutation
 
 from conftest import (
@@ -29,6 +33,7 @@ from conftest import (
     eigenspace_distance,
     make_problem,
     multiple_by_clusters,
+    per_parameter_track,
     probe_seeded_clusters,
     rank_permutation_by_clusters,
     solve_full,
@@ -160,6 +165,64 @@ def test_derivatives_match_the_bordered_oracle(ops_kind, family, t, data):
         vp, lp = bordered_derivatives(A, B, *derivative, v, lam_w[k], B @ v)
         assert np.linalg.norm(d.vectors[:, j] - vp) <= 1e-9 * np.linalg.norm(vp)
         assert abs(d.values[j] - lp) <= 1e-8 * (abs(lp) + lam_w[k])
+
+
+@given(
+    st.sampled_from(["edge", "cotree"]),
+    st.sampled_from(["affine", "bump"]),
+    st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=4),
+)
+def test_stacked_derivatives_match_the_bordered_oracle(space, family, ts):
+    # the whole-spectrum rule on a stack of parameters, every mode at once,
+    # against one bordered LU per mode; a clustered column is flagged and
+    # picking it raises
+    ops = _reduced_ops(space, family)
+    pencils, lam, V = ops.evaluate(ts)
+    multiple = tracking._multiple(lam, tracking.DEFAULT_MULT_TOL)
+    d = eigen_derivatives(
+        (pencils[:, 0], pencils[:, 1]), (pencils[:, 2], pencils[:, 3]), lam, V,
+        multiple=multiple,
+    )
+    assert d.vectors.shape == V.shape and d.values.shape == lam.shape
+    np.testing.assert_array_equal(d.multiple, multiple)
+    assert not (d.unpaired.any() or d.orthogonal.any())
+    for row in range(len(ts)):
+        A, B, A_p, B_p = pencils[row]
+        simple = np.flatnonzero(~multiple[row, :6])
+        picked = d.pick(simple, row)
+        assert not picked.failed.any()
+        for j, k in enumerate(simple):
+            v = V[row][:, k]
+            vp, lp = bordered_derivatives(A, B, A_p, B_p, v, lam[row, k], B @ v)
+            assert np.linalg.norm(picked.vectors[:, j] - vp) <= 1e-9 * np.linalg.norm(vp)
+            assert abs(picked.values[j] - lp) <= 1e-8 * (abs(lp) + lam[row, k])
+        for k in np.flatnonzero(multiple[row]):
+            assert d.failed[row, k]
+            with pytest.raises(SingularDerivativeError):
+                d.pick([k], row)
+
+
+def test_stacked_rule_masks_clustered_columns():
+    # exact double eigenvalues in a stack: the clustered columns divide by
+    # no zero gap (every floating-point warning raises here), are flagged
+    # and zero, and the simple columns keep their derivatives
+    lam = np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 3.0]])
+    A = np.stack([np.diag(row) for row in lam])
+    B = np.broadcast_to(np.eye(4), A.shape)
+    M = np.arange(16.0).reshape(4, 4)
+    A_p = np.broadcast_to(M + M.T, A.shape)
+    V = np.broadcast_to(np.eye(4), A.shape)
+    with np.errstate(all="raise"):
+        d = eigen_derivatives((A, B), (A_p, 0 * B), lam, V)
+    multiple = np.array([[True, True, False, False], [False, False, True, True]])
+    np.testing.assert_array_equal(d.multiple, multiple)
+    np.testing.assert_array_equal(d.failed, multiple)
+    for row in range(2):
+        assert not d.vectors[row][:, multiple[row]].any()
+        assert np.isfinite(d.vectors[row]).all()
+    # lambda' = v^T A' v for v = e_k and B' = 0
+    want = np.diagonal(A_p, axis1=1, axis2=2)
+    np.testing.assert_allclose(d.values, np.where(multiple, 0.0, want), rtol=1e-14)
 
 
 def test_round_off_column_stops_before_the_cap():
@@ -670,3 +733,129 @@ def test_track_config_validation():
         (key,) = change
         with pytest.raises(ConfigError, match=f"^{key} "):
             TrackingConfig(**{"K": 2, "h": 0.1, **change})
+
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def config_bases():
+    """Config, problem and built basis of each shipped config."""
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("bench_n24", "affine_n16", "sinebump_n12"):
+            cfg = load_config(CONFIGS / f"{name}.cfg")
+            problem = bench.build_problem(cfg)
+            out[name] = cfg, problem, bench.build_basis(problem, cfg)[0]
+    return out
+
+
+def _assert_same_march(got, want, exact=False):
+    """Every step's parameter, permutation, flags, window, ranks and
+    derivative iterations identical; lambda within 1e-11 relative, rho
+    within 1e-12 and the derivatives within 1e-8 relative, or every bit."""
+    assert got.status == want.status and len(got.steps) == len(want.steps)
+    for s, r in zip(got.steps, want.steps):
+        assert (s.t, s.perm, s.flags, s.window, s.derivative_iterations) == (
+            r.t, r.perm, r.flags, r.window, r.derivative_iterations
+        )
+        np.testing.assert_array_equal(s.ranks, r.ranks)
+        if exact:
+            for f in ("lambdas", "rhos", "dlambdas"):
+                assert getattr(s, f).tobytes() == getattr(r, f).tobytes()
+            continue
+        assert np.all(abs(s.lambdas - r.lambdas) <= 1e-11 * abs(r.lambdas))
+        np.testing.assert_allclose(s.rhos, r.rhos, rtol=0, atol=1e-12)
+        assert np.all(abs(s.dlambdas - r.dlambdas) <= 1e-8 * abs(r.dlambdas))
+
+
+@pytest.mark.parametrize("name, change, halved", [
+    ("bench_n24", {}, 0),
+    ("affine_n16", {}, 0),
+    ("sinebump_n12", {}, 0),
+    ("sinebump_n12", {"rho_min": 0.999}, 1),
+    ("sinebump_n12", {"rho_min": 0.9995, "h": 0.25}, 2),
+    ("sinebump_n12", {"rho_min": 0.9999, "h": 0.25}, 0),  # aborts
+])
+def test_stacked_march_matches_the_per_parameter_oracle(config_bases, name, change, halved):
+    # the reduced march on its stacks against the march that evaluates,
+    # solves and differentiates one parameter at a time; a halved step is
+    # a stack of one and re-stacks the rest of the grid
+    cfg, problem, basis = config_bases[name]
+    config = dataclasses.replace(cfg.tracking_config("reduced"), **change)
+    got = track(config, problem, basis=basis)
+    want = per_parameter_track(config, problem, basis=basis)
+    _assert_same_march(got, want)
+    assert sum("step-halved" in s.flags for s in got.steps) == halved
+    assert got.complete == (change.get("rho_min") != 0.9999)
+
+
+@pytest.mark.parametrize("family", ["affine", "bump"])
+@pytest.mark.parametrize("change", [{}, {"h": 1.0, "rho_min": 0.99}])
+def test_high_fidelity_march_matches_the_per_parameter_oracle_bit_for_bit(family, change):
+    problem = make_problem(n=8, family=family)
+    config = TrackingConfig(**{"K": 3, "h": 0.25, **change})
+    got = track(config, problem)
+    _assert_same_march(got, per_parameter_track(config, problem), exact=True)
+    if change:
+        assert any("step-halved" in s.flags for s in got.steps)
+
+
+@pytest.mark.parametrize("system", ["high-fidelity", "reduced"])
+def test_one_classification_per_solved_window(monkeypatch, config_bases, system):
+    # the march classifies each parameter's window once, and the derivative
+    # rule reads that mask: the high-fidelity ops one window per step, the
+    # reduced ops every spectrum of the stack in one call
+    shapes = []
+    multiple = tracking._multiple
+
+    def counted(lam, delta):
+        shapes.append(np.shape(lam))
+        return multiple(lam, delta)
+
+    monkeypatch.setattr(tracking, "_multiple", counted)
+    if system == "reduced":
+        cfg, problem, basis = config_bases["bench_n24"]
+        trace = track(cfg.tracking_config("reduced"), problem, basis=basis)
+        assert shapes == [(len(trace.steps), basis.size)]
+    else:
+        trace = track(TrackingConfig(K=3, h=0.25), make_problem(n=8, family="bump"))
+        # every parameter but the last is stepped from
+        assert len(shapes) == len(trace.steps) - 1
+        assert all(len(shape) == 1 for shape in shapes)
+    assert trace.complete and not any("step-halved" in s.flags for s in trace.steps)
+
+
+def test_reduced_track_keeps_no_stack_between_calls(monkeypatch, config_bases):
+    # the online-affine benchmark tracks one basis over and over: each call
+    # evaluates its own stack, and nothing of it stays on the interpolant
+    cfg, problem, basis = config_bases["bench_n24"]
+    interpolant = basis.interpolant
+    keys = set(vars(interpolant))
+    stacks = []
+    evaluate = online.PencilInterpolant.evaluate
+
+    def counted(self, ts):
+        stacks.append(list(ts))
+        return evaluate(self, ts)
+
+    monkeypatch.setattr(online.PencilInterpolant, "evaluate", counted)
+    config = cfg.tracking_config("reduced")
+    first = track(config, problem, basis=basis)
+    second = track(config, problem, basis=basis)
+    visited = [s.t for s in first.steps]
+    assert stacks == [visited, visited]
+    _assert_same_march(second, first, exact=True)
+    assert set(vars(interpolant)) - keys <= {"barycentric_weights", "unpack"}
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 4 for v in vars(interpolant).values())
+
+
+def test_reduced_track_raises_no_floating_point_warning(config_bases):
+    # the whole-stack rule masks the clustered columns before its modal
+    # division, so no division by a zero gap ever happens
+    cfg, problem, basis = config_bases["bench_n24"]
+    with np.errstate(all="raise"):
+        trace = track(cfg.tracking_config("reduced"), problem, basis=basis)
+    assert trace.complete
+    assert any("derivative-fallback" in s.flags for s in trace.steps)
